@@ -1,0 +1,153 @@
+"""Golden traces: digests of seeded runs, pinned across versions.
+
+Each case runs one fixed config and hashes, with SHA-256, the trace's
+status and the bytes of its ``set_indices``, ``step_lengths`` and
+``residuals``, then ``x_final`` and, for the memory strategy,
+``final_matrix``.  The digests were taken from the code before the hot
+loop was first optimised; any change to the loop, the memory update or the
+stopping rules that moves a single bit of a trace fails here.  Re-pin only for an intended behaviour
+change, and say so in the change log.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from memproj import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Cyclic,
+    Halfspace,
+    Hyperplane,
+    LineThroughOrigin,
+    Memory,
+    Policy,
+    RandomizedCycles,
+    StoppingRule,
+    ToyConfig,
+    build_banded_bidirectional,
+    build_banded_forward,
+    build_dense,
+    build_prior_matrix,
+    make_toy_problem,
+    run,
+)
+
+
+def _toy(n):
+    return make_toy_problem(ToyConfig(n, 0.05))
+
+
+def _prior(n):
+    """Forward cycle plus a few fixed long jumps with unequal weights."""
+    w = np.zeros((n, n))
+    for m in range(n):
+        w[m, (m + 1) % n] = 1.0
+        w[m, (m + 5) % n] = 0.5 + 0.1 * (m % 3)
+        w[m, (m + n - 2) % n] = 0.25
+    return build_prior_matrix(w)
+
+
+def _custom_problem():
+    """Twelve sets in R^6, two of each family, whose only common point is 0."""
+    rng = np.random.default_rng(2024)
+    d = 6
+    base = np.ones(d) / np.sqrt(d)
+
+    def tilted():
+        v = base + 0.2 * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    sets = []
+    for _ in range(2):
+        sets.append(Hyperplane(rng.standard_normal(d), 0.0))
+        sets.append(Halfspace(rng.standard_normal(d), rng.uniform(0.0, 0.5)))
+        c = rng.uniform(-2.0, 2.0, size=d)
+        sets.append(Ball(c, np.linalg.norm(c) * rng.uniform(1.0, 1.3)))
+        sets.append(Box(-rng.uniform(0.1, 3.0, size=d), rng.uniform(0.1, 3.0, size=d)))
+        sets.append(LineThroughOrigin(tilted()))
+        sets.append(AffineSubspace(np.zeros(d), np.vstack([tilted(), rng.standard_normal(d)])))
+    x0 = rng.uniform(-4.0, 4.0, size=d)
+    return sets, x0, np.zeros(d)
+
+
+def _case(problem, strategy, stop, **kwargs):
+    sets, x0, sol = problem
+    return lambda: run(sets, strategy(), x0, stop, known_point=sol, **kwargs)
+
+
+BUDGET = StoppingRule.exact_budget(3000)
+MIN = Policy("min", 0.01)
+AVERAGE = Policy("average", 0.5)
+
+CASES = {
+    "mcp_n9": _case(_toy(9), lambda: Cyclic(9), BUDGET),
+    "mrp_n9": _case(_toy(9), lambda: RandomizedCycles(9, seed=3), BUDGET),
+    "pam_dense_min_n9": _case(_toy(9), lambda: Memory(build_dense(9), MIN, seed=1), BUDGET),
+    "pam_dense_average_n9": _case(
+        _toy(9), lambda: Memory(build_dense(9), AVERAGE, seed=2), BUDGET),
+    "pam_dense_min_n64_ties": _case(
+        _toy(64), lambda: Memory(build_dense(64), MIN, seed=0), BUDGET),
+    "pam_forward_w2_min_n16": _case(
+        _toy(16), lambda: Memory(build_banded_forward(16, 2), MIN, seed=4), BUDGET),
+    "pam_bidirectional_w2_average_n16": _case(
+        _toy(16),
+        lambda: Memory(build_banded_bidirectional(16, 2, 0.3), AVERAGE, seed=5), BUDGET),
+    "pam_prior_min_n12": _case(
+        _toy(12), lambda: Memory(_prior(12), MIN, seed=6, start_index=3), BUDGET),
+    "pam_residual_stop_n9": _case(
+        _toy(9), lambda: Memory(build_dense(9), MIN, seed=7),
+        StoppingRule(max_iterations=100_000, step_tolerance=5e-324,
+                     residual_tolerance=1e-6)),
+    "mcp_step_window_stop_n9": _case(
+        _toy(9), lambda: Cyclic(9),
+        StoppingRule(max_iterations=100_000, step_window=9, step_tolerance=1e-4)),
+    "pam_step_window_stop_n9": _case(
+        _toy(9), lambda: Memory(build_dense(9), AVERAGE, seed=8),
+        StoppingRule(max_iterations=100_000, step_tolerance=1e-5)),
+    "custom_six_families_pam_average": _case(
+        _custom_problem(), lambda: Memory(build_dense(12), AVERAGE, seed=9),
+        StoppingRule(max_iterations=50_000, step_tolerance=5e-324,
+                     residual_tolerance=1e-8)),
+    "custom_six_families_mrp_debug": _case(
+        _custom_problem(), lambda: RandomizedCycles(12, seed=10), BUDGET,
+        debug_asserts=True),
+}
+
+GOLDEN = {
+    "custom_six_families_mrp_debug": "71cf4224acb95acf838eac1f0037e30004cde544503a27bd736012e88370b069",
+    "custom_six_families_pam_average": "2078b0a8f213e5d90420ff8128dca08c0ffd1e0dd3a82c344be36aa0c3d7f542",
+    "mcp_n9": "b7d21bc63be80ca0d15b8958d4d273b65fde7314158dba1bd7993bf2a63dd124",
+    "mcp_step_window_stop_n9": "af0dde94439190e1e84d223d82d58c761e626f91d3dfe655828d5c7053f15e17",
+    "mrp_n9": "08fd4dc10173a2a448b18cb6b467d1b314c5cac095693f736d7c39c75f4cff26",
+    "pam_bidirectional_w2_average_n16": "e9f4934ca69b0b067a8289bdb0a94beb80349b3fc04c13698a64d6a05062af45",
+    "pam_dense_average_n9": "7e6717acbfabb9d2d88719d7af4f1488bab56f480269dd477517c67451b4744f",
+    "pam_dense_min_n64_ties": "df01c21a2339d7d50dafddc5cf634273510e63dfbe1de99cd4152dcaf921dc43",
+    "pam_dense_min_n9": "b9db1dc8f2913a2c4f32f5e54684679175b04c57aad5fd39106b1b252fbafe3b",
+    "pam_forward_w2_min_n16": "af918306b8aab0ab2288e6b03ac1c28a48a64cffccdd6d7c4f9c95c0f780c778",
+    "pam_prior_min_n12": "ad26bbceea960c9686b0534b60b5b32f680af6c09f9ccc042274f5d6ba3c7771",
+    "pam_residual_stop_n9": "b5f4e23a8390c5cedc0c314ea37627dd1b907acfac1498d3ff57c07c6b12a830",
+    "pam_step_window_stop_n9": "0919486244c61b84da47eb5e3273fe36030122f28f72eda713b03af5e088c625",
+}
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    h.update(trace.status.encode())
+    for a in (trace.set_indices, trace.step_lengths, trace.residuals, trace.x_final,
+              trace.final_matrix):
+        if a is not None:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden_digest(name):
+    assert trace_digest(CASES[name]()) == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert sorted(GOLDEN) == sorted(CASES)
