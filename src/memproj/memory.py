@@ -12,6 +12,7 @@ Set indices everywhere in this package are 0-based.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,15 +321,17 @@ def pam_select(state: PamState) -> int:
     Ties under exact float equality are resolved uniformly at random with
     the state's generator; the current index is never returned.
     """
-    row = state.matrix.row(state.current_index)
-    row[state.current_index] = -np.inf
+    j = state.current_index
+    # a view suffices: the diagonal is 0 and no entry is negative, so once
+    # the maximum is positive the current index cannot be among the ties
+    row = state.matrix._a[j]
     best = row.max()
     if not best > 0.0:
         raise InvariantViolation(
-            f"row {state.current_index} has no positive entry besides the "
-            "diagonal; the matrix was not admissible"
+            f"row {j} has no positive entry besides the diagonal; "
+            "the matrix was not admissible"
         )
-    ties = np.flatnonzero(row == best)
+    ties = (row == best).nonzero()[0]
     if ties.size == 1:
         return int(ties[0])
     return int(ties[state.rng.integers(ties.size)])
@@ -345,25 +348,26 @@ def pam_update(
     preserved exactly.
     """
     j = state.current_index
-    n = state.n
+    matrix = state.matrix
+    n = matrix._a.shape[0]
     if not 0 <= j_next < n:
         raise IndexError(f"index {j_next} out of range 0..{n - 1}")
     if j_next == j:
         raise ValueError("next index must differ from the current index")
     step = float(step_length)
-    if not (np.isfinite(step) and step >= 0.0):
+    if not (math.isfinite(step) and step >= 0.0):
         raise ValueError("step_length must be finite and >= 0")
-    if state.matrix.entry(j, j_next) == 0.0:
+    if matrix._a[j, j_next] == 0.0:
         raise InvariantViolation(
             f"transition ({j}, {j_next}) has zero weight; selection must "
             "never propose it"
         )
-    value = max(step, evaluate_policy(policy, j, state.matrix))
+    value = max(step, evaluate_policy(policy, j, matrix))
     if not value > 0.0:
         raise InvariantViolation(
             f"update for transition ({j}, {j_next}) would erase a positive "
             "entry (underflow)"
         )
-    state.matrix._overwrite(j, j_next, value)
+    matrix._overwrite(j, j_next, value)
     state.current_index = int(j_next)
     return state

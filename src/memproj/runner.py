@@ -9,10 +9,12 @@ projection number 0 of the run.
 With ``debug_asserts`` enabled and a known feasible point supplied, every
 step is checked against the two error-reduction inequalities that all
 metric projections satisfy, and the run aborts with a diagnostic when a
-violation exceeds the floating-point slack.
+violation exceeds the floating-point slack, which is relative to the
+magnitudes of the iterates and the point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,11 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 # smallest positive double: a step tolerance that only exact zeros beat,
 # used for fixed-budget runs
 _NEVER = 5e-324
+
+_EPS = float(np.finfo(float).eps)
+# allowed rounding in the debug error-reduction check, in units of
+# machine epsilon times the magnitudes of the two iterates and the point
+_FEJER_ULPS = 1024
 
 
 class NumericError(RuntimeError):
@@ -115,16 +122,32 @@ class RunTrace:
         return transition_counts(self.set_indices, self.n_sets)
 
 
+def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
+    """Euclidean distance between two 1-D float vectors.
+
+    ``np.linalg.norm`` of a 1-D float vector is ``sqrt(v.dot(v))``; making
+    the same dot call directly gives the same bits without its overhead.
+    Every distance a trace stores or checks goes through here.
+    """
+    v = a - b
+    return math.sqrt(v.dot(v))
+
+
 def _check_fejer(x_prev, x_next, z, step, k):
-    d_prev = float(np.linalg.norm(x_prev - z))
-    d_next = float(np.linalg.norm(x_next - z))
-    if d_next * d_next > d_prev * d_prev - step * step + 1e-9:
+    d_prev = _distance(x_prev, z)
+    d_next = _distance(x_next, z)
+    # rounding in the projection and in the three distances is bounded by a
+    # multiple of machine epsilon times the magnitudes involved, so the
+    # slack scales with them and the check means the same at every scale
+    scale = _distance(x_prev, 0.0) + _distance(x_next, 0.0) + _distance(z, 0.0)
+    slack = _FEJER_ULPS * _EPS * scale
+    if d_next * d_next > d_prev * d_prev - step * step + slack * scale:
         raise FejerViolation(
             f"projection {k}: squared distance to the reference point fell "
             f"by less than the squared step ({d_prev:.17g} -> {d_next:.17g}, "
             f"step {step:.17g}); is the reference point feasible?"
         )
-    if d_next > d_prev + 1e-12:
+    if d_next > d_prev + slack:
         raise FejerViolation(
             f"projection {k}: distance to the reference point increased "
             f"({d_prev:.17g} -> {d_next:.17g}); is the reference point feasible?"
@@ -188,57 +211,59 @@ def run(
     snapshots: list = []
     x_start = x.copy()
     status = STATUS_MAX_ITERATIONS
+    check_fejer = debug_asserts and z is not None
+    step_tolerance = stop.step_tolerance
+    residual_tolerance = stop.residual_tolerance if z is not None else None
+    snapshot_interval = matrix_snapshot_interval if memory_matrix is not None else None
+    # the step rule fires once the last ``window`` steps are all below the
+    # tolerance, i.e. once the latest step at or above it is ``window``
+    # projections back; -1 stands for "before the first projection"
+    last_big = -1
 
-    def record(j: int, x_prev: np.ndarray, x_next: np.ndarray, step: float) -> float:
-        if not np.all(np.isfinite(x_next)):
-            raise NumericError(f"non-finite iterate after projection {len(indices)}")
-        if debug_asserts and z is not None:
-            _check_fejer(x_prev, x_next, z, step, len(indices))
+    def record(j: int, x_prev: np.ndarray, x_next: np.ndarray) -> tuple[float, str | None]:
+        """Append projection ``len(indices)``; return its step and the stop verdict."""
+        nonlocal last_big
+        k = len(indices)
+        step = _distance(x_next, x_prev)
+        # a finite step from a finite iterate implies a finite next iterate
+        if not step < math.inf and not np.all(np.isfinite(x_next)):
+            raise NumericError(f"non-finite iterate after projection {k}")
+        if check_fejer:
+            _check_fejer(x_prev, x_next, z, step, k)
         indices.append(j)
         steps.append(step)
-        res = np.nan
+        if not step < step_tolerance:
+            last_big = k
+        verdict = None
         if z is not None:
-            res = float(np.linalg.norm(x_next - z))
+            res = _distance(x_next, z)
             residuals.append(res)
+            if residual_tolerance is not None and res < residual_tolerance:
+                verdict = STATUS_RESIDUAL
         if iterates is not None:
             iterates.append(x_next.copy())
-        return res
-
-    def should_stop(res: float) -> str | None:
-        if (
-            z is not None
-            and stop.residual_tolerance is not None
-            and res < stop.residual_tolerance
-        ):
-            return STATUS_RESIDUAL
-        if len(steps) >= window and max(steps[-window:]) < stop.step_tolerance:
-            return STATUS_STEP
-        return None
+        if verdict is None and k - last_big >= window:
+            verdict = STATUS_STEP
+        return step, verdict
 
     if strategy.needs_start_projection:
         j0 = int(getattr(strategy, "current_index", 0))
         x_next = sets[j0].project(x)
-        res = record(j0, x, x_next, float(np.linalg.norm(x_next - x)))
+        _, verdict = record(j0, x, x_next)
         x = x_next
-        verdict = should_stop(res)
         if verdict is not None:
             status = verdict
 
     last_step = None
-    while status == STATUS_MAX_ITERATIONS and len(indices) < stop.max_iterations:
-        j = strategy.next_index(last_step)
+    next_index = strategy.next_index
+    max_iterations = stop.max_iterations
+    while status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
+        j = next_index(last_step)
         x_next = sets[j].project(x)
-        step = float(np.linalg.norm(x_next - x))
-        res = record(j, x, x_next, step)
+        last_step, verdict = record(j, x, x_next)
         x = x_next
-        last_step = step
-        if (
-            matrix_snapshot_interval is not None
-            and memory_matrix is not None
-            and len(indices) % matrix_snapshot_interval == 0
-        ):
+        if snapshot_interval is not None and len(indices) % snapshot_interval == 0:
             snapshots.append((len(indices), strategy.matrix.to_array()))
-        verdict = should_stop(res)
         if verdict is not None:
             status = verdict
 
@@ -272,13 +297,13 @@ def residual_series(trace: RunTrace, z) -> np.ndarray:
     if zv.shape != trace.x0.shape:
         raise ValueError("z dimension mismatch")
     if trace.iterates is not None:
-        # row by row with the same norm call the recorder used, so the
+        # row by row with the distance helper the recorder used, so the
         # series matches stored residuals bit for bit
-        return np.array([float(np.linalg.norm(row - zv)) for row in trace.iterates])
+        return np.array([_distance(row, zv) for row in trace.iterates])
     if trace.residuals is not None and trace.known_point is not None and np.array_equal(
         zv, trace.known_point
     ):
-        first = float(np.linalg.norm(trace.x0 - zv))
+        first = _distance(trace.x0, zv)
         return np.concatenate([[first], trace.residuals])
     raise ValueError(
         "iterates were not stored; rerun with store_iterates=True or pass "

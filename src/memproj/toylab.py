@@ -154,20 +154,37 @@ def concentration_step(indices, n_sets: int, threshold: float = 0.75) -> int:
     result equals the total transition count when the share never settles
     above the threshold within the trace.
     """
-    idx = np.asarray(indices, dtype=int)
-    total = idx.size - 1
+    idx = np.asarray(indices, dtype=int).tolist()
+    total = len(idx) - 1
     if total < 1:
         return 0
-    counts = np.zeros(n_sets * n_sets, dtype=np.int64)
-    shares = np.empty(total)
+    # counts only ever grow by one, so the top-N sum is tracked exactly
+    # from a histogram of counts, the N-th largest count and the number of
+    # cells above it: it rises by 1 exactly when the incremented cell was
+    # at or above the N-th largest count
+    counts = [0] * (n_sets * n_sets)
+    hist = [0] * (total + 2)
+    hist[0] = n_sets * n_sets
+    nth = 0
+    above = 0
+    top = 0
+    last_below = -1
     for t in range(total):
-        counts[idx[t] * n_sets + idx[t + 1]] += 1
-        top = np.partition(counts, counts.size - n_sets)[-n_sets:]
-        shares[t] = top.sum() / (t + 1)
-    below = np.flatnonzero(shares < threshold)
-    if below.size == 0:
-        return 0
-    return int(below[-1]) + 1
+        cell = idx[t] * n_sets + idx[t + 1]
+        c = counts[cell]
+        counts[cell] = c + 1
+        hist[c] -= 1
+        hist[c + 1] += 1
+        if c >= nth:
+            top += 1
+            if c == nth:
+                above += 1
+                if above == n_sets:
+                    nth += 1
+                    above = n_sets - hist[nth]
+        if top / (t + 1) < threshold:
+            last_below = t
+    return last_below + 1
 
 
 PRESETS = (
