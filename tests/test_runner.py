@@ -3,13 +3,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memproj import (
     STATUS_MAX_ITERATIONS,
     STATUS_RESIDUAL,
     STATUS_STEP,
+    AffineSubspace,
+    Ball,
+    Box,
     Cyclic,
     FejerViolation,
+    Halfspace,
+    Hyperplane,
+    LineThroughOrigin,
     Memory,
     NumericError,
     Policy,
@@ -21,6 +29,7 @@ from memproj import (
     residual_series,
     run,
 )
+from memproj.runner import _distance
 
 TOY = ToyConfig(9, 0.05)
 
@@ -283,3 +292,137 @@ class TestResidualSeries:
                     known_point=sol)
         with pytest.raises(ValueError):
             residual_series(trace, np.zeros(5))
+
+
+class _Scripted:
+    """Fake set that moves the iterate to the next point of a shared script,
+    whatever the input, so a test dictates every step length."""
+
+    def __init__(self, script, dim):
+        self.script = script
+        self.dim = dim
+
+    def project(self, x):
+        return np.array(next(self.script), dtype=float)
+
+
+def _scripted_pair(points, dim):
+    script = iter(points)
+    return [_Scripted(script, dim), _Scripted(script, dim)]
+
+
+def _two_set_strategies():
+    return [Cyclic(2), Memory(build_dense(2), Policy("min", 0.5), seed=0)]
+
+
+class TestLeanLoopEquivalence:
+    """The per-projection shortcuts agree with the plain definitions."""
+
+    @pytest.mark.parametrize("d", [3, 60])
+    def test_distance_is_bit_equal_to_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        for exponent in range(-150, 151, 5):
+            for _ in range(20):
+                a = rng.standard_normal(d) * 10.0**exponent
+                b = rng.standard_normal(d) * 10.0**exponent
+                assert _distance(a, b) == float(np.linalg.norm(a - b))
+
+    @given(
+        steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=40),
+        window=st.integers(2, 6),
+        which=st.integers(0, 1),
+    )
+    @settings(max_examples=300)
+    def test_step_window_stops_where_the_sliding_max_rule_does(self, steps, window, which):
+        # dyadic positions make every step exact; a step equal to the
+        # tolerance (0.5) must count as not yet converged
+        tol = 0.5
+        points = np.cumsum([s * (-1) ** k for k, s in enumerate(steps)])
+        expected = len(steps)
+        for k in range(window, len(steps) + 1):
+            if max(steps[k - window:k]) < tol:
+                expected = k
+                break
+        rule = StoppingRule(max_iterations=len(steps), step_window=window, step_tolerance=tol)
+        trace = run(_scripted_pair([[p] for p in points], 1), _two_set_strategies()[which],
+                    np.zeros(1), rule)
+        assert trace.n_projections == expected
+        assert trace.step_lengths.tolist() == steps[:expected]
+        stopped = expected >= window and max(steps[expected - window:expected]) < tol
+        assert trace.status == (STATUS_STEP if stopped else STATUS_MAX_ITERATIONS)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("at", [0, 1, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_iterate_raises_at_its_projection(self, bad, at, which):
+        points = [[float(k), 1.0] for k in range(at)] + [[1.0, bad]]
+        with pytest.raises(NumericError, match=f"after projection {at}$"):
+            run(_scripted_pair(points, 2), _two_set_strategies()[which],
+                np.zeros(2), StoppingRule.exact_budget(10))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_step_between_finite_iterates_is_recorded(self):
+        # the step overflows to inf although both iterates are finite: the
+        # full finiteness scan runs and finds nothing to report
+        points = [[-1e308, 0.0], [1e308, 0.0]]
+        trace = run(_scripted_pair(points, 2), Cyclic(2), np.array([1e308, 0.0]),
+                    StoppingRule.exact_budget(2))
+        assert trace.step_lengths.tolist() == [np.inf, np.inf]
+        np.testing.assert_array_equal(trace.x_final, [1e308, 0.0])
+
+
+def _sets_through(c, size, rng):
+    """One set of each family, all containing ``c``, with extent ~ ``size``.
+
+    The line through the origin and ``c`` meets the hyperplane through
+    ``c`` in ``c`` alone, so the run converges to ``c``.
+    """
+    d = c.shape[0]
+    normal = rng.standard_normal(d)
+    inward = rng.standard_normal(d)
+    offset = size * rng.uniform(-0.5, 0.5, d)
+    return [
+        Hyperplane(normal, normal @ c),
+        Halfspace(inward, inward @ c + size * rng.uniform(0.5, 1.0)),
+        Ball(c + offset, size * (np.linalg.norm(offset / size) + rng.uniform(0.5, 1.0))),
+        Box(c - size * rng.uniform(0.5, 1.0, d), c + size * rng.uniform(0.5, 1.0, d)),
+        LineThroughOrigin(c),
+        AffineSubspace(c, rng.standard_normal((2, d))),
+    ]
+
+
+class TestFejerCheckAtEveryScale:
+    @given(
+        position=st.integers(-6, 12),
+        size=st.integers(-6, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_feasible_reference_never_fires(self, position, size, seed):
+        rng = np.random.default_rng(seed)
+        c = 10.0**position * rng.uniform(0.5, 1.0, 3)
+        sets = _sets_through(c, 10.0**size, rng)
+        x0 = c + 10.0**size * rng.uniform(-2.0, 2.0, 3)
+        run(sets, RandomizedCycles(len(sets), seed=seed), x0,
+            StoppingRule.exact_budget(120), known_point=c, debug_asserts=True)
+
+    def test_hyperplanes_far_from_the_origin(self):
+        # the exact common point of hyperplanes at 1e8 once tripped a fixed
+        # absolute slack within the first few projections
+        rng = np.random.default_rng(0)
+        c = np.full(3, 1e8)
+        sets = [Hyperplane(n, n @ c) for n in rng.standard_normal((5, 3))]
+        trace = run(sets, Cyclic(5), c + rng.standard_normal(3),
+                    StoppingRule.exact_budget(200), known_point=c, debug_asserts=True)
+        assert trace.n_projections > 0
+
+    @pytest.mark.parametrize("exponent", [-6, -3, 0, 4, 8, 12])
+    def test_infeasible_reference_still_fires(self, exponent):
+        rng = np.random.default_rng(exponent + 6)
+        scale = 10.0**exponent
+        c = scale * rng.uniform(0.5, 1.0, 3)
+        sets = _sets_through(c, scale, rng)
+        z = c + 0.01 * scale * rng.standard_normal(3)
+        with pytest.raises(FejerViolation, match="reference point"):
+            run(sets, Cyclic(len(sets)), z, StoppingRule.exact_budget(50),
+                known_point=z, debug_asserts=True)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memproj import (
     Cyclic,
@@ -11,6 +13,7 @@ from memproj import (
     StoppingRule,
     ToyConfig,
     build_banded_forward,
+    build_dense,
     concentration_step,
     distance,
     make_toy_problem,
@@ -103,6 +106,47 @@ class TestConcentration:
     def test_trivial_sequences(self):
         assert concentration_step([3], 5) == 0
         assert concentration_step([], 5) == 0
+
+    @given(
+        data=st.data(),
+        n_sets=st.integers(1, 7),
+        threshold=st.sampled_from([0.1, 0.5, 0.75, 0.9, 1.0]),
+    )
+    @settings(max_examples=400)
+    def test_matches_full_partition_reference(self, data, n_sets, threshold):
+        # a random stretch spreads mass; repeating its first indices then
+        # makes a short cycle whose cells pull ahead, so the top-N share
+        # both dips and settles
+        idx = data.draw(st.lists(st.integers(0, n_sets - 1), max_size=150))
+        idx = idx + data.draw(st.sampled_from([0, 2, 5])) * idx[:4]
+        assert concentration_step(idx, n_sets, threshold) == \
+            _concentration_step_reference(idx, n_sets, threshold)
+
+    def test_matches_reference_on_pam_traces(self):
+        sets, x0, sol = make_toy_problem(ToyConfig(16, 0.05))
+        for seed in range(3):
+            strategy = Memory(build_dense(16), Policy("min", 0.01), seed=seed)
+            trace = run(sets, strategy, x0, StoppingRule.exact_budget(1500))
+            assert concentration_step(trace.set_indices, 16) == \
+                _concentration_step_reference(trace.set_indices, 16)
+
+
+def _concentration_step_reference(indices, n_sets, threshold=0.75):
+    """The original definition: a full partition of all N^2 counts per step."""
+    idx = np.asarray(indices, dtype=int)
+    total = idx.size - 1
+    if total < 1:
+        return 0
+    counts = np.zeros(n_sets * n_sets, dtype=np.int64)
+    shares = np.empty(total)
+    for t in range(total):
+        counts[idx[t] * n_sets + idx[t + 1]] += 1
+        top = np.partition(counts, counts.size - n_sets)[-n_sets:]
+        shares[t] = top.sum() / (t + 1)
+    below = np.flatnonzero(shares < threshold)
+    if below.size == 0:
+        return 0
+    return int(below[-1]) + 1
 
 
 class TestPresets:
