@@ -84,10 +84,6 @@ class DistanceMatrix:
     def entry(self, m: int, n: int) -> float:
         return float(self._a[m, n])
 
-    def row(self, m: int) -> np.ndarray:
-        """Copy of row ``m``."""
-        return self._a[m].copy()
-
     def positive_pattern(self) -> np.ndarray:
         """Boolean mask of strictly positive entries."""
         return self._a > 0.0

@@ -123,7 +123,7 @@ class RunTrace:
 
 
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
-    """Euclidean distance between two 1-D float vectors.
+    """Euclidean distance between two 1-D float vectors (``b=0.0``: length).
 
     ``np.linalg.norm`` of a 1-D float vector is ``sqrt(v.dot(v))``; making
     the same dot call directly gives the same bits without its overhead.
