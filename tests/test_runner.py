@@ -380,11 +380,11 @@ def _sets_through(c, size, rng):
     d = c.shape[0]
     normal = rng.standard_normal(d)
     inward = rng.standard_normal(d)
-    offset = size * rng.uniform(-0.5, 0.5, d)
+    shift = rng.uniform(-0.5, 0.5, d)
     return [
         Hyperplane(normal, normal @ c),
         Halfspace(inward, inward @ c + size * rng.uniform(0.5, 1.0)),
-        Ball(c + offset, size * (np.linalg.norm(offset / size) + rng.uniform(0.5, 1.0))),
+        Ball(c + size * shift, size * (np.linalg.norm(shift) + rng.uniform(0.5, 1.0))),
         Box(c - size * rng.uniform(0.5, 1.0, d), c + size * rng.uniform(0.5, 1.0, d)),
         LineThroughOrigin(c),
         AffineSubspace(c, rng.standard_normal((2, d))),
