@@ -525,6 +525,12 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
                 f"matrix is not admissible: no positive-entry chain from set "
                 f"{m} to set {nn}",
             )
+    window = None if stop is None else stop.step_window
+    if problem is not None and window is not None and window < problem.n_sets:
+        col.add(
+            "stop.step_window",
+            f"must cover at least one full sweep (>= N = {problem.n_sets})",
+        )
 
     if col.errors:
         raise ConfigError(col.errors)

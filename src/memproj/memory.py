@@ -41,13 +41,14 @@ class InvariantViolation(RuntimeError):
 class DistanceMatrix:
     """N x N nonnegative matrix with zero diagonal, plus row aggregates.
 
-    The aggregates (count / sum / min of the strictly positive entries and
-    the row max) make policy evaluation O(1); single-entry overwrites keep
-    them current in O(1) except when a row extreme is overwritten, which
-    costs one row rescan.
+    The aggregates (count / sum / min of the strictly positive entries of
+    each row, held as plain Python numbers) make the "min" policy O(1) and
+    the "average" policy one row argmax; single-entry overwrites keep them
+    current in O(1) except when the row minimum is overwritten, which costs
+    one row rescan.
     """
 
-    __slots__ = ("_a", "_count", "_sum", "_minpos", "_maxval")
+    __slots__ = ("_a", "_count", "_sum", "_minpos")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -67,10 +68,9 @@ class DistanceMatrix:
     def _rebuild_row_stats(self) -> None:
         a = self._a
         pos = a > 0.0
-        self._count = pos.sum(axis=1)
-        self._sum = np.where(pos, a, 0.0).sum(axis=1)
-        self._minpos = np.where(pos, a, np.inf).min(axis=1)
-        self._maxval = a.max(axis=1)
+        self._count = pos.sum(axis=1).tolist()
+        self._sum = np.where(pos, a, 0.0).sum(axis=1).tolist()
+        self._minpos = np.where(pos, a, np.inf).min(axis=1).tolist()
 
     @property
     def n(self) -> int:
@@ -97,24 +97,20 @@ class DistanceMatrix:
         dup._count = self._count.copy()
         dup._sum = self._sum.copy()
         dup._minpos = self._minpos.copy()
-        dup._maxval = self._maxval.copy()
         return dup
 
     def _overwrite(self, m: int, col: int, value: float) -> None:
         # caller guarantees old > 0 and value > 0, so the positive count
         # of row m cannot change
-        old = float(self._a[m, col])
-        self._a[m, col] = value
+        a = self._a
+        old = a.item(m, col)
+        a[m, col] = value
         self._sum[m] += value - old
         if value <= self._minpos[m]:
             self._minpos[m] = value
         elif old == self._minpos[m]:
-            row = self._a[m]
-            self._minpos[m] = np.where(row > 0.0, row, np.inf).min()
-        if value >= self._maxval[m]:
-            self._maxval[m] = value
-        elif old == self._maxval[m]:
-            self._maxval[m] = self._a[m].max()
+            row = a[m]
+            self._minpos[m] = row[row > 0.0].min().item()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -143,11 +139,9 @@ def _reachable_from(pattern: np.ndarray, start: int) -> np.ndarray:
     seen[start] = True
     stack = [start]
     while stack:
-        v = stack.pop()
-        for w in np.flatnonzero(pattern[v]):
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
+        new = pattern[stack.pop()] & ~seen
+        seen |= new
+        stack.extend(new.nonzero()[0].tolist())
     return seen
 
 
@@ -269,15 +263,17 @@ def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
     """
     if not 0 <= m < matrix.n:
         raise IndexError(f"row index {m} out of range 0..{matrix.n - 1}")
-    count = int(matrix._count[m])
+    count = matrix._count[m]
     if count == 0:
         return 0.0
     if policy.kind == "min":
-        return policy.beta * float(matrix._minpos[m])
-    avg = float(matrix._sum[m]) / count
+        return policy.beta * matrix._minpos[m]
+    avg = matrix._sum[m] / count
     # the incrementally maintained sum can nudge the average a hair above
-    # the row max; clamping keeps the decay bound exact in floats
-    return min(policy.beta * avg, policy.beta * float(matrix._maxval[m]))
+    # the row max; clamping to the exact row max, read only here, keeps the
+    # decay bound exact in floats
+    row = matrix._a[m]
+    return min(policy.beta * avg, policy.beta * row.item(row.argmax()))
 
 
 class PamState:
@@ -321,15 +317,19 @@ def pam_select(state: PamState) -> int:
     # a view suffices: the diagonal is 0 and no entry is negative, so once
     # the maximum is positive the current index cannot be among the ties
     row = state.matrix._a[j]
-    best = row.max()
+    k = int(row.argmax())
+    best = row.item(k)
     if not best > 0.0:
         raise InvariantViolation(
             f"row {j} has no positive entry besides the diagonal; "
             "the matrix was not admissible"
         )
+    # argmax returns the first maximum, so the maximum is unique iff the
+    # first one found from the end is the same entry; two argmax calls cost
+    # less than one max reduction
+    if k == row.size - 1 - int(row[::-1].argmax()):
+        return k
     ties = (row == best).nonzero()[0]
-    if ties.size == 1:
-        return int(ties[0])
     return int(ties[state.rng.integers(ties.size)])
 
 
@@ -353,7 +353,7 @@ def pam_update(
     step = float(step_length)
     if not (math.isfinite(step) and step >= 0.0):
         raise ValueError("step_length must be finite and >= 0")
-    if matrix._a[j, j_next] == 0.0:
+    if matrix._a.item(j, j_next) == 0.0:
         raise InvariantViolation(
             f"transition ({j}, {j_next}) has zero weight; selection must "
             "never propose it"

@@ -43,22 +43,21 @@ def write_trace_csv(trace: RunTrace, path) -> None:
 
     The residual column is empty when the run had no known feasible point.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for k in range(trace.n_projections):
-            residual = (
-                "" if trace.residuals is None else format_float(trace.residuals[k])
-            )
-            writer.writerow(
-                (
-                    str(k),
-                    str(int(trace.set_indices[k])),
-                    format_float(trace.step_lengths[k]),
-                    residual,
-                )
-            )
+    # no field can hold a comma, quote or newline, so plain formatting
+    # gives the bytes csv.writer would
+    columns = [
+        range(trace.n_projections),
+        trace.set_indices.tolist(),
+        trace.step_lengths.tolist(),
+    ]
+    if trace.residuals is None:
+        line = "%d,%d,%.17g,\n"
+    else:
+        line = "%d,%d,%.17g,%.17g\n"
+        columns.append(trace.residuals.tolist())
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        fh.writelines(line % row for row in zip(*columns))
 
 
 def read_trace_csv(path) -> dict:
@@ -91,13 +90,9 @@ def read_trace_csv(path) -> dict:
 def write_matrix_csv(matrix, path) -> None:
     """N x N comma-separated reals, one row per line."""
     a = matrix.to_array() if isinstance(matrix, DistanceMatrix) else np.asarray(matrix)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for row in a:
-            if np.issubdtype(a.dtype, np.integer):
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
-            else:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+    fmt = str if np.issubdtype(a.dtype, np.integer) else format_float
+    with Path(path).open("w", newline="") as fh:
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in a.tolist())
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -132,17 +127,15 @@ def trace_json_dict(trace: RunTrace, config_echo: dict | None = None) -> dict:
         "status": trace.status,
         "n_sets": trace.n_sets,
         "n_projections": trace.n_projections,
-        "x0": [float(v) for v in trace.x0],
-        "x_final": [float(v) for v in trace.x_final],
-        "set_indices": [int(v) for v in trace.set_indices],
-        "step_lengths": [float(v) for v in trace.step_lengths],
-        "residuals": None
-        if trace.residuals is None
-        else [float(v) for v in trace.residuals],
+        "x0": trace.x0.tolist(),
+        "x_final": trace.x_final.tolist(),
+        "set_indices": trace.set_indices.tolist(),
+        "step_lengths": trace.step_lengths.tolist(),
+        "residuals": None if trace.residuals is None else trace.residuals.tolist(),
         "transition_counts": trace.transition_counts().tolist(),
     }
     if trace.final_matrix is not None:
-        out["final_matrix"] = [[float(v) for v in row] for row in trace.final_matrix]
+        out["final_matrix"] = trace.final_matrix.tolist()
     if config_echo is not None:
         out["config"] = config_echo
     return out

@@ -98,6 +98,17 @@ class TestRun:
             name = f"trace_seed{seed}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_short_step_window_rejected_before_any_output(
+        self, toy_pam_config, tmp_path, capsys
+    ):
+        doc = json.loads(toy_pam_config.read_text())
+        doc["stop"]["step_window"] = 3
+        toy_pam_config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
+        assert "error: stop.step_window:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_reference_point_is_a_numeric_error(self, tmp_path, capsys):
         # debug checks compare against a point that is not in the
         # intersection, so the monotonicity check must trip: exit code 2

@@ -103,6 +103,23 @@ class TestParsing:
         assert {"problem.n_sets", "strategy.matrix.omega",
                 "strategy.policy.kind", "stop.max_iterations", "seeds"} <= paths
 
+    def test_step_window_shorter_than_a_sweep_detected(self):
+        doc = json.loads(json.dumps(TOY_PAM))
+        doc["stop"]["step_window"] = 3
+        doc["strategy"]["policy"]["beta"] = 1.5
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        paths = [e.split(":")[0] for e in exc.value.errors]
+        assert "stop.step_window" in paths
+        assert "strategy.policy.beta" in paths  # reported together
+        assert any("full sweep" in e and "9" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("window", [9, 10, None])
+    def test_step_window_covering_a_sweep_accepted(self, window):
+        doc = json.loads(json.dumps(TOY_PAM))
+        doc["stop"]["step_window"] = window
+        assert parse_config(doc).stop.step_window == window
+
     def test_omega_out_of_range_detected(self):
         doc = json.loads(json.dumps(TOY_PAM))
         doc["strategy"]["matrix"] = {"kind": "banded_forward", "omega": 9}

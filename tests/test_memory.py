@@ -25,6 +25,7 @@ from memproj import (
     toy_directions,
     unreachable_pair,
 )
+from memproj.memory import _reachable_from
 
 
 class TestDistanceMatrix:
@@ -414,3 +415,125 @@ class TestUpdate:
                 assert evaluate_policy(policy_avg, m, state.matrix) == pytest.approx(
                     evaluate_policy(policy_avg, m, fresh), rel=1e-12
                 )
+
+
+# Plain definitions of the lean memory layer's parts, kept as references.
+
+def _pam_select_reference(state):
+    j = state.current_index
+    row = state.matrix._a[j]
+    best = row.max()
+    if not best > 0.0:
+        raise InvariantViolation(f"row {j} has no positive entry")
+    ties = (row == best).nonzero()[0]
+    if ties.size == 1:
+        return int(ties[0])
+    return int(ties[state.rng.integers(ties.size)])
+
+
+def _evaluate_policy_reference(policy, m, matrix):
+    count = int(matrix._count[m])
+    if count == 0:
+        return 0.0
+    if policy.kind == "min":
+        return policy.beta * float(matrix._minpos[m])
+    avg = float(matrix._sum[m]) / count
+    return min(policy.beta * avg, policy.beta * float(matrix._a[m].max()))
+
+
+def _reachable_from_reference(pattern, start):
+    seen = np.zeros(pattern.shape[0], dtype=bool)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in np.flatnonzero(pattern[v]):
+            if not seen[w]:
+                seen[w] = True
+                stack.append(int(w))
+    return seen
+
+
+_TIE_PRONE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324])
+
+
+class TestLeanMemoryEquivalence:
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 11),
+                      st.lists(_TIE_PRONE_VALUES, min_size=11, max_size=11)),
+            min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_select_matches_plain_definition(self, rows, seed):
+        lean = PamState(build_dense(12), seed=seed)
+        plain = PamState(build_dense(12), seed=seed)
+        for j, values in rows:
+            row = np.insert(values, j, 0.0)
+            for state in (lean, plain):
+                state.current_index = j
+                state.matrix._a[j] = row
+            try:
+                expected = _pam_select_reference(plain)
+            except InvariantViolation:
+                with pytest.raises(InvariantViolation):
+                    pam_select(lean)
+                continue
+            assert pam_select(lean) == expected
+            assert lean.rng.bit_generator.state == plain.rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_dense(6, 2.0),
+            lambda: build_banded_forward(8, 2),
+            lambda: build_banded_forward(5, 1),
+            lambda: build_banded_bidirectional(7, 1),
+            lambda: build_prior_matrix(np.array(
+                [[0.0, 3.0, 0.5, 0.0], [1.0, 0.0, 0.0, 2.0],
+                 [0.0, 0.25, 0.0, 4.0], [7.0, 0.0, 1.0, 0.0]])),
+        ],
+    )
+    def test_aggregates_match_rebuild_after_random_overwrites(self, build, kind):
+        rng = np.random.default_rng(41)
+        policy = Policy(kind, 0.5)
+        state = PamState(build(), seed=3)
+        matrix = state.matrix
+        rows, cols = np.nonzero(matrix.positive_pattern())
+        # a few repeated values make writes that land exactly on the row
+        # minimum, which exercises the rescan branch
+        values = [0.0, 0.25, 0.5, 1.0, 3.0]
+        for i in range(3000):
+            step = (float(rng.choice(values)) if rng.random() < 0.5
+                    else float(rng.random() * 4.0))
+            if i % 2:
+                pam_update(state, pam_select(state), step, policy)
+            else:  # any positive entry, not only the row argmax pam writes
+                e = int(rng.integers(rows.size))
+                matrix._overwrite(int(rows[e]), int(cols[e]), step + 0.125)
+            fresh = matrix.copy()
+            fresh._rebuild_row_stats()
+            assert list(matrix._count) == list(fresh._count)
+            assert list(matrix._minpos) == list(fresh._minpos)
+            for m in range(state.n):
+                for p in (Policy("min", 0.5), Policy("average", 0.5)):
+                    assert evaluate_policy(p, m, matrix) == \
+                        _evaluate_policy_reference(p, m, matrix)
+
+    def test_reachability_matches_plain_traversal(self):
+        rng = np.random.default_rng(5)
+        patterns = [build_banded_forward(256, 1).positive_pattern(),
+                    np.zeros((5, 5), dtype=bool)]
+        for _ in range(300):
+            n = int(rng.integers(2, 16))
+            p = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.3, 0.7])
+            p[rng.random(n) < 0.2] = False  # some empty rows
+            patterns.append(p)
+        for p in patterns:
+            for q in (p, p.T):
+                starts = range(q.shape[0]) if q.shape[0] <= 16 else (0, 17, 255)
+                for s in starts:
+                    np.testing.assert_array_equal(
+                        _reachable_from(q, s), _reachable_from_reference(q, s))

@@ -1,6 +1,7 @@
 """File formats: bit-exact floats, stable bytes, report layout."""
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from memproj import (
     Memory,
     Policy,
+    RunTrace,
     StoppingRule,
     ToyConfig,
     build_dense,
@@ -17,6 +19,7 @@ from memproj import (
     run_preset,
 )
 from memproj.traceio import (
+    dumps_stable,
     format_float,
     load_distance_matrix,
     read_matrix_csv,
@@ -167,3 +170,99 @@ class TestReportDirectory:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["methods"]) == {"mcp", "mrp", "pam"}
         assert "generated_at" in summary["metadata"]
+
+
+# The writers as first written (csv.writer and per-element numpy reads),
+# kept as references for the byte-identical fast writers.
+
+def _write_trace_csv_reference(trace, path):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("k", "j", "step_length", "residual"))
+        for k in range(trace.n_projections):
+            residual = (
+                "" if trace.residuals is None else format_float(trace.residuals[k])
+            )
+            writer.writerow((str(k), str(int(trace.set_indices[k])),
+                             format_float(trace.step_lengths[k]), residual))
+
+
+def _write_matrix_csv_reference(a, path):
+    with path.open("w", newline="") as fh:
+        for row in a:
+            if np.issubdtype(a.dtype, np.integer):
+                fh.write(",".join(str(int(v)) for v in row) + "\n")
+            else:
+                fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def _trace_json_dict_reference(trace):
+    out = {
+        "status": trace.status,
+        "n_sets": trace.n_sets,
+        "n_projections": trace.n_projections,
+        "x0": [float(v) for v in trace.x0],
+        "x_final": [float(v) for v in trace.x_final],
+        "set_indices": [int(v) for v in trace.set_indices],
+        "step_lengths": [float(v) for v in trace.step_lengths],
+        "residuals": None
+        if trace.residuals is None
+        else [float(v) for v in trace.residuals],
+        "transition_counts": trace.transition_counts().tolist(),
+    }
+    if trace.final_matrix is not None:
+        out["final_matrix"] = [[float(v) for v in row] for row in trace.final_matrix]
+    return out
+
+
+_SPECIALS = [-0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3, np.inf, np.nan, 2.0**-1074 * 3]
+
+
+def _special_trace(with_residuals):
+    steps = np.array(_SPECIALS)
+    return RunTrace(
+        set_indices=np.array([0, 3, 1, 2, 0, 1, 3, 2, 0]),
+        step_lengths=steps,
+        status="max_iterations",
+        n_sets=4,
+        x0=np.array([-0.0, 1e308]),
+        x_final=np.array([5e-324, -1.5]),
+        residuals=steps[::-1].copy() if with_residuals else None,
+        final_matrix=np.array([[0.0, 1e-300, np.inf, 2.5]] * 4),
+    )
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("with_residuals", [True, False])
+    def test_trace_csv_bytes(self, tmp_path, with_residuals):
+        trace = _special_trace(with_residuals)
+        write_trace_csv(trace, tmp_path / "fast.csv")
+        _write_trace_csv_reference(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("known", [True, False])
+    def test_trace_csv_bytes_of_a_real_run(self, tmp_path, known):
+        trace = small_trace(seed=2, budget=200, known=known)
+        write_trace_csv(trace, tmp_path / "fast.csv")
+        _write_trace_csv_reference(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[0, 3, -2], [2, 0, 2**60 + 1], [1, 1, 0]], dtype=np.int64),
+            np.array([[0, 7], [1, 0]], dtype=np.int32),
+            np.array([_SPECIALS[:4], _SPECIALS[4:8], _SPECIALS[1:5], _SPECIALS[5:]]),
+            np.random.default_rng(0).random((6, 6)) * 1e-7,
+        ],
+    )
+    def test_matrix_csv_bytes(self, tmp_path, matrix):
+        write_matrix_csv(matrix, tmp_path / "fast.csv")
+        _write_matrix_csv_reference(matrix, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_residuals", [True, False])
+    def test_trace_json_bytes(self, with_residuals):
+        for trace in (_special_trace(with_residuals), small_trace(budget=50)):
+            assert dumps_stable(trace_json_dict(trace)) == \
+                dumps_stable(_trace_json_dict_reference(trace))
