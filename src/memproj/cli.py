@@ -13,6 +13,7 @@ MEMPROJ_OUTPUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -41,28 +42,49 @@ def _default_out() -> str:
 
 
 def execute_config(config: ExperimentConfig, outdir) -> Path:
-    """Run a config over its seeds and write one CSV/JSON pair per run."""
+    """Run a config over its seeds and write one CSV/JSON pair per run.
+
+    If anything raises, the files written so far are deleted, and so are
+    the directories this call created, before the error propagates: a
+    failed run leaves no partial output behind.
+    """
     outdir = Path(outdir)
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    sets, x0, known_point = config.build_problem()
-    echo = config.to_dict()
-    (outdir / "config.json").write_text(dumps_stable(echo))
-    for seed in config.effective_seeds():
-        strategy = config.build_strategy(seed)
-        trace = run(
-            sets,
-            strategy,
-            x0,
-            config.stop,
-            known_point=known_point,
-            debug_asserts=config.debug_asserts,
-            store_iterates=config.store_iterates,
-            matrix_snapshot_interval=config.matrix_snapshot_interval,
-        )
-        stem = f"trace_seed{seed}"
-        write_trace_csv(trace, outdir / f"{stem}.csv")
-        write_trace_json(trace, outdir / f"{stem}.json", config_echo=echo)
-        write_matrix_csv(trace.transition_counts(), outdir / f"frequency_seed{seed}.csv")
+    written: list[Path] = []
+
+    def target(name: str) -> Path:
+        path = outdir / name
+        written.append(path)
+        return path
+
+    try:
+        sets, x0, known_point = config.build_problem()
+        echo = config.to_dict()
+        target("config.json").write_text(dumps_stable(echo))
+        for seed in config.effective_seeds():
+            strategy = config.build_strategy(seed)
+            trace = run(
+                sets,
+                strategy,
+                x0,
+                config.stop,
+                known_point=known_point,
+                debug_asserts=config.debug_asserts,
+                store_iterates=config.store_iterates,
+                matrix_snapshot_interval=config.matrix_snapshot_interval,
+            )
+            stem = f"trace_seed{seed}"
+            write_trace_csv(trace, target(f"{stem}.csv"))
+            write_trace_json(trace, target(f"{stem}.json"), config_echo=echo)
+            write_matrix_csv(trace.transition_counts(), target(f"frequency_seed{seed}.csv"))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for path in created:  # innermost first
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return outdir
 
 

@@ -138,10 +138,17 @@ def _reachable_from(pattern: np.ndarray, start: int) -> np.ndarray:
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     stack = [start]
+    reached = 1
     while stack:
         new = pattern[stack.pop()] & ~seen
         seen |= new
-        stack.extend(new.nonzero()[0].tolist())
+        found = new.nonzero()[0].tolist()
+        reached += len(found)
+        if reached == n:
+            # nothing is left to find; on a dense pattern this ends the
+            # traversal after the start vertex
+            break
+        stack.extend(found)
     return seen
 
 

@@ -11,6 +11,10 @@ step is checked against the two error-reduction inequalities that all
 metric projections satisfy, and the run aborts with a diagnostic when a
 violation exceeds the floating-point slack, which is relative to the
 magnitudes of the iterates and the point.
+
+``run_lockstep`` drives several strategies over the same lines through the
+origin at once, one row of a stacked iterate array per run, and returns
+the traces ``run`` would give each of them.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .memory import is_admissible
+from .sets import LineThroughOrigin, _distance
 from .strategies import Strategy, transition_counts
 
 __all__ = [
@@ -28,6 +33,7 @@ __all__ = [
     "StoppingRule",
     "RunTrace",
     "run",
+    "run_lockstep",
     "residual_series",
     "STATUS_STEP",
     "STATUS_RESIDUAL",
@@ -122,17 +128,6 @@ class RunTrace:
         return transition_counts(self.set_indices, self.n_sets)
 
 
-def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
-    """Euclidean distance between two 1-D float vectors (``b=0.0``: length).
-
-    ``np.linalg.norm`` of a 1-D float vector is ``sqrt(v.dot(v))``; making
-    the same dot call directly gives the same bits without its overhead.
-    Every distance a trace stores or checks goes through here.
-    """
-    v = a - b
-    return math.sqrt(v.dot(v))
-
-
 def _check_fejer(x_prev, x_next, z, step, k):
     d_prev = _distance(x_prev, z)
     d_next = _distance(x_next, z)
@@ -154,25 +149,12 @@ def _check_fejer(x_prev, x_next, z, step, k):
         )
 
 
-def run(
-    sets,
-    strategy: Strategy,
-    x0,
-    stop: StoppingRule,
-    known_point=None,
-    *,
-    debug_asserts: bool = False,
-    store_iterates: bool = False,
-    matrix_snapshot_interval: int | None = None,
-) -> RunTrace:
-    """Drive ``strategy`` over ``sets`` from ``x0`` until ``stop`` fires.
+def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, known_point):
+    """Validate one run's inputs; return (x0, known point, memory matrix, window).
 
-    All sets must share the dimension of ``x0`` and there must be at least
-    two of them.  For the memory strategy the start point is first moved
-    into the strategy's starting set (that projection is part of the run
-    and of its cost), and the strategy's matrix is validated here.
+    ``x0`` and the known point come back as fresh float arrays, the known
+    point and the memory matrix as None when there is none.
     """
-    sets = list(sets)
     n = len(sets)
     if n < 2:
         raise ValueError("need at least 2 sets")
@@ -203,6 +185,30 @@ def run(
     window = stop.step_window if stop.step_window is not None else 2 * n
     if window < n:
         raise ValueError("step_window must cover at least one full sweep (>= N)")
+    return x, z, memory_matrix, window
+
+
+def run(
+    sets,
+    strategy: Strategy,
+    x0,
+    stop: StoppingRule,
+    known_point=None,
+    *,
+    debug_asserts: bool = False,
+    store_iterates: bool = False,
+    matrix_snapshot_interval: int | None = None,
+) -> RunTrace:
+    """Drive ``strategy`` over ``sets`` from ``x0`` until ``stop`` fires.
+
+    All sets must share the dimension of ``x0`` and there must be at least
+    two of them.  For the memory strategy the start point is first moved
+    into the strategy's starting set (that projection is part of the run
+    and of its cost), and the strategy's matrix is validated here.
+    """
+    sets = list(sets)
+    n = len(sets)
+    x, z, memory_matrix, window = _checked_inputs(sets, strategy, x0, stop, known_point)
 
     indices: list[int] = []
     steps: list[float] = []
@@ -285,6 +291,179 @@ def run(
         final_matrix=final_matrix,
         matrix_snapshots=snapshots,
     )
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the matching rows of two (S, d) arrays.
+
+    A stacked (1, d) @ (d, 1) matmul makes the same dot call per row as
+    ``a[i] @ b[i]``, so every entry has the bits a single run computes;
+    ``einsum``, ``(a * b).sum(1)`` and a matrix-vector product sum in other
+    orders and do not.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def run_lockstep(
+    sets,
+    strategies,
+    x0,
+    stop: StoppingRule,
+    known_point=None,
+    *,
+    store_iterates: bool = False,
+) -> list[RunTrace]:
+    """Run every strategy over the same lines from ``x0``, all together.
+
+    Returns ``[run(sets, s, x0, stop, known_point,
+    store_iterates=store_iterates) for s in strategies]`` bit for bit, and
+    raises what that raises.  The iterates of the runs form one (S, d)
+    array, so one projection of all S runs costs the NumPy calls of one
+    projection of one run.  Each strategy still picks its own index from
+    its own last step, so every random stream is unchanged.  Every set must
+    be a ``LineThroughOrigin`` and every strategy a distinct object.
+    """
+    sets = list(sets)
+    strategies = list(strategies)
+    if not strategies:
+        return []
+    inputs = [_checked_inputs(sets, s, x0, stop, known_point) for s in strategies]
+    for i, s in enumerate(sets):
+        if not isinstance(s, LineThroughOrigin):
+            raise TypeError(
+                f"set {i} is a {type(s).__name__}; run_lockstep projects onto "
+                "LineThroughOrigin sets only"
+            )
+    if len({id(s) for s in strategies}) < len(strategies):
+        raise ValueError("every run needs its own strategy object")
+
+    n = len(sets)
+    x, z, _, window = inputs[0]
+    directions = np.array([s.direction for s in sets])
+    vv = np.array([s._vv for s in sets])
+    step_tolerance = stop.step_tolerance
+    residual_tolerance = stop.residual_tolerance if z is not None else None
+    start = [
+        int(getattr(s, "current_index", 0)) if s.needs_start_projection else None
+        for s in strategies
+    ]
+
+    # row p of the stacked state belongs to run rows[p]; a run leaves the
+    # rows when it stops or raises
+    rows = list(range(len(strategies)))
+    X = np.tile(x, (len(rows), 1))
+    lasts = [None] * len(rows)
+    last_big = np.full(len(rows), -1)
+    # per projection since the rows last changed: indices, steps,
+    # residuals and iterates, one entry per row
+    segment: list[tuple] = []
+    chunks: list[list[tuple]] = [[] for _ in strategies]
+    traces: list[RunTrace | None] = [None] * len(strategies)
+    errors: dict[int, Exception] = {}
+
+    def close_segment():
+        columns = [None if c[0] is None else np.array(c) for c in zip(*segment)]
+        for p, i in enumerate(rows):
+            chunks[i].append(tuple(None if c is None else c[:, p] for c in columns))
+        segment.clear()
+
+    def finish(p: int, i: int, status: str):
+        strategy = strategies[i]
+        try:
+            strategy.finish(lasts[p])
+        except Exception as exc:  # run() would raise it; so does the caller, later
+            errors[i] = exc
+            return
+        x_i, z_i, matrix_i, _ = inputs[i]
+        j_parts, step_parts, res_parts, x_parts = zip(*chunks[i])
+        traces[i] = RunTrace(
+            set_indices=np.concatenate(j_parts),
+            step_lengths=np.concatenate(step_parts),
+            status=status,
+            n_sets=n,
+            x0=x_i,
+            x_final=X[p].copy(),
+            residuals=None if z is None else np.concatenate(res_parts),
+            known_point=z_i,
+            iterates=np.concatenate([x_i[None, :], *x_parts]) if store_iterates else None,
+            final_matrix=None if matrix_i is None else strategy.matrix.to_array(),
+        )
+
+    for k in range(stop.max_iterations):
+        # row -> stop status, or None for a run that raised
+        leaving: dict[int, str | None] = {}
+        js = []
+        for p, i in enumerate(rows):
+            if k == 0 and start[i] is not None:
+                js.append(start[i])
+                continue
+            try:
+                js.append(strategies[i].next_index(lasts[p]))
+            except Exception as exc:  # one run's error must not stop the others
+                errors[i] = exc
+                leaving[p] = None
+                js.append(0)  # a stand-in; the row leaves after this projection
+        ja = np.array(js)
+        d_rows = directions[ja]
+        # the order of run(): ((d . x) / (d . d)) d, then the differences
+        x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
+        diff = x_next - X
+        steps = np.sqrt(_row_dots(diff, diff))
+        res = None
+        if z is not None:
+            r = x_next - z
+            res = np.sqrt(_row_dots(r, r))
+        segment.append((ja, steps, res, x_next if store_iterates else None))
+        X = x_next
+        lasts = steps.tolist()
+        if k == 0:
+            lasts = [None if start[i] is not None else s for i, s in zip(rows, lasts)]
+        last_big = np.where(steps < step_tolerance, last_big, k)
+
+        # a finite step from a finite iterate implies a finite next iterate
+        if not steps.max() < math.inf:
+            for p in np.flatnonzero(~(steps < math.inf)).tolist():
+                if p not in leaving and not np.all(np.isfinite(x_next[p])):
+                    errors[rows[p]] = NumericError(f"non-finite iterate after projection {k}")
+                    leaving[p] = None
+        if last_big.min() <= k - window or (
+            residual_tolerance is not None and (res < residual_tolerance).any()
+        ):
+            for p in range(len(rows)):
+                if p in leaving:
+                    continue
+                if residual_tolerance is not None and res[p] < residual_tolerance:
+                    leaving[p] = STATUS_RESIDUAL
+                elif last_big[p] <= k - window:
+                    leaving[p] = STATUS_STEP
+        if k + 1 == stop.max_iterations:
+            for p in range(len(rows)):
+                leaving.setdefault(p, STATUS_MAX_ITERATIONS)
+        if not leaving:
+            continue
+
+        if errors:
+            # only the lowest-numbered failing run's error is raised, so the
+            # runs after it need not go on
+            first_error = min(errors)
+            for p, i in enumerate(rows):
+                if i > first_error:
+                    leaving.setdefault(p, None)
+        close_segment()
+        for p, status in leaving.items():
+            if status is not None:
+                finish(p, rows[p], status)
+        keep = [p for p in range(len(rows)) if p not in leaving]
+        if not keep:
+            break
+        rows = [rows[p] for p in keep]
+        lasts = [lasts[p] for p in keep]
+        X = X[keep]
+        last_big = last_big[keep]
+
+    if errors:
+        raise errors[min(errors)]
+    return traces
 
 
 def residual_series(trace: RunTrace, z) -> np.ndarray:

@@ -8,6 +8,8 @@ Instances are immutable after construction and safe to share across threads;
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -31,6 +33,17 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must have finite entries")
     return v
+
+
+def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
+    """Euclidean distance between two 1-D float vectors (``b=0.0``: length).
+
+    ``np.linalg.norm`` of a 1-D float vector is ``sqrt(v.dot(v))``; making
+    the same dot call directly gives the same bits without its overhead.
+    Every distance a trace stores or checks goes through here.
+    """
+    v = a - b
+    return math.sqrt(v.dot(v))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -140,11 +153,10 @@ class Ball(ProjectableSet):
 
     def project(self, x):
         v = self._check_point(x)
-        delta = v - self.center
-        dist = float(np.linalg.norm(delta))
+        dist = _distance(v, self.center)
         if dist <= self.radius:
             return v.copy()
-        return self.center + (self.radius / dist) * delta
+        return self.center + (self.radius / dist) * (v - self.center)
 
     def _params(self):
         return (self.center, self.radius)
@@ -259,4 +271,4 @@ def project(x, s: ProjectableSet) -> np.ndarray:
 def distance(x, s: ProjectableSet) -> float:
     """Euclidean distance from ``x`` to ``s`` (zero iff ``x`` is a member)."""
     v = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(v - s.project(v)))
+    return _distance(v, s.project(v))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memory import Policy, build_banded_forward, build_dense
-from .runner import StoppingRule, run
+from .runner import StoppingRule, run_lockstep
 from .sets import LineThroughOrigin
 from .strategies import Cyclic, Memory, RandomizedCycles
 
@@ -251,8 +251,10 @@ def run_preset(
     """Run one canned study over all seeds and collect the results.
 
     Every method runs once per seed with a fixed projection budget (the
-    preset default unless ``iterations`` overrides it).  Deterministic
-    methods simply repeat; keeping the loop uniform keeps the summary
+    preset default unless ``iterations`` overrides it).  The seeds of a
+    method advance in lockstep (``run_lockstep``); each trace is the one a
+    single ``run()`` with that seed gives, bit for bit.  Deterministic
+    methods simply repeat; keeping the runs uniform keeps the summary
     statistics comparable.
     """
     if preset not in PRESETS:
@@ -265,17 +267,14 @@ def run_preset(
     rule = StoppingRule.exact_budget(budget)
     methods = []
     for label, factory in _method_lineup(preset, config.n_sets, omega, beta):
-        traces = []
-        for seed in seeds:
-            trace = run(
-                sets,
-                factory(seed),
-                x0,
-                rule,
-                known_point=solution,
-                store_iterates=store_iterates,
-            )
-            traces.append(trace)
+        traces = run_lockstep(
+            sets,
+            [factory(seed) for seed in seeds],
+            x0,
+            rule,
+            known_point=solution,
+            store_iterates=store_iterates,
+        )
         methods.append(MethodResult(label=label, traces=traces, seeds=list(seeds)))
     params = {"beta": beta}
     if omega is not None:

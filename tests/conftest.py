@@ -94,3 +94,21 @@ def sample_member(rng, s):
         coeff = rng.uniform(-3, 3, size=s.basis.shape[0])
         return s.basepoint + s.basis.T @ coeff
     raise TypeError(type(s))
+
+
+_TRACE_ARRAYS = ("set_indices", "step_lengths", "x0", "x_final", "residuals",
+                 "known_point", "iterates", "final_matrix")
+
+
+def assert_same_trace(got, expected):
+    """Every field of two RunTraces is equal, arrays bit for bit."""
+    assert got.status == expected.status
+    assert got.n_sets == expected.n_sets
+    for name in _TRACE_ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert len(got.matrix_snapshots) == len(expected.matrix_snapshots)

@@ -131,6 +131,40 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "numeric error" in capsys.readouterr().err
 
+    @staticmethod
+    def _failing_config(tmp_path):
+        doc = {
+            "problem": {
+                "kind": "custom",
+                "sets": [
+                    {"kind": "hyperplane", "normal": [1.0, 0.0], "offset": 0.0},
+                    {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+                ],
+                "x0": [3.0, 4.0],
+                "known_point": [1.0, 1.0],
+            },
+            "strategy": {"kind": "mcp"},
+            "stop": {"max_iterations": 10},
+            "flags": {"debug_asserts": True},
+        }
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs" / "o"
+        assert main(["run", str(self._failing_config(tmp_path)), "--out", str(out)]) == 2
+        assert "numeric error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_failed_run_keeps_files_already_in_the_output_directory(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        assert main(["run", str(self._failing_config(tmp_path)), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me"
+
 
 class TestPreset:
     def test_benchmark_writes_report(self, tmp_path, capsys):

@@ -526,6 +526,18 @@ class TestLeanMemoryEquivalence:
         rng = np.random.default_rng(5)
         patterns = [build_banded_forward(256, 1).positive_pattern(),
                     np.zeros((5, 5), dtype=bool)]
+        # dense patterns, and patterns where the last vertex is found while
+        # unexpanded vertices are still waiting (a star into a sparse rest)
+        patterns += [build_dense(n).positive_pattern() for n in (2, 3, 64)]
+        for n in (4, 9, 40):
+            star = np.zeros((n, n), dtype=bool)
+            star[0, 1:] = True
+            star[1:, 0] = True
+            star[n - 1, 1] = True
+            patterns.append(star)
+            tail = np.zeros((n, n), dtype=bool)
+            tail[0, 1] = tail[1, 2:] = True  # vertex 1 finds the rest at once
+            patterns.append(tail)
         for _ in range(300):
             n = int(rng.integers(2, 16))
             p = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.3, 0.7])
@@ -533,7 +545,7 @@ class TestLeanMemoryEquivalence:
             patterns.append(p)
         for p in patterns:
             for q in (p, p.T):
-                starts = range(q.shape[0]) if q.shape[0] <= 16 else (0, 17, 255)
+                starts = range(q.shape[0]) if q.shape[0] <= 16 else (0, 17, q.shape[0] - 1)
                 for s in starts:
                     np.testing.assert_array_equal(
                         _reachable_from(q, s), _reachable_from_reference(q, s))

@@ -29,7 +29,10 @@ from memproj import (
     residual_series,
     run,
 )
-from memproj.runner import _distance
+from memproj.memory import build_banded_forward
+from memproj.runner import _distance, run_lockstep
+
+from conftest import assert_same_trace
 
 TOY = ToyConfig(9, 0.05)
 
@@ -426,3 +429,223 @@ class TestFejerCheckAtEveryScale:
         with pytest.raises(FejerViolation, match="reference point"):
             run(sets, Cyclic(len(sets)), z, StoppingRule.exact_budget(50),
                 known_point=z, debug_asserts=True)
+
+
+def _mixed_strategies(n, seeds=range(3)):
+    """Strategies of every kind, with and without a start projection."""
+    out = [Cyclic(n)]
+    out += [RandomizedCycles(n, seed=s) for s in seeds]
+    out += [Memory(build_dense(n), Policy("min", 0.5), seed=s, start_index=s % n)
+            for s in seeds]
+    out.append(Memory(build_banded_forward(n, 1), Policy("average", 0.5)))
+    return out
+
+
+def _lockstep_and_single(sets, make, x0, stop, known_point=None, store_iterates=False):
+    """run_lockstep over ``make()`` and one run() per strategy of a second ``make()``."""
+    got = run_lockstep(sets, make(), x0, stop, known_point, store_iterates=store_iterates)
+    expected = [run(sets, s, x0, stop, known_point, store_iterates=store_iterates)
+                for s in make()]
+    return got, expected
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # the test compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+# x0 ~ 1e100 keeps ordinary steps finite; the last line's direction makes
+# its squared norm overflow to inf and its dot product with x0 too, so
+# projecting onto it gives inf / inf = nan
+_OVERFLOW_LINES = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [2.0, 1.0, 3.0], [1e250, 1.0, 1.0]]
+
+
+class TestLockstepEngine:
+    """run_lockstep(...) equals [run(...) for each strategy], bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        dim=st.integers(2, 5),
+        kinds=st.lists(st.sampled_from(["mcp", "mrp", "pam", "pam_avg"]),
+                       min_size=1, max_size=6),
+        budget=st.integers(1, 80),
+        tol=st.sampled_from([5e-324, 1e-6, 1e-2, 0.5]),
+        window_extra=st.one_of(st.none(), st.integers(0, 6)),
+        rtol=st.sampled_from([None, 1e-3, 0.3]),
+        with_point=st.booleans(),
+        store_iterates=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_run_per_strategy(self, seed, n, dim, kinds, budget, tol,
+                                         window_extra, rtol, with_point, store_iterates):
+        rng = np.random.default_rng(seed)
+        sets = [LineThroughOrigin(rng.standard_normal(dim)) for _ in range(n)]
+        x0 = rng.uniform(-3.0, 3.0, dim)
+
+        def make():
+            out = []
+            for i, kind in enumerate(kinds):
+                if kind == "mcp":
+                    out.append(Cyclic(n))
+                elif kind == "mrp":
+                    out.append(RandomizedCycles(n, seed=seed + i))
+                else:
+                    policy = Policy("min" if kind == "pam" else "average", 0.5)
+                    out.append(Memory(build_dense(n), policy, seed=seed + i,
+                                      start_index=i % n))
+            return out
+
+        stop = StoppingRule(
+            max_iterations=budget,
+            step_window=None if window_extra is None else n + window_extra,
+            step_tolerance=tol,
+            residual_tolerance=rtol,
+        )
+        z = np.zeros(dim) if with_point else None
+        got, expected = _lockstep_and_single(sets, make, x0, stop, z, store_iterates)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same_trace(g, e)
+
+    def test_single_strategy(self):
+        sets, x0, z = toy()
+        for i in range(len(_mixed_strategies(9))):
+            got, expected = _lockstep_and_single(
+                sets, lambda: [_mixed_strategies(9)[i]], x0,
+                StoppingRule.exact_budget(200), z, store_iterates=True)
+            assert len(got) == 1
+            assert_same_trace(got[0], expected[0])
+
+    def test_exact_zero_steps_stop_runs_at_different_projections(self):
+        # orthogonal lines: two projections in a row onto orthogonal lines
+        # land on the origin, and the zero steps after it fire the window
+        sets = [LineThroughOrigin(d) for d in
+                ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1])]
+        make = lambda: _mixed_strategies(5, seeds=range(6))
+        got, expected = _lockstep_and_single(
+            sets, make, np.array([1.0, 2.0, 3.0]), StoppingRule(max_iterations=300),
+            np.zeros(3), store_iterates=True)
+        assert {t.status for t in expected} == {STATUS_STEP}
+        assert len({t.n_projections for t in expected}) > 2
+        for g, e in zip(got, expected):
+            assert_same_trace(g, e)
+
+    def test_residual_stop_at_different_projections(self):
+        sets, x0, z = toy()
+        stop = StoppingRule(max_iterations=3000, residual_tolerance=5e-2)
+        got, expected = _lockstep_and_single(sets, lambda: _mixed_strategies(9), x0, stop, z)
+        statuses = [t.status for t in expected]
+        assert STATUS_RESIDUAL in statuses and STATUS_MAX_ITERATIONS in statuses
+        assert len({t.n_projections for t in expected}) > 2
+        for g, e in zip(got, expected):
+            assert_same_trace(g, e)
+
+    def test_residual_rule_wins_a_tie_with_the_step_rule(self):
+        # every step is below the tolerance, so the step rule fires at
+        # projection N - 1; the residual tolerance is set to fire there too
+        sets, x0, z = toy()
+        probe = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(9), known_point=z)
+        stop = StoppingRule(max_iterations=100, step_window=9, step_tolerance=10.0,
+                            residual_tolerance=float(np.nextafter(probe.residuals[8], np.inf)))
+        got, expected = _lockstep_and_single(
+            sets, lambda: [Cyclic(9), RandomizedCycles(9, seed=0)], x0, stop, z)
+        assert expected[0].status == STATUS_RESIDUAL and expected[0].n_projections == 9
+        for g, e in zip(got, expected):
+            assert_same_trace(g, e)
+
+    def test_strategies_receive_the_steps_run_passes(self):
+        class Recording(Cyclic):
+            needs_start_projection = True
+
+            def __init__(self, n):
+                super().__init__(n)
+                self.calls = []
+
+            def next_index(self, last_step_length=None):
+                self.calls.append(("next", last_step_length))
+                return super().next_index(last_step_length)
+
+            def finish(self, last_step_length=None):
+                self.calls.append(("finish", last_step_length))
+
+        sets, x0, z = toy()
+        for budget in (1, 2, 5):
+            single, lockstep = Recording(9), Recording(9)
+            run(sets, single, x0, StoppingRule.exact_budget(budget), z)
+            run_lockstep(sets, [lockstep], x0, StoppingRule.exact_budget(budget), z)
+            assert lockstep.calls == single.calls
+            assert single.calls[0] == (("next", None) if budget > 1 else ("finish", None))
+
+    def test_no_strategies(self):
+        sets, x0, _ = toy()
+        assert run_lockstep(sets, [], x0, StoppingRule.exact_budget(5)) == []
+
+    def test_set_that_is_not_a_line_is_named(self):
+        sets, x0, _ = toy()
+        sets[2] = Hyperplane([1.0, 0.0, 0.0], 0.0)
+        with pytest.raises(TypeError, match="set 2 is a Hyperplane"):
+            run_lockstep(sets, [Cyclic(9)], x0, StoppingRule.exact_budget(5))
+
+    def test_shared_strategy_object_rejected(self):
+        sets, x0, _ = toy()
+        shared = Cyclic(9)
+        with pytest.raises(ValueError, match="own strategy"):
+            run_lockstep(sets, [shared, shared], x0, StoppingRule.exact_budget(5))
+
+    def _assert_same_error(self, sets, make, x0, stop, known_point=None):
+        expected = _raised(lambda: [run(sets, s, x0, stop, known_point) for s in make()])
+        assert expected is not None
+        assert _raised(lambda: run_lockstep(sets, make(), x0, stop, known_point)) == expected
+
+    def test_validation_errors_match_run(self):
+        sets, x0, z = toy()
+        budget = StoppingRule.exact_budget(5)
+
+        def corrupted(seed):
+            strategy = pam_strategy(seed)
+            strategy.matrix._a[0] = 0.0
+            strategy.matrix._rebuild_row_stats()
+            return strategy
+
+        cases = [
+            (lambda: [Cyclic(9), Cyclic(5)], budget, z),
+            (lambda: [pam_strategy(0), corrupted(1)], budget, z),
+            (lambda: [Cyclic(9)], StoppingRule(max_iterations=100, step_window=4), z),
+            (lambda: [Cyclic(9)], budget, np.zeros(2)),
+        ]
+        for make, stop, point in cases:
+            self._assert_same_error(sets, make, x0, stop, point)
+        self._assert_same_error(sets[:1], lambda: [Cyclic(1)], x0, budget)
+        self._assert_same_error(sets, lambda: [Cyclic(9)], np.array([1.0, np.nan, 0.0]), budget)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_iterate_raises_for_the_lowest_failing_run(self):
+        sets = [LineThroughOrigin(d) for d in _OVERFLOW_LINES]
+        x0 = np.array([1e100, 2e100, 3e100])
+        stop = StoppingRule.exact_budget(40)
+        make = lambda: [RandomizedCycles(4, seed=s) for s in (1, 2, 0, 3)] + [Cyclic(4)]
+        failures = [_raised(lambda s=s: run(sets, s, x0, stop)) for s in make()]
+        assert all(f is not None and f[0] is NumericError for f in failures)
+        # the first run fails later than the one right after it
+        assert failures[0][1].endswith("projection 3")
+        assert failures[1][1].endswith("projection 0")
+        self._assert_same_error(sets, make, x0, stop)
+        # within a budget of 3 the first run finishes and the second fails
+        assert _raised(lambda: run(sets, make()[0], x0, StoppingRule.exact_budget(3))) is None
+        self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(3))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_error_from_a_strategy_is_raised_in_order(self):
+        # with x0 ~ 1e200 the squared step overflows: run() records an inf
+        # step between finite iterates, which Cyclic ignores and Memory
+        # rejects on its next call
+        sets, _, _ = toy()
+        x0 = np.array([1e200, 2e200, 3e200])
+        make = lambda: [Cyclic(9), pam_strategy(1), RandomizedCycles(9, seed=2)]
+        assert np.isinf(run(sets, Cyclic(9), x0, StoppingRule.exact_budget(3)).step_lengths).all()
+        self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(10))

@@ -196,3 +196,18 @@ def test_distance_is_zero_only_on_members():
     for _ in range(50):
         z = sample_member(rng, s)
         assert distance(z, s) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 3, 60])
+def test_ball_and_distance_match_linalg_norm_bit_for_bit(dim):
+    """The sqrt-dot distance helper gives the bits np.linalg.norm gives."""
+    rng = np.random.default_rng(dim)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-100, 100)
+        s = Ball(scale * rng.standard_normal(dim), scale * rng.uniform(0.0, 2.0))
+        x = scale * rng.standard_normal(dim)
+        delta = x - s.center
+        dist = float(np.linalg.norm(delta))
+        expected = x.copy() if dist <= s.radius else s.center + (s.radius / dist) * delta
+        assert s.project(x).tobytes() == expected.tobytes()
+        assert distance(x, s) == float(np.linalg.norm(x - s.project(x)))

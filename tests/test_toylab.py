@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memproj import (
+    PRESETS,
     Cyclic,
     Memory,
     Policy,
@@ -21,6 +22,9 @@ from memproj import (
     run_preset,
     toy_directions,
 )
+from memproj.toylab import _method_lineup
+
+from conftest import assert_same_trace
 
 
 class TestProblemGeneration:
@@ -212,6 +216,22 @@ class TestPresets:
         mrp_median = np.median(rep.method("mrp").residuals_at_budget())
         pam_median = np.median(rep.method("pam").residuals_at_budget())
         assert pam_median <= mrp_median
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("store_iterates", [False, True])
+    def test_traces_equal_one_run_per_seed(self, preset, store_iterates):
+        seeds = range(5)
+        rep = run_preset(preset, seeds=seeds, store_iterates=store_iterates)
+        sets, x0, solution = make_toy_problem(rep.config)
+        rule = StoppingRule.exact_budget(rep.iterations)
+        lineup = _method_lineup(preset, rep.config.n_sets, None, 0.01)
+        assert [m.label for m in rep.methods] == [label for label, _ in lineup]
+        for m, (_, factory) in zip(rep.methods, lineup):
+            assert len(m.traces) == len(seeds)
+            for seed, trace in zip(seeds, m.traces):
+                expected = run(sets, factory(seed), x0, rule, known_point=solution,
+                               store_iterates=store_iterates)
+                assert_same_trace(trace, expected)
 
     def test_method_lookup(self):
         rep = run_preset("benchmark", seeds=[0], iterations=20)
