@@ -11,6 +11,7 @@ change, and say so in the change log.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from memproj import (
     build_prior_matrix,
     make_toy_problem,
     run,
+    run_preset,
 )
+from memproj.traceio import dumps_stable, write_report
 
 
 def _toy(n):
@@ -151,3 +154,67 @@ def test_trace_matches_golden_digest(name):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+# SHA-256 of every file write_report writes for
+# run_preset("benchmark", ToyConfig(64), seeds=range(3)); summary.json is
+# hashed without its metadata block (it carries a timestamp)
+REPORT_GOLDEN = {
+    "config.json":
+        "2a99f956d000aceb52b24a6dd8d6d95a72c0c6b541497b33eb3468c084f4a9ae",
+    "frequency/mcp_seed0.csv":
+        "2098d7bb27d3dff7d13489677620e8b76a15306ee45fd381aa78ad68b89aa7ab",
+    "frequency/mcp_seed1.csv":
+        "2098d7bb27d3dff7d13489677620e8b76a15306ee45fd381aa78ad68b89aa7ab",
+    "frequency/mcp_seed2.csv":
+        "2098d7bb27d3dff7d13489677620e8b76a15306ee45fd381aa78ad68b89aa7ab",
+    "frequency/mrp_seed0.csv":
+        "9f624039596a03657cdf94b9b291dcca46fa4faf40fec22a1e2031150ff64952",
+    "frequency/mrp_seed1.csv":
+        "4a873e9be63a64063982054809aea4ef5cce0a8ea66ee4876201424d56f8834b",
+    "frequency/mrp_seed2.csv":
+        "86c4e2d0aaf9ffcbc5b98ea51052669306e5dd1b699893d31b40fa7b28615cdc",
+    "frequency/pam_seed0.csv":
+        "4eda115c97e3a6f0f2779e9cbfdae9a5b7bf353a607208174aa9cb8a5c3c4818",
+    "frequency/pam_seed1.csv":
+        "d28fac39c37172922152ea0f9a557ddf0eca17b75f25418425002dd05a376073",
+    "frequency/pam_seed2.csv":
+        "9feb5a426a4141f7cd2bb0fba3ca20d49d81cadf66c305aa5c38151913ed863c",
+    "summary.json":
+        "6279e55209d7557382d62e6d4b79e3eef9c38d0584ab8e841c5b8eb3f4986d0f",
+    "traces/mcp_seed0.csv":
+        "7511cd47d09b3064bd030b61476f9672bf381d0c98ced219cf0bae8fdcc8b4b2",
+    "traces/mcp_seed1.csv":
+        "7511cd47d09b3064bd030b61476f9672bf381d0c98ced219cf0bae8fdcc8b4b2",
+    "traces/mcp_seed2.csv":
+        "7511cd47d09b3064bd030b61476f9672bf381d0c98ced219cf0bae8fdcc8b4b2",
+    "traces/mrp_seed0.csv":
+        "bc1b1cce78a578dc32ed6282cce193e13530723279c2b500d03cf378a5254f80",
+    "traces/mrp_seed1.csv":
+        "4cd8205e8cbf726f9dd7d81c58133290762e80fd5456ae9d197a2e4fc0ea68a3",
+    "traces/mrp_seed2.csv":
+        "45b8685cd7ac4b1ffcc311bf7a3ad039d5bce2c3d60b6cfbba409fa2758be47d",
+    "traces/pam_seed0.csv":
+        "5577bd2967eb328edf0d1b1642cb0ac70dab68bcbdbdd78ba2081a60611ddf66",
+    "traces/pam_seed1.csv":
+        "5546e4743ba4ea278b188d274a318ddb895a9519291dc0fa36e0c2c5bcd717ac",
+    "traces/pam_seed2.csv":
+        "246956db0c5de0169a3fb3d4a3433487abc0846dfb7cd4402c201ee3ee63ffe7",
+}
+
+
+def report_digests(outdir) -> dict:
+    out = {}
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            summary = json.loads(data)
+            del summary["metadata"]
+            data = dumps_stable(summary).encode()
+        out[path.relative_to(outdir).as_posix()] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def test_report_bytes_match_golden_digests(tmp_path):
+    report = run_preset("benchmark", ToyConfig(64), seeds=range(3))
+    assert report_digests(write_report(report, tmp_path / "report")) == REPORT_GOLDEN
