@@ -21,6 +21,7 @@ __all__ = [
     "InvariantViolation",
     "DistanceMatrix",
     "Policy",
+    "MemoryStack",
     "PamState",
     "is_admissible",
     "unreachable_pair",
@@ -262,8 +263,23 @@ class Policy:
             raise ValueError("beta must lie in the open interval (0, 1)")
 
 
+# an update never stores less than the smallest positive double, so a floor
+# that underflows cannot erase a positive entry: the one float-specific
+# deviation from the paper's decaying floor
+_TINY = 5e-324
+
+
+def _stored_value(step, floor, maximum=max):
+    """The value an update writes: max(step, floor), at least ``_TINY``.
+
+    Applied to floats by ``pam_update`` and to arrays by ``MemoryStack``
+    (``maximum=np.maximum``), so both paths store the same bits.
+    """
+    return maximum(maximum(step, floor), _TINY)
+
+
 def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
-    """Floor value for row ``m``: 0 on an all-zero row, else > 0.
+    """Floor value for row ``m``: 0 on an all-zero row or on underflow.
 
     The result never exceeds beta times the row maximum, which is the decay
     property convergence rests on.
@@ -347,8 +363,8 @@ def pam_update(
 
     The entry (current, j_next) becomes max(step_length, floor), where the
     floor is the policy value of the current row evaluated on the matrix
-    *before* the write.  The strict-positivity pattern of the matrix is
-    preserved exactly.
+    *before* the write, and never less than the smallest positive double.
+    The strict-positivity pattern of the matrix is preserved exactly.
     """
     j = state.current_index
     matrix = state.matrix
@@ -365,12 +381,85 @@ def pam_update(
             f"transition ({j}, {j_next}) has zero weight; selection must "
             "never propose it"
         )
-    value = max(step, evaluate_policy(policy, j, matrix))
-    if not value > 0.0:
-        raise InvariantViolation(
-            f"update for transition ({j}, {j_next}) would erase a positive "
-            "entry (underflow)"
-        )
+    value = _stored_value(step, evaluate_policy(policy, j, matrix))
     matrix._overwrite(j, j_next, value)
     state.current_index = int(j_next)
     return state
+
+
+class MemoryStack:
+    """The memory of several ``Memory`` strategies, advanced together.
+
+    Strategy s owns rows s*N .. s*N + N - 1 of one (S*N, N) matrix and of
+    the row aggregates, its current row, its pending column (-1: none), its
+    policy and its generator.  ``next_indices`` does per entry the float
+    operations of ``pam_update`` and ``pam_select``, drawing each tie-break
+    from the strategy's own generator, so each strategy picks what it would
+    alone, and ``write_back`` leaves it in the state it would reach alone.
+    The matrices must be admissible: as no update stores less than
+    ``_TINY``, every row then keeps a positive entry to select.
+    """
+
+    def __init__(self, strategies):
+        self.strategies = strategies
+        mats = [s.matrix for s in strategies]
+        self.n = mats[0].n
+        self.rows = np.concatenate([m._a for m in mats])
+        self.count = np.concatenate([m._count for m in mats])
+        self.sum = np.concatenate([m._sum for m in mats]).astype(float)
+        self.minpos = np.concatenate([m._minpos for m in mats]).astype(float)
+        self.offset = np.arange(len(strategies)) * self.n
+        self.row = self.offset + [s.current_index for s in strategies]
+        self.pending = np.full(len(strategies), -1)
+        self.beta = np.array([s.policy.beta for s in strategies])
+        self.average = np.array([s.policy.kind == "average" for s in strategies])
+        self.any_average = bool(self.average.any())
+        self.draw = [s._state.rng.integers for s in strategies]
+
+    def next_indices(self, slots: np.ndarray, steps: np.ndarray | None) -> np.ndarray:
+        """Record the finite ``steps`` of strategies ``slots`` (None on a
+        first call), then pick their next indices."""
+        if steps is not None:
+            self._record(slots, steps)
+        rows = self.rows[self.row[slots]]
+        picks = rows.argmax(1)
+        ties = rows == rows[np.arange(len(slots)), picks][:, None]
+        counts = ties.sum(1)
+        tied = np.flatnonzero(counts > 1)
+        if tied.size:
+            draws = np.zeros(len(slots), dtype=int)
+            draws[tied] = [self.draw[s](c) for s, c in
+                           zip(slots[tied].tolist(), counts[tied].tolist())]
+            # the draws-th maximum from the left, as pam_select takes it
+            picks = np.flatnonzero(ties)[np.cumsum(counts) - counts + draws] % self.n
+        self.pending[slots] = picks
+        return picks
+
+    def _record(self, slots: np.ndarray, steps: np.ndarray) -> None:
+        r, col = self.row[slots], self.pending[slots]
+        low = self.minpos[r]
+        beta = self.beta[slots]
+        floor = beta * low  # read before the write, as in pam_update
+        if self.any_average:
+            a, ra = self.average[slots], r[self.average[slots]]
+            floor[a] = np.minimum(beta[a] * (self.sum[ra] / self.count[ra]),
+                                  beta[a] * self.rows[ra].max(1))
+        value = _stored_value(steps, floor, np.maximum)
+        old = self.rows[r, col]
+        self.rows[r, col] = value
+        self.sum[r] += value - old
+        self.minpos[r] = np.minimum(value, low)
+        rescan = r[(value > low) & (old == low)]  # a minimum overwritten by more
+        if rescan.size:
+            rows = self.rows[rescan]
+            self.minpos[rescan] = np.where(rows > 0.0, rows, math.inf).min(1)
+        self.row[slots] = self.offset[slots] + col
+        self.pending[slots] = -1
+
+    def write_back(self, slot: int) -> None:
+        """Hand strategy ``slot``'s matrix, aggregates and indices back to it."""
+        s, own = self.strategies[slot], slice(self.offset[slot], self.offset[slot] + self.n)
+        s.matrix._a[...] = self.rows[own]  # an update never changes _count
+        s.matrix._sum, s.matrix._minpos = self.sum[own].tolist(), self.minpos[own].tolist()
+        s._state.current_index = int(self.row[slot] - self.offset[slot])
+        s._pending = None if self.pending[slot] < 0 else int(self.pending[slot])

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import is_admissible
-from .sets import LineThroughOrigin, _distance
-from .strategies import Strategy, transition_counts
+from .memory import MemoryStack, is_admissible
+from .sets import _SMALLEST_NORMAL, LineThroughOrigin, _distance
+from .strategies import Memory, Strategy, transition_counts
 
 __all__ = [
     "NumericError",
@@ -304,6 +304,16 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _row_lengths(v: np.ndarray) -> np.ndarray:
+    """``_distance(v[i], 0.0)`` for every row of an (S, d) array, bit for bit."""
+    d = _row_dots(v, v)
+    out = np.sqrt(d)
+    if not (d.min() >= _SMALLEST_NORMAL and d.max() < math.inf):
+        for p in np.flatnonzero(~((d >= _SMALLEST_NORMAL) & (d < math.inf))):
+            out[p] = _distance(v[p], 0.0)
+    return out
+
+
 def run_lockstep(
     sets,
     strategies,
@@ -347,6 +357,14 @@ def run_lockstep(
         int(getattr(s, "current_index", 0)) if s.needs_start_projection else None
         for s in strategies
     ]
+
+    # plain Memory strategies pick through one MemoryStack (a subclass keeps
+    # its own next_index); strategies[i] is the stack's strategy slot_of[i]
+    batched = [i for i, s in enumerate(strategies) if type(s) is Memory
+               and s._pending is None and s.needs_start_projection]
+    stack = MemoryStack([strategies[i] for i in batched]) if batched else None
+    slot = np.full(len(strategies), -1)  # per row; -1: picks for itself
+    slot[batched] = range(len(batched))
 
     # row p of the stacked state belongs to run rows[p]; a run leaves the
     # rows when it stops or raises
@@ -392,27 +410,31 @@ def run_lockstep(
     for k in range(stop.max_iterations):
         # row -> stop status, or None for a run that raised
         leaving: dict[int, str | None] = {}
+        picked = {}
+        pos = np.flatnonzero(slot >= 0) if k else ()
+        if len(pos):  # every batched run made a start projection at k = 0
+            picks = stack.next_indices(slot[pos], steps[pos] if k > 1 else None)
+            picked = dict(zip(pos.tolist(), picks.tolist()))
         js = []
         for p, i in enumerate(rows):
             if k == 0 and start[i] is not None:
                 js.append(start[i])
-                continue
-            try:
-                js.append(strategies[i].next_index(lasts[p]))
-            except Exception as exc:  # one run's error must not stop the others
-                errors[i] = exc
-                leaving[p] = None
-                js.append(0)  # a stand-in; the row leaves after this projection
+            elif p in picked:
+                js.append(picked[p])
+            else:
+                try:
+                    js.append(strategies[i].next_index(lasts[p]))
+                except Exception as exc:  # one run's error must not stop the others
+                    errors[i] = exc
+                    leaving[p] = None
+                    js.append(0)  # a stand-in; the row leaves after this projection
         ja = np.array(js)
         d_rows = directions[ja]
         # the order of run(): ((d . x) / (d . d)) d, then the differences
         x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
-        diff = x_next - X
-        steps = np.sqrt(_row_dots(diff, diff))
-        res = None
-        if z is not None:
-            r = x_next - z
-            res = np.sqrt(_row_dots(r, r))
+        # one call serves the steps and the residuals
+        lengths = _row_lengths(np.concatenate([x_next - X] + ([] if z is None else [x_next - z])))
+        steps, res = lengths[:len(rows)], None if z is None else lengths[len(rows):]
         segment.append((ja, steps, res, x_next if store_iterates else None))
         X = x_next
         lasts = steps.tolist()
@@ -426,6 +448,9 @@ def run_lockstep(
                 if p not in leaving and not np.all(np.isfinite(x_next[p])):
                     errors[rows[p]] = NumericError(f"non-finite iterate after projection {k}")
                     leaving[p] = None
+                elif slot[p] >= 0:  # Memory rejects an overflowed step itself
+                    stack.write_back(slot[p])
+                    slot[p] = -1
         if last_big.min() <= k - window or (
             residual_tolerance is not None and (res < residual_tolerance).any()
         ):
@@ -451,6 +476,8 @@ def run_lockstep(
                     leaving.setdefault(p, None)
         close_segment()
         for p, status in leaving.items():
+            if slot[p] >= 0:
+                stack.write_back(slot[p])
             if status is not None:
                 finish(p, rows[p], status)
         keep = [p for p in range(len(rows)) if p not in leaving]
@@ -458,8 +485,7 @@ def run_lockstep(
             break
         rows = [rows[p] for p in keep]
         lasts = [lasts[p] for p in keep]
-        X = X[keep]
-        last_big = last_big[keep]
+        X, steps, last_big, slot = X[keep], steps[keep], last_big[keep], slot[keep]
 
     if errors:
         raise errors[min(errors)]

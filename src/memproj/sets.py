@@ -35,6 +35,10 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
+# a finite sum of squares at least the smallest normal double lost nothing
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     """Euclidean distance between two 1-D float vectors (``b=0.0``: length).
 
@@ -43,7 +47,14 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     Every distance a trace stores or checks goes through here.
     """
     v = a - b
-    return math.sqrt(v.dot(v))
+    d = v.dot(v)
+    if _SMALLEST_NORMAL <= d < math.inf:
+        return math.sqrt(d)
+    # the squares under- or overflowed: scale by the power of two that brings
+    # the largest entry into [0.5, 1), which is exact at every float scale
+    e = math.frexp(np.abs(v).max())[1]
+    w = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(w.dot(w)), e)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

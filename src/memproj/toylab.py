@@ -65,14 +65,14 @@ def make_toy_problem(cfg: ToyConfig = ToyConfig()):
     """
     dirs = toy_directions(cfg.n_sets, cfg.r)
     norms = np.linalg.norm(dirs, axis=1)
-    for a in range(cfg.n_sets):
-        for b in range(a + 1, cfg.n_sets):
-            cosang = abs(dirs[a] @ dirs[b]) / (norms[a] * norms[b])
-            if cosang >= 1.0 - 1e-12:
-                raise ValueError(
-                    f"lines {a} and {b} are parallel; their intersection is "
-                    "not a single point"
-                )
+    cosines = np.abs(dirs @ dirs.T) / np.outer(norms, norms)
+    parallel = np.flatnonzero(np.triu(cosines >= 1.0 - 1e-12, 1))
+    if parallel.size:
+        a, b = divmod(int(parallel[0]), cfg.n_sets)
+        raise ValueError(
+            f"lines {a} and {b} are parallel; their intersection is "
+            "not a single point"
+        )
     sets = [LineThroughOrigin(dirs[i]) for i in range(cfg.n_sets)]
     x0 = np.array([np.cos(np.pi / cfg.n_sets), np.sin(np.pi / cfg.n_sets), 1.0])
     solution = np.zeros(3)

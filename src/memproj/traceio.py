@@ -90,9 +90,17 @@ def read_trace_csv(path) -> dict:
 def write_matrix_csv(matrix, path) -> None:
     """N x N comma-separated reals, one row per line."""
     a = matrix.to_array() if isinstance(matrix, DistanceMatrix) else np.asarray(matrix)
-    fmt = str if np.issubdtype(a.dtype, np.integer) else format_float
+    if np.issubdtype(a.dtype, np.integer):
+        # a count matrix holds few distinct values: format each one once and
+        # look the cells up (np.unique does the same several times slower)
+        flat = np.sort(a, axis=None)
+        values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+        table = np.array([str(v) for v in values.tolist()], dtype=object)
+        rows = table[np.searchsorted(values, a)].tolist()
+    else:
+        rows = [map(format_float, row) for row in a.tolist()]
     with Path(path).open("w", newline="") as fh:
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in a.tolist())
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def read_matrix_csv(path) -> np.ndarray:

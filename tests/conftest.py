@@ -112,3 +112,10 @@ def assert_same_trace(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert len(got.matrix_snapshots) == len(expected.matrix_snapshots)
+
+
+def memory_state(strategy):
+    """Everything a Memory strategy carries from one call to the next."""
+    m = strategy.matrix
+    return (m._a.tobytes(), m._count, m._sum, m._minpos, strategy.current_index,
+            strategy._pending, strategy._state.rng.bit_generator.state)

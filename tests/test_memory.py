@@ -8,24 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_by_enumeration
+from conftest import admissible_by_enumeration, memory_state
 from memproj import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_STEP,
     DistanceMatrix,
     InvariantViolation,
+    Memory,
     PamState,
     Policy,
+    StoppingRule,
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
     build_prior_matrix,
     evaluate_policy,
     is_admissible,
+    make_toy_problem,
     pam_select,
     pam_update,
+    run,
     toy_directions,
     unreachable_pair,
 )
-from memproj.memory import _reachable_from
+from memproj.memory import MemoryStack, _reachable_from
 
 
 class TestDistanceMatrix:
@@ -222,15 +228,30 @@ class TestPolicies:
         else:
             assert v == 0.0
 
-    def test_subnormal_entries_trip_the_update_guard(self):
-        # beta * 5e-324 underflows to zero; rather than silently erase a
-        # positive entry, the update refuses
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    def test_subnormal_floor_is_clamped(self, kind):
+        # beta * 5e-324 underflows to zero; rather than erase a positive
+        # entry, the update stores the smallest positive double
         tiny = 5e-324
         a = np.array([[0.0, tiny, tiny], [tiny, 0.0, tiny], [tiny, tiny, 0.0]])
         state = PamState(DistanceMatrix(a), seed=0)
-        assert evaluate_policy(Policy("min", 0.5), 0, DistanceMatrix(a)) == 0.0
-        with pytest.raises(InvariantViolation, match="underflow"):
-            pam_update(state, 1, 0.0, Policy("min", 0.5))
+        assert evaluate_policy(Policy(kind, 0.5), 0, DistanceMatrix(a)) == 0.0
+        pam_update(state, 1, 0.0, Policy(kind, 0.5))
+        assert state.matrix.to_array().tobytes() == a.tobytes()
+        assert state.matrix._minpos[0] == tiny
+        assert state.current_index == 1
+
+    def test_average_policy_long_run_ends_by_a_stop_rule(self):
+        # 300k projections on the default fan: the iterates shrink to
+        # subnormal size; this run once raised InvariantViolation after
+        # about 106k projections, when zero steps (squares that underflowed)
+        # kept halving the floor until it reached 0
+        sets, x0, sol = make_toy_problem()
+        strategy = Memory(build_dense(9), Policy("average", 0.5), seed=0)
+        trace = run(sets, strategy, x0, StoppingRule.exact_budget(300_000), known_point=sol)
+        assert trace.status in (STATUS_MAX_ITERATIONS, STATUS_STEP)
+        assert trace.residuals[-1] < 1e-300
+        assert (trace.final_matrix[~np.eye(9, dtype=bool)] > 0.0).all()
 
     @pytest.mark.parametrize("kind", ["min", "average"])
     @pytest.mark.parametrize("beta", [0.01, 0.5, 0.99])
@@ -549,3 +570,62 @@ class TestLeanMemoryEquivalence:
                 for s in starts:
                     np.testing.assert_array_equal(
                         _reachable_from(q, s), _reachable_from_reference(q, s))
+
+
+_STACK_PRIORS = {
+    "dense": lambda n: build_dense(n),
+    "forward": lambda n: build_banded_forward(n, 2),
+    "forward_w1": lambda n: build_banded_forward(n, 1),
+    "bidirectional": lambda n: build_banded_bidirectional(n, 1, 0.5),
+}
+# exact zeros, subnormals and a few repeated values: floors that clamp,
+# ties, and writes that land on the row minimum (which forces a rescan)
+_STEPS = (0.0, 5e-324, 1e-310, 0.125, 0.25, 0.5, 1.0, 3.0)
+
+
+def _memories(prior, n, kinds, seed):
+    return [Memory(_STACK_PRIORS[prior](n), Policy(kind, 0.5 if i % 2 else 0.01),
+                   seed=seed + i, start_index=(3 * i) % n)
+            for i, kind in enumerate(kinds)]
+
+
+class TestMemoryStack:
+    """A MemoryStack makes the picks, and leaves the states, of one Memory each."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        prior=st.sampled_from(sorted(_STACK_PRIORS)),
+        n=st.integers(3, 7),
+        kinds=st.lists(st.sampled_from(["min", "average"]), min_size=1, max_size=5),
+        n_steps=st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_memory_each(self, seed, prior, n, kinds, n_steps):
+        rng = np.random.default_rng(seed)
+        batched = _memories(prior, n, kinds, seed)
+        single = _memories(prior, n, kinds, seed)
+        stack = MemoryStack(batched)
+        # each strategy leaves at a step of its own, as a run stops
+        leave = rng.integers(0, n_steps + 1, len(kinds))
+        steps = None
+        for k in range(n_steps + 1):
+            slots = np.flatnonzero(leave >= k)
+            for s in np.flatnonzero(leave == k - 1).tolist():
+                stack.write_back(s)
+                single[s].finish(float(steps[s]))
+                batched[s].finish(float(steps[s]))
+            if not slots.size:
+                break
+            last = None if steps is None else steps[slots]
+            picks = stack.next_indices(slots, last)
+            expected = [single[s].next_index(None if last is None else float(x))
+                        for s, x in zip(slots.tolist(), [None] * slots.size
+                                        if last is None else last.tolist())]
+            assert picks.tolist() == expected
+            steps = np.full(len(kinds), np.nan)
+            steps[slots] = rng.choice(_STEPS, slots.size) * rng.choice([1.0, 0.75], slots.size)
+        for s in range(len(kinds)):
+            if leave[s] >= n_steps:
+                stack.write_back(s)
+        for b, s in zip(batched, single):
+            assert memory_state(b) == memory_state(s)

@@ -1,6 +1,9 @@
 """The iteration engine: tracing, stopping, debug checks, error paths."""
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +32,14 @@ from memproj import (
     residual_series,
     run,
 )
-from memproj.memory import build_banded_forward
-from memproj.runner import _distance, run_lockstep
+from memproj.memory import (
+    build_banded_bidirectional,
+    build_banded_forward,
+    build_prior_matrix,
+)
+from memproj.runner import _distance, _row_lengths, run_lockstep
 
-from conftest import assert_same_trace
+from conftest import assert_same_trace, memory_state
 
 TOY = ToyConfig(9, 0.05)
 
@@ -365,13 +372,84 @@ class TestLeanLoopEquivalence:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_step_between_finite_iterates_is_recorded(self):
-        # the step overflows to inf although both iterates are finite: the
-        # full finiteness scan runs and finds nothing to report
+        # the difference of the two finite iterates is itself not finite
+        # (1e308 - -1e308 overflows), so the step is a genuine inf: the full
+        # finiteness scan runs and finds nothing to report
         points = [[-1e308, 0.0], [1e308, 0.0]]
         trace = run(_scripted_pair(points, 2), Cyclic(2), np.array([1e308, 0.0]),
                     StoppingRule.exact_budget(2))
         assert trace.step_lengths.tolist() == [np.inf, np.inf]
         np.testing.assert_array_equal(trace.x_final, [1e308, 0.0])
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_step_whose_squares_overflow_is_finite(self):
+        # 1e200 - -1e200 is finite though its square is not: the distance
+        # rescales by a power of two instead of returning inf
+        points = [[-1e200, 0.0], [1e200, 0.0]]
+        trace = run(_scripted_pair(points, 2), Cyclic(2), np.array([1e200, 0.0]),
+                    StoppingRule.exact_budget(2))
+        assert trace.step_lengths.tolist() == [2e200, 2e200]
+
+
+def _toy_strategy(kind, k):
+    """mcp, or pam-min over a dense memory scaled by 2^k."""
+    if kind == "mcp":
+        return Cyclic(9)
+    return Memory(build_dense(9, math.ldexp(1.0, k)), Policy("min", 0.01), seed=3)
+
+
+class TestExactAtEveryScale:
+    """Scaling x0, the tolerance and the memory by 2^k scales the trace by 2^k."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("exponent", [-1070, -1000, -560, 0, 520, 1000])
+    def test_distance_scales_exactly(self, exponent):
+        rng = np.random.default_rng(exponent + 2000)
+        for d in (1, 3, 60):
+            for _ in range(50):
+                a, b = rng.standard_normal((2, d))
+                expected = math.ldexp(_distance(a, b), exponent)
+                scaled = _distance(np.ldexp(a, exponent), np.ldexp(b, exponent))
+                if exponent >= -1000:  # no entry is subnormal: exact
+                    assert scaled == expected
+                else:
+                    assert scaled == pytest.approx(expected, rel=1e-10, abs=5e-324 * d)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("exponent", [-1070, -560, -400, 0, 400, 520, 1000])
+    def test_row_lengths_equal_distances(self, exponent):
+        rng = np.random.default_rng(exponent + 3000)
+        v = np.ldexp(rng.standard_normal((40, 3)), exponent)
+        v[::7] *= 2.0 ** rng.integers(-60, 60, (6, 1))
+        expected = np.array([_distance(row, 0.0) for row in v])
+        assert _row_lengths(v).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("engine", ["run", "run_lockstep"])
+    @pytest.mark.parametrize("kind", ["mcp", "pam"])
+    @pytest.mark.parametrize("k", [-900, -560, 520, 1000])
+    def test_toy_fan_trace_scales_bit_for_bit(self, k, kind, engine):
+        # before the rescaling fallback, k=-560 stopped falsely after 18
+        # projections with every step 0, and k=520 recorded inf steps
+        sets, x0, z = toy()
+
+        def once(scale):
+            stop = StoppingRule(max_iterations=3000, step_tolerance=math.ldexp(1e-12, scale))
+            strategy, start = _toy_strategy(kind, scale), np.ldexp(x0, scale)
+            if engine == "run":
+                return run(sets, strategy, start, stop, known_point=z)
+            return run_lockstep(sets, [strategy], start, stop, known_point=z)[0]
+
+        base, scaled = once(0), once(k)
+        assert scaled.status == base.status == STATUS_MAX_ITERATIONS
+        assert scaled.set_indices.tobytes() == base.set_indices.tobytes()
+        for name in ("step_lengths", "residuals", "x_final"):
+            assert getattr(scaled, name).tobytes() == \
+                np.ldexp(getattr(base, name), k).tobytes(), name
+        if kind == "pam":
+            assert scaled.final_matrix.tobytes() == \
+                np.ldexp(base.final_matrix, k).tobytes()
 
 
 def _sets_through(c, size, rng):
@@ -463,8 +541,127 @@ def _raised(fn):
 _OVERFLOW_LINES = [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [2.0, 1.0, 3.0], [1e250, 1.0, 1.0]]
 
 
+def _tie_prone_prior(n):
+    """Three equal forward jumps per row, a different weight on each row."""
+    w = np.zeros((n, n))
+    for m in range(n):
+        for jump in (1, 2, 4):
+            w[m, (m + jump) % n] = 0.25 + 0.125 * (m % 3)
+    return build_prior_matrix(w)
+
+
+_MEMORY_PRIORS = {
+    "dense": lambda n: build_dense(n),
+    "forward": lambda n: build_banded_forward(n, 2),
+    "bidirectional": lambda n: build_banded_bidirectional(n, 2, 0.3),
+    "tie_prone_prior": _tie_prone_prior,
+}
+
+
 class TestLockstepEngine:
     """run_lockstep(...) equals [run(...) for each strategy], bit for bit."""
+
+    def _assert_matches_run(self, sets, make, x0, stop, known_point=None):
+        """Traces and final Memory states equal those of one run() each."""
+        batched, single = make(), make()
+        got = run_lockstep(sets, batched, x0, stop, known_point)
+        expected = [run(sets, s, x0, stop, known_point) for s in single]
+        for g, e in zip(got, expected, strict=True):
+            assert_same_trace(g, e)
+        for b, s in zip(batched, single):
+            if isinstance(s, Memory):
+                assert memory_state(b) == memory_state(s)
+        return expected
+
+    @pytest.mark.parametrize("prior", sorted(_MEMORY_PRIORS))
+    @pytest.mark.parametrize("policy", [Policy("min", 0.01), Policy("average", 0.5)])
+    def test_batched_memory_runs_match_run(self, prior, policy):
+        sets, x0, z = toy()
+        make = lambda: [Memory(_MEMORY_PRIORS[prior](9), policy, seed=s,
+                               start_index=(4 * s) % 9) for s in range(6)]
+        for stop in (StoppingRule.exact_budget(300),
+                     StoppingRule(max_iterations=2000, residual_tolerance=0.1)):
+            self._assert_matches_run(sets, make, x0, stop, z)
+
+    def test_batched_runs_leave_at_different_projections(self):
+        sets, x0, z = toy()
+        make = lambda: [Memory(build_dense(9), Policy(kind, 0.5), seed=s)
+                        for s in range(4) for kind in ("min", "average")]
+        expected = self._assert_matches_run(
+            sets, make, x0, StoppingRule(max_iterations=3000, residual_tolerance=0.05), z)
+        assert len({t.n_projections for t in expected}) > 2
+
+    def test_mixed_lists_match_run(self):
+        sets, x0, z = toy()
+        make = lambda: [
+            Cyclic(9), RandomizedCycles(9, seed=1),
+            Memory(build_dense(9), Policy("min", 0.5), seed=2, start_index=2),
+            RandomizedCycles(9, seed=3),
+            Memory(build_banded_forward(9, 1), Policy("average", 0.5), seed=4),
+            Memory(_tie_prone_prior(9), Policy("min", 0.5), seed=9, start_index=5),
+            Cyclic(9),
+        ]
+        for stop in (StoppingRule.exact_budget(1), StoppingRule.exact_budget(2),
+                     StoppingRule.exact_budget(250),
+                     StoppingRule(max_iterations=3000, residual_tolerance=5e-2)):
+            self._assert_matches_run(sets, make, x0, stop, z)
+
+    def test_memory_subclass_keeps_its_own_next_index(self):
+        class Counting(Memory):
+            def next_index(self, last_step_length=None):
+                self.calls = getattr(self, "calls", 0) + 1
+                return super().next_index(last_step_length)
+
+        sets, x0, z = toy()
+        make = lambda: [Counting(build_dense(9), Policy("min", 0.01), seed=s) for s in range(3)]
+        batched, single = make(), make()
+        got = run_lockstep(sets, batched, x0, StoppingRule.exact_budget(50), z)
+        for g, b, s in zip(got, batched, single):
+            assert_same_trace(g, run(sets, s, x0, StoppingRule.exact_budget(50), z))
+            assert b.calls == s.calls == 49
+            assert memory_state(b) == memory_state(s)
+
+    @pytest.mark.parametrize("budget", [6, 20])
+    def test_overflowed_step_is_rejected_by_the_memory_itself(self, budget, monkeypatch):
+        # on lines no step after the first projection can overflow between
+        # finite iterates, so one is injected at projection 5: the batched
+        # row goes back to its own Memory, which rejects the step as under run()
+        import memproj.runner as engine
+
+        sets, x0, _ = toy()
+        stop = StoppingRule.exact_budget(budget)
+        real_distance, real_lengths = engine._distance, engine._row_lengths
+        distances, projections = itertools.count(), itertools.count()
+        monkeypatch.setattr(engine, "_distance", lambda a, b: (
+            math.inf if next(distances) == 5 else real_distance(a, b)))
+        alone = pam_strategy(1)
+        expected = _raised(lambda: run(sets, alone, x0, stop))
+        monkeypatch.setattr(engine, "_distance", real_distance)
+
+        def lengths(v):
+            out = real_lengths(v)
+            if next(projections) == 5:
+                out[1] = math.inf
+            return out
+
+        monkeypatch.setattr(engine, "_row_lengths", lengths)
+        batched = [Cyclic(9), pam_strategy(1), pam_strategy(2)]
+        got = _raised(lambda: run_lockstep(sets, batched, x0, stop))
+        assert got == expected == (ValueError, "step_length must be finite and >= 0")
+        assert memory_state(batched[1]) == memory_state(alone)
+
+    def test_clamped_floor_matches_run(self):
+        # subnormal iterates over a memory of smallest positive doubles: the
+        # floor 0.5 * 5e-324 rounds to 0, and on an exact-zero step the
+        # update stores the clamp 5e-324 instead
+        sets, x0, z = toy()
+        make = lambda: [Memory(build_dense(9, 5e-324), Policy(kind, 0.5), seed=s)
+                        for s in range(3) for kind in ("min", "average")]
+        expected = self._assert_matches_run(
+            sets, make, np.ldexp(x0, -1070), StoppingRule.exact_budget(200), z)
+        for t in expected:
+            assert (t.step_lengths == 0.0).any()
+            assert (t.final_matrix[~np.eye(9, dtype=bool)] > 0.0).all()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -611,7 +808,13 @@ class TestLockstepEngine:
             strategy.matrix._rebuild_row_stats()
             return strategy
 
+        def used(seed):
+            strategy = pam_strategy(seed)
+            strategy.next_index()  # a pending transition no run has made
+            return strategy
+
         cases = [
+            (lambda: [pam_strategy(0), used(1), pam_strategy(2)], budget, z),
             (lambda: [Cyclic(9), Cyclic(5)], budget, z),
             (lambda: [pam_strategy(0), corrupted(1)], budget, z),
             (lambda: [Cyclic(9)], StoppingRule(max_iterations=100, step_window=4), z),
@@ -639,13 +842,33 @@ class TestLockstepEngine:
         assert _raised(lambda: run(sets, make()[0], x0, StoppingRule.exact_budget(3))) is None
         self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(3))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_error_from_a_strategy_is_raised_in_order(self):
-        # with x0 ~ 1e200 the squared step overflows: run() records an inf
-        # step between finite iterates, which Cyclic ignores and Memory
-        # rejects on its next call
-        sets, _, _ = toy()
-        x0 = np.array([1e200, 2e200, 3e200])
-        make = lambda: [Cyclic(9), pam_strategy(1), RandomizedCycles(9, seed=2)]
-        assert np.isinf(run(sets, Cyclic(9), x0, StoppingRule.exact_budget(3)).step_lengths).all()
-        self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(10))
+        # the batched Memory runs meet a genuinely non-finite iterate (the
+        # last of _OVERFLOW_LINES maps x0 ~ 1e100 to nan) at projections of
+        # their own: the first run fails later than the second, and a
+        # strategy that raises from next_index fails between them
+        class FailsOnThirdCall(Cyclic):
+            def next_index(self, last_step_length=None):
+                if self._k == 2:
+                    raise RuntimeError("third call")
+                return super().next_index(last_step_length)
+
+        sets = [LineThroughOrigin(d) for d in _OVERFLOW_LINES]
+        x0 = np.array([1e100, 2e100, 3e100])
+        make = lambda: [
+            *[Memory(build_dense(4), Policy("min", 0.5), seed=s) for s in (1, 0, 6)],
+            FailsOnThirdCall(4), RandomizedCycles(4, seed=2),
+        ]
+        stop = StoppingRule.exact_budget(40)
+        failures = [_raised(lambda s=s: run(sets, s, x0, stop)) for s in make()]
+        assert failures[:4] == [
+            (NumericError, "non-finite iterate after projection 3"),
+            (NumericError, "non-finite iterate after projection 1"),
+            None,
+            (RuntimeError, "third call"),
+        ]
+        for budget in (40, 3, 2):
+            self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(budget))
+        self._assert_same_error(sets, lambda: make()[2:], x0, stop)

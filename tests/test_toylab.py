@@ -81,6 +81,49 @@ class TestProblemGeneration:
         assert all(distance(x0, s) > 1e-3 for s in sets)
 
 
+def _pair_cosines_reference(dirs):
+    """The pair loop the parallel-line check once ran: |cos| of every pair
+    a < b, in row-major upper-triangle order."""
+    norms = np.linalg.norm(dirs, axis=1)
+    n = dirs.shape[0]
+    return [((a, b), abs(dirs[a] @ dirs[b]) / (norms[a] * norms[b]))
+            for a in range(n) for b in range(a + 1, n)]
+
+
+def _first_parallel_reference(cfg):
+    for (a, b), cosang in _pair_cosines_reference(toy_directions(cfg.n_sets, cfg.r)):
+        if cosang >= 1.0 - 1e-12:
+            return (f"lines {a} and {b} are parallel; their intersection is "
+                    "not a single point")
+    return None
+
+
+class TestParallelCheckMatchesPairLoop:
+    # the pair loop takes seconds at N=1000, so that size runs at one r
+    @pytest.mark.parametrize("n, r", [
+        *[(n, r) for n in (2, 3, 9, 64, 256) for r in (1e-3, 0.05, 3.0)],
+        (1000, 0.05),
+    ])
+    def test_cosines_are_bit_equal(self, n, r):
+        dirs = toy_directions(n, r)
+        norms = np.linalg.norm(dirs, axis=1)
+        cosines = np.abs(dirs @ dirs.T) / np.outer(norms, norms)
+        pairs, expected = zip(*_pair_cosines_reference(dirs))
+        got = cosines[tuple(np.array(pairs).T)]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert max(expected) < 1.0 - 1e-12
+        make_toy_problem(ToyConfig(n, r))
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    @pytest.mark.parametrize("r", [1e-7, 1e-8])
+    def test_near_parallel_fan_names_the_same_pair(self, n, r):
+        message = _first_parallel_reference(ToyConfig(n, r))
+        assert message is not None
+        with pytest.raises(ValueError) as info:
+            make_toy_problem(ToyConfig(n, r))
+        assert str(info.value) == message
+
+
 class TestMemoryEqualsCyclicWithTrivialBand:
     def test_iterates_match_bitwise(self):
         sets, x0, sol = make_toy_problem(ToyConfig(9, 0.05))

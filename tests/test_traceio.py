@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memproj import (
     Memory,
@@ -259,6 +261,30 @@ class TestWritersMatchReference:
     def test_matrix_csv_bytes(self, tmp_path, matrix):
         write_matrix_csv(matrix, tmp_path / "fast.csv")
         _write_matrix_csv_reference(matrix, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @given(
+        n=st.integers(1, 6),
+        data=st.data(),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint64, np.uint8]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_matrix_csv_bytes_equal_map_str(self, tmp_path_factory, n, data, dtype):
+        info = np.iinfo(dtype)
+        # a few distinct values, as in count matrices, or any values at all
+        pool = data.draw(st.lists(st.integers(int(info.min), int(info.max)),
+                                  min_size=1, max_size=n * n))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=n * n, max_size=n * n))
+        matrix = np.array(cells, dtype=dtype).reshape(n, n)
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        write_matrix_csv(matrix, path)
+        expected = "".join(",".join(map(str, row)) + "\n" for row in matrix.tolist())
+        assert path.read_bytes() == expected.encode()
+
+    def test_frequency_matrix_of_a_real_run(self, tmp_path):
+        counts = small_trace(seed=3, budget=400).transition_counts()
+        write_matrix_csv(counts, tmp_path / "fast.csv")
+        _write_matrix_csv_reference(counts, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("with_residuals", [True, False])
