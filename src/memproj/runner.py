@@ -359,11 +359,11 @@ def run_lockstep(
     ]
 
     # plain Memory strategies pick through one MemoryStack (a subclass keeps
-    # its own next_index); strategies[i] is the stack's strategy slot_of[i]
+    # its own next_index); slot[p] is row p's strategy in the stack, or -1
     batched = [i for i, s in enumerate(strategies) if type(s) is Memory
                and s._pending is None and s.needs_start_projection]
     stack = MemoryStack([strategies[i] for i in batched]) if batched else None
-    slot = np.full(len(strategies), -1)  # per row; -1: picks for itself
+    slot = np.full(len(strategies), -1)
     slot[batched] = range(len(batched))
 
     # row p of the stacked state belongs to run rows[p]; a run leaves the
@@ -432,8 +432,8 @@ def run_lockstep(
         d_rows = directions[ja]
         # the order of run(): ((d . x) / (d . d)) d, then the differences
         x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
-        # one call serves the steps and the residuals
-        lengths = _row_lengths(np.concatenate([x_next - X] + ([] if z is None else [x_next - z])))
+        diffs = [x_next - X] if z is None else [x_next - X, x_next - z]
+        lengths = _row_lengths(np.concatenate(diffs))  # the steps, then the residuals
         steps, res = lengths[:len(rows)], None if z is None else lengths[len(rows):]
         segment.append((ja, steps, res, x_next if store_iterates else None))
         X = x_next

@@ -35,7 +35,7 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-# a finite sum of squares at least the smallest normal double lost nothing
+# a sum of squares in [smallest normal double, inf) lost no more than rounding
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 

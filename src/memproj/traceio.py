@@ -94,7 +94,7 @@ def write_matrix_csv(matrix, path) -> None:
         # a count matrix holds few distinct values: format each one once and
         # look the cells up (np.unique does the same several times slower)
         flat = np.sort(a, axis=None)
-        values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+        values = np.concatenate((flat[:1], flat[1:][flat[1:] != flat[:-1]]))
         table = np.array([str(v) for v in values.tolist()], dtype=object)
         rows = table[np.searchsorted(values, a)].tolist()
     else:

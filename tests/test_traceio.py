@@ -254,6 +254,7 @@ class TestWritersMatchReference:
         [
             np.array([[0, 3, -2], [2, 0, 2**60 + 1], [1, 1, 0]], dtype=np.int64),
             np.array([[0, 7], [1, 0]], dtype=np.int32),
+            np.zeros((0, 0), dtype=np.int64),
             np.array([_SPECIALS[:4], _SPECIALS[4:8], _SPECIALS[1:5], _SPECIALS[5:]]),
             np.random.default_rng(0).random((6, 6)) * 1e-7,
         ],
