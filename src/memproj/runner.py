@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .memory import MemoryStack, is_admissible
-from .sets import _SMALLEST_NORMAL, LineThroughOrigin, _distance
+from .sets import _LARGEST, _SMALLEST_NORMAL, LineThroughOrigin, _distance
 from .strategies import Memory, Strategy, transition_counts
 
 __all__ = [
@@ -308,8 +308,8 @@ def _row_lengths(v: np.ndarray) -> np.ndarray:
     """``_distance(v[i], 0.0)`` for every row of an (S, d) array, bit for bit."""
     d = _row_dots(v, v)
     out = np.sqrt(d)
-    if not (d.min() >= _SMALLEST_NORMAL and d.max() < math.inf):
-        for p in np.flatnonzero(~((d >= _SMALLEST_NORMAL) & (d < math.inf))):
+    if not (d.min() >= _SMALLEST_NORMAL and d.max() <= _LARGEST):
+        for p in np.flatnonzero(~((d >= _SMALLEST_NORMAL) & (d <= _LARGEST))):
             out[p] = _distance(v[p], 0.0)
     return out
 

@@ -35,8 +35,9 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-# a sum of squares in [smallest normal double, inf) lost no more than rounding
-_SMALLEST_NORMAL = 2.2250738585072014e-308
+# a sum of squares from the smallest normal to the largest finite double
+# lost no more than rounding
+_SMALLEST_NORMAL, _LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
 
 
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
@@ -47,8 +48,8 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     Every distance a trace stores or checks goes through here.
     """
     v = a - b
-    d = v.dot(v)
-    if _SMALLEST_NORMAL <= d < math.inf:
+    d = float(v.dot(v))  # Python floats compare faster than NumPy scalars
+    if _SMALLEST_NORMAL <= d <= _LARGEST:
         return math.sqrt(d)
     # the squares under- or overflowed: scale by the power of two that brings
     # the largest entry into [0.5, 1), which is exact at every float scale
