@@ -51,6 +51,8 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     d = float(v.dot(v))  # Python floats compare faster than NumPy scalars
     if _SMALLEST_NORMAL <= d <= _LARGEST:
         return math.sqrt(d)
+    if d == 0.0 and not np.count_nonzero(v):  # a projection left its point unchanged
+        return 0.0
     # the squares under- or overflowed: scale by the power of two that brings
     # the largest entry into [0.5, 1), which is exact at every float scale
     e = math.frexp(np.abs(v).max())[1]

@@ -416,6 +416,15 @@ class TestExactAtEveryScale:
                 else:
                     assert scaled == pytest.approx(expected, rel=1e-10, abs=5e-324 * d)
 
+    def test_zero_and_underflowing_vectors(self):
+        # both have v . v == 0; only the exact zero has length 0
+        tiny = np.array([5e-324, -5e-324, 1e-320])
+        assert _distance(tiny, 0.0) == math.ldexp(_distance(np.ldexp(tiny, 1074), 0.0), -1074)
+        assert _distance(tiny, 0.0) > 0.0
+        assert _distance(np.array([0.0, -0.0, 0.0]), 0.0) == 0.0
+        rows = np.array([tiny, np.zeros(3), [1.0, 2.0, 2.0]])
+        assert _row_lengths(rows).tolist() == [_distance(r, 0.0) for r in rows]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("exponent", [-1070, -560, -400, 0, 400, 520, 1000])
     def test_row_lengths_equal_distances(self, exponent):
