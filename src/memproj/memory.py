@@ -405,6 +405,7 @@ class MemoryStack:
         mats = [s.matrix for s in strategies]
         self.n = mats[0].n
         self.rows = np.concatenate([m._a for m in mats])
+        self.cells = self.rows.reshape(-1)  # a view: entry (row, col) is cell row * N + col
         self.count = np.concatenate([m._count for m in mats])
         self.sum = np.concatenate([m._sum for m in mats]).astype(float)
         self.minpos = np.concatenate([m._minpos for m in mats]).astype(float)
@@ -424,14 +425,14 @@ class MemoryStack:
         rows = self.rows[self.row[slots]]
         picks = rows.argmax(1)
         ties = rows == rows[np.arange(len(slots)), picks][:, None]
-        counts = ties.sum(1)
-        tied = np.flatnonzero(counts > 1)
+        counts = np.add.reduce(ties, 1)
+        tied = (counts > 1).nonzero()[0]
         if tied.size:
             draws = np.zeros(len(slots), dtype=int)
             draws[tied] = [self.draw[s](c) for s, c in
                            zip(slots[tied].tolist(), counts[tied].tolist())]
             # the draws-th maximum from the left, as pam_select takes it
-            picks = np.flatnonzero(ties)[np.cumsum(counts) - counts + draws] % self.n
+            picks = ties.ravel().nonzero()[0][counts.cumsum() - counts + draws] % self.n
         self.pending[slots] = picks
         return picks
 
@@ -445,8 +446,9 @@ class MemoryStack:
             floor[a] = np.minimum(beta[a] * (self.sum[ra] / self.count[ra]),
                                   beta[a] * self.rows[ra].max(1))
         value = _stored_value(steps, floor, np.maximum)
-        old = self.rows[r, col]
-        self.rows[r, col] = value
+        cell = r * self.n + col
+        old = self.cells[cell]
+        self.cells[cell] = value
         self.sum[r] += value - old
         self.minpos[r] = np.minimum(value, low)
         rescan = r[(value > low) & (old == low)]  # a minimum overwritten by more

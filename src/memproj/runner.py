@@ -411,24 +411,27 @@ def run_lockstep(
         # row -> stop status, or None for a run that raised
         leaving: dict[int, str | None] = {}
         picked = {}
-        pos = np.flatnonzero(slot >= 0) if k else ()
+        pos = (slot >= 0).nonzero()[0] if k else ()
         if len(pos):  # every batched run made a start projection at k = 0
             picks = stack.next_indices(slot[pos], steps[pos] if k > 1 else None)
-            picked = dict(zip(pos.tolist(), picks.tolist()))
-        js = []
-        for p, i in enumerate(rows):
-            if k == 0 and start[i] is not None:
-                js.append(start[i])
-            elif p in picked:
-                js.append(picked[p])
-            else:
-                try:
-                    js.append(strategies[i].next_index(lasts[p]))
-                except Exception as exc:  # one run's error must not stop the others
-                    errors[i] = exc
-                    leaving[p] = None
-                    js.append(0)  # a stand-in; the row leaves after this projection
-        ja = np.array(js)
+            picked = dict(zip(pos.tolist(), picks.tolist())) if len(pos) < len(rows) else None
+        if picked is None:
+            ja = picks  # the stack picked for every row
+        else:
+            js = []
+            for p, i in enumerate(rows):
+                if k == 0 and start[i] is not None:
+                    js.append(start[i])
+                elif p in picked:
+                    js.append(picked[p])
+                else:
+                    try:
+                        js.append(strategies[i].next_index(lasts[p]))
+                    except Exception as exc:  # one run's error must not stop the others
+                        errors[i] = exc
+                        leaving[p] = None
+                        js.append(0)  # a stand-in; the row leaves after this projection
+            ja = np.array(js)
         d_rows = directions[ja]
         # the order of run(): ((d . x) / (d . d)) d, then the differences
         x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
