@@ -329,8 +329,8 @@ def run_lockstep(
     store_iterates=store_iterates) for s in strategies]`` bit for bit, and
     raises what that raises.  The iterates of the runs form one (S, d)
     array, so one projection of all S runs costs the NumPy calls of one
-    projection of one run.  Each strategy still picks its own index from
-    its own last step, so every random stream is unchanged.  Every set must
+    projection of one run.  Plain ``Memory`` strategies pick together in a
+    ``MemoryStack``, each from its own random stream.  Every set must
     be a ``LineThroughOrigin`` and every strategy a distinct object.
     """
     sets = list(sets)
