@@ -37,7 +37,9 @@ from memproj import (
     run,
     run_preset,
 )
-from memproj.traceio import dumps_stable, write_report
+from memproj.cli import execute_config
+from memproj.config import parse_config, set_to_descriptor
+from memproj.traceio import dumps_stable, write_matrix_csv, write_report
 
 
 def _toy(n):
@@ -218,3 +220,70 @@ def report_digests(outdir) -> dict:
 def test_report_bytes_match_golden_digests(tmp_path):
     report = run_preset("benchmark", ToyConfig(64), seeds=range(3))
     assert report_digests(write_report(report, tmp_path / "report")) == REPORT_GOLDEN
+
+
+def _run_configs(inputs):
+    """Two `memproj run` configs: custom pam with a prior CSV, toy-fan mcp.
+
+    The prior's equal weights make ties, so the two pam seeds differ.
+    """
+    w = np.zeros((12, 12))
+    for m in range(12):
+        w[m, [(m + 1) % 12, (m + 5) % 12, (m + 10) % 12]] = 1.0
+    write_matrix_csv(w, inputs / "prior.csv")
+    sets, x0, sol = _custom_problem()
+    pam = {
+        "problem": {"kind": "custom", "sets": [set_to_descriptor(s) for s in sets],
+                    "x0": x0.tolist(), "known_point": sol.tolist()},
+        "strategy": {"kind": "pam", "matrix": {"kind": "prior", "path": "prior.csv"},
+                     "policy": {"kind": "average", "beta": 0.5}},
+        "stop": {"max_iterations": 50_000, "step_tolerance": 5e-324,
+                 "residual_tolerance": 1e-8},
+        "seeds": [3, 11],
+    }
+    fan, fan_x0, _ = _toy(9)
+    mcp = {
+        "problem": {"kind": "custom", "sets": [set_to_descriptor(s) for s in fan],
+                    "x0": fan_x0.tolist()},
+        "strategy": {"kind": "mcp"},
+        "stop": {"max_iterations": 400},
+    }
+    return {"pam_prior_average_custom": pam, "mcp_toy_fan_no_known_point": mcp}
+
+
+# SHA-256 of every file execute_config writes for the configs above
+RUN_GOLDEN = {
+    "mcp_toy_fan_no_known_point/config.json":
+        "817496791e3b810e28998ee949f0885d9db07a59c8d102ecae4e91e527e343ba",
+    "mcp_toy_fan_no_known_point/frequency_seed0.csv":
+        "f4f79a178a08808482604043581054b1d5755b04d86b480c2f00b0da086c0dbb",
+    "mcp_toy_fan_no_known_point/trace_seed0.csv":
+        "f653a31ea733c0b91c3420c968b31fd7d1a9349a7b11ad7fd436ac06a63141d8",
+    "mcp_toy_fan_no_known_point/trace_seed0.json":
+        "4ea8055dee030ca91262bf54291398fb738f3e3cc4b4e6a48fffe463e2fa1f49",
+    "pam_prior_average_custom/config.json":
+        "387ec58e6270b00f4822e21cfc33fb3dd0b3428f20f616492c91ccf7939872b8",
+    "pam_prior_average_custom/frequency_seed11.csv":
+        "5fd337144c82a9a862e9dc5cbf4b15ffbd742d85cdce7c1275f0936d1da28efa",
+    "pam_prior_average_custom/frequency_seed3.csv":
+        "c5cb2149491f3f8f3642ff2dae9f225d78c29dee6de10c27c895e141b82311d4",
+    "pam_prior_average_custom/trace_seed11.csv":
+        "d77d716c485344227a13404a94aa623f5ca31640b6f8e73a99e13560eeee4ba1",
+    "pam_prior_average_custom/trace_seed11.json":
+        "096142a6b77ecc8b2b83f57d476776cdfe87b9f808895669d2019eaef5c5deeb",
+    "pam_prior_average_custom/trace_seed3.csv":
+        "b8d87ad9a936ea12e912c37cc4ae703c12b6b026af0ac7b71f05f1dc220e6c7d",
+    "pam_prior_average_custom/trace_seed3.json":
+        "e5abe0154fb283bf4e95d2c9c5831ec2561377d6221f495d749ae65336a7324d",
+}
+
+
+def test_run_bytes_match_golden_digests(tmp_path):
+    configs = _run_configs(tmp_path)
+    out = {}
+    for name, doc in configs.items():
+        config = parse_config(doc, base_dir=str(tmp_path))
+        outdir = execute_config(config, tmp_path / name)
+        for path in sorted(outdir.iterdir()):
+            out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert out == RUN_GOLDEN
