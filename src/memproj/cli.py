@@ -60,8 +60,8 @@ def execute_config(config: ExperimentConfig, outdir) -> Path:
 
     try:
         sets, x0, known_point = config.build_problem()
-        echo = config.to_dict()
-        target("config.json").write_text(dumps_stable(echo))
+        echo_text = dumps_stable(config.to_dict())
+        target("config.json").write_text(echo_text)
         for seed in config.effective_seeds():
             strategy = config.build_strategy(seed)
             trace = run(
@@ -76,7 +76,7 @@ def execute_config(config: ExperimentConfig, outdir) -> Path:
             )
             stem = f"trace_seed{seed}"
             write_trace_csv(trace, target(f"{stem}.csv"))
-            write_trace_json(trace, target(f"{stem}.json"), config_echo=echo)
+            write_trace_json(trace, target(f"{stem}.json"), config_echo=echo_text)
             write_matrix_csv(trace.transition_counts(), target(f"frequency_seed{seed}.csv"))
     except BaseException:
         for path in written:

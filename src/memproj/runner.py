@@ -188,6 +188,8 @@ def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, know
     return x, z, memory_matrix, window
 
 
+# _distance rescales a sum of squares that overflows: its warning is noise
+@np.errstate(over="ignore")
 def run(
     sets,
     strategy: Strategy,
@@ -314,6 +316,7 @@ def _row_lengths(v: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # as for run()
 def run_lockstep(
     sets,
     strategies,

@@ -126,6 +126,5 @@ def transition_counts(indices, n_sets: int) -> np.ndarray:
         raise ValueError("indices must be a nonempty 1-D sequence")
     if idx.min() < 0 or idx.max() >= n_sets:
         raise ValueError("indices out of range")
-    counts = np.zeros((n_sets, n_sets), dtype=np.int64)
-    np.add.at(counts, (idx[:-1], idx[1:]), 1)
-    return counts
+    cells = idx[:-1] * n_sets + idx[1:]
+    return np.bincount(cells, minlength=n_sets * n_sets).reshape(n_sets, n_sets)

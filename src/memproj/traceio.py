@@ -1,15 +1,19 @@
 """Bit-stable file formats: trace CSV, matrix CSV, JSON records.
 
-Floats are written with 17 significant digits so that reading a file back
-reproduces the exact double that was written.  Given the same inputs and
-seeds, every writer here produces byte-identical files; the only timestamp
-lives in the metadata block of a report's summary.json.
+CSV floats are written with 17 significant digits and JSON floats as their
+shortest round-trip repr, so reading a file back reproduces the exact double
+that was written.  Given the same inputs and seeds, every writer here produces
+byte-identical files; the only timestamp lives in the metadata block of a
+report's summary.json.  JSON is ``json.dumps(obj, indent=2, sort_keys=True)``
+byte for byte, but written by ``_encode``: with an indent, CPython's json
+skips its C encoder for a pure-Python one, several times slower on traces.
 """
 from __future__ import annotations
 
 import csv
 import json
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +128,35 @@ def load_distance_matrix(path) -> DistanceMatrix:
     return DistanceMatrix(read_matrix_csv(path))
 
 
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` nested at ``indent``.
+
+    Str-keyed dicts, lists, str, int and finite float are written here; the
+    rest (NaN, tuples, subclasses, empty containers...) goes to json.dumps.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int or kind is float and "n" not in repr(obj):  # not nan or inf
+        return kind.__repr__(obj)
+    if obj and (kind is list or kind is dict and all(type(k) is str for k in obj)):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+            return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+        kinds, body = set(map(type, obj)), ""
+        if kinds == {float} or kinds == {int}:
+            body = sep.join(map(kinds.pop().__repr__, obj))
+        if not body or "n" in body:  # mixed types, or a float list with nan or inf
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def dumps_stable(obj) -> str:
-    """JSON with sorted keys and a trailing newline: stable bytes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline: stable bytes."""
+    return _encode(obj, "") + "\n"
 
 
 def trace_json_dict(trace: RunTrace, config_echo: dict | None = None) -> dict:
@@ -149,8 +179,16 @@ def trace_json_dict(trace: RunTrace, config_echo: dict | None = None) -> dict:
     return out
 
 
-def write_trace_json(trace: RunTrace, path, config_echo: dict | None = None) -> None:
-    Path(path).write_text(dumps_stable(trace_json_dict(trace, config_echo)))
+def write_trace_json(trace: RunTrace, path, config_echo: dict | str | None = None) -> None:
+    """Write ``dumps_stable(trace_json_dict(trace, config_echo))``; an echo
+    given as ``dumps_stable(echo)`` text is spliced in, not encoded again."""
+    text = _encode(trace_json_dict(trace), "")
+    if config_echo is not None:
+        if not isinstance(config_echo, str):
+            config_echo = dumps_stable(config_echo)
+        # "config" sorts before every other key of the record
+        text = '{\n  "config": ' + config_echo[:-1].replace("\n", "\n  ") + "," + text[1:]
+    Path(path).write_text(text + "\n")
 
 
 def write_report(report, outdir, echo: dict | None = None) -> Path:

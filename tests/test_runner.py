@@ -382,7 +382,7 @@ class TestLeanLoopEquivalence:
         np.testing.assert_array_equal(trace.x_final, [1e308, 0.0])
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_whose_squares_overflow_is_finite(self):
         # 1e200 - -1e200 is finite though its square is not: the distance
         # rescales by a power of two instead of returning inf
@@ -434,7 +434,7 @@ class TestExactAtEveryScale:
         expected = np.array([_distance(row, 0.0) for row in v])
         assert _row_lengths(v).tobytes() == expected.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("engine", ["run", "run_lockstep"])
     @pytest.mark.parametrize("kind", ["mcp", "pam"])
     @pytest.mark.parametrize("k", [-900, -560, 520, 1000])

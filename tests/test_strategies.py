@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memproj import (
     Cyclic,
@@ -156,3 +158,24 @@ class TestTransitionCounts:
             length = int(rng.integers(1, 500))
             seq = rng.integers(n, size=length)
             assert transition_counts(seq, n).sum() == length - 1
+
+
+def _transition_counts_reference(indices, n_sets):
+    """The counts as first written, one unbuffered add per pair."""
+    idx = np.asarray(indices, dtype=int)
+    counts = np.zeros((n_sets, n_sets), dtype=np.int64)
+    np.add.at(counts, (idx[:-1], idx[1:]), 1)
+    return counts
+
+
+class TestTransitionCountsMatchReference:
+    @given(n=st.integers(1, 70), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_add_at(self, n, data):
+        seq = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=400))
+        counts = transition_counts(seq, n)
+        expected = _transition_counts_reference(seq, n)
+        assert counts.dtype == np.int64 and counts.shape == (n, n)
+        assert counts.tobytes() == expected.tobytes()
+        if len(seq) == 1:
+            assert not counts.any()

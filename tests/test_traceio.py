@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memproj import (
+    Cyclic,
     Memory,
     Policy,
     RunTrace,
@@ -198,7 +200,7 @@ def _write_matrix_csv_reference(a, path):
                 fh.write(",".join(format_float(v) for v in row) + "\n")
 
 
-def _trace_json_dict_reference(trace):
+def _trace_json_dict_reference(trace, config_echo=None):
     out = {
         "status": trace.status,
         "n_sets": trace.n_sets,
@@ -214,13 +216,15 @@ def _trace_json_dict_reference(trace):
     }
     if trace.final_matrix is not None:
         out["final_matrix"] = [[float(v) for v in row] for row in trace.final_matrix]
+    if config_echo is not None:
+        out["config"] = config_echo
     return out
 
 
 _SPECIALS = [-0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3, np.inf, np.nan, 2.0**-1074 * 3]
 
 
-def _special_trace(with_residuals):
+def _special_trace(with_residuals, with_matrix=True):
     steps = np.array(_SPECIALS)
     return RunTrace(
         set_indices=np.array([0, 3, 1, 2, 0, 1, 3, 2, 0]),
@@ -230,8 +234,22 @@ def _special_trace(with_residuals):
         x0=np.array([-0.0, 1e308]),
         x_final=np.array([5e-324, -1.5]),
         residuals=steps[::-1].copy() if with_residuals else None,
-        final_matrix=np.array([[0.0, 1e-300, np.inf, 2.5]] * 4),
+        final_matrix=np.array([[0.0, 1e-300, np.inf, 2.5]] * 4) if with_matrix else None,
     )
+
+
+# a config echo as execute_config writes it, with strings json must escape
+_ECHO = {
+    "problem": {"kind": "toy", "n_sets": 9, "r": 0.05},
+    "strategy": {"kind": "pam", "matrix": {"kind": "prior", "path": "wé\"ights\\\n.csv"},
+                 "policy": {"kind": "average", "beta": 0.5}, "seed": None},
+    "stop": {"max_iterations": 1000, "step_window": None, "step_tolerance": 1e-12,
+             "residual_tolerance": 5e-324},
+    "seeds": [0, 2**70, -3],
+    "output_dir": None,
+    "flags": {"debug_asserts": False, "store_iterates": True,
+              "matrix_snapshot_interval": None},
+}
 
 
 class TestWritersMatchReference:
@@ -288,8 +306,84 @@ class TestWritersMatchReference:
         _write_matrix_csv_reference(counts, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("echo", [None, _ECHO, {}])
+    @pytest.mark.parametrize("with_matrix", [True, False])
     @pytest.mark.parametrize("with_residuals", [True, False])
-    def test_trace_json_bytes(self, with_residuals):
-        for trace in (_special_trace(with_residuals), small_trace(budget=50)):
-            assert dumps_stable(trace_json_dict(trace)) == \
-                dumps_stable(_trace_json_dict_reference(trace))
+    def test_trace_json_bytes(self, tmp_path, with_residuals, with_matrix, echo):
+        traces = [_special_trace(with_residuals, with_matrix),
+                  small_trace(budget=50, known=with_residuals)]
+        if not with_matrix:
+            sets, x0, sol = make_toy_problem(ToyConfig(9, 0.05))
+            traces[1] = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(50),
+                            known_point=sol if with_residuals else None)
+        for trace in traces:
+            assert (trace.residuals is not None) == with_residuals
+            assert (trace.final_matrix is not None) == with_matrix
+            expected = json.dumps(_trace_json_dict_reference(trace, echo),
+                                  indent=2, sort_keys=True) + "\n"
+            write_trace_json(trace, tmp_path / "t.json", config_echo=echo)
+            assert (tmp_path / "t.json").read_text() == expected
+            if echo is not None:  # the echo already encoded, as execute_config passes it
+                write_trace_json(trace, tmp_path / "t.json", config_echo=dumps_stable(echo))
+                assert (tmp_path / "t.json").read_text() == expected
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200).map(lambda v: -v),
+    st.integers(2**64, 2**200), _floats, _floats.map(np.float64), _text,
+)
+_json_like = st.recursive(
+    st.one_of(
+        _scalars,
+        st.lists(_floats),
+        st.lists(st.one_of(_floats, _floats.map(np.float64))),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.booleans(), st.integers())),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return type(exc)
+    return None
+
+
+class TestDumpsStableMatchesJson:
+    @given(_json_like)
+    @settings(max_examples=500, deadline=None)
+    def test_bytes_equal_json_dumps(self, obj):
+        assert dumps_stable(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        [-0.0, 5e-324, 1.7976931348623157e308], [1.0, math.nan], [math.inf], -math.inf,
+        [True, 1, False, 0], [2**64 + 1, -(2**70)], np.float64(0.1), [np.float64(1.5), 2.0],
+        {"\u00e9\"\\\x01": "\n\u2028"}, (1, [2.0]), [], {}, [[], {}], {3: 1.0, 1: [True]},
+        {"a": {"b": [[0.5, -0.0], [1, 2]], "c": None}}, "", 0, -0.0,
+    ])
+    def test_listed_values(self, obj):
+        assert dumps_stable(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(3), {1, 2}, [1.0, np.int64(2)], {"a": {1}}, {"a": 1, 2: "b"}, [object()],
+    ])
+    def test_rejected_values_raise_as_json_does(self, obj):
+        expected = _raised(lambda: json.dumps(obj, indent=2, sort_keys=True))
+        assert expected is not None
+        assert _raised(lambda: dumps_stable(obj)) is expected
