@@ -19,12 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, emit_config, parse_config
 from .memory import is_admissible, unreachable_pair
 from .runner import FejerViolation, NumericError, run
 from .toylab import PRESETS, ToyConfig, run_preset
 from .traceio import (
-    dumps_stable,
     load_distance_matrix,
     write_matrix_csv,
     write_report,
@@ -60,7 +59,7 @@ def execute_config(config: ExperimentConfig, outdir) -> Path:
 
     try:
         sets, x0, known_point = config.build_problem()
-        echo_text = dumps_stable(config.to_dict())
+        echo_text = emit_config(config)
         target("config.json").write_text(echo_text)
         for seed in config.effective_seeds():
             strategy = config.build_strategy(seed)

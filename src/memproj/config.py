@@ -35,6 +35,7 @@ from .sets import (
 )
 from .strategies import Cyclic, Memory, RandomizedCycles
 from .toylab import ToyConfig, make_toy_problem
+from .traceio import dumps_stable, load_distance_matrix
 
 __all__ = [
     "ConfigError",
@@ -148,8 +149,6 @@ class PriorSpec:
         return p
 
     def build(self, n_sets: int) -> DistanceMatrix:
-        from .traceio import load_distance_matrix
-
         m = load_distance_matrix(self.resolved_path())
         if m.n != n_sets:
             raise ValueError(
@@ -549,4 +548,4 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
 
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a config to JSON; parsing the result gives an equal config."""
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return dumps_stable(config.to_dict())

@@ -12,6 +12,13 @@ metric projections satisfy, and the run aborts with a diagnostic when a
 violation exceeds the floating-point slack, which is relative to the
 magnitudes of the iterates and the point.
 
+A plain ``Cyclic`` or ``RandomizedCycles`` (not a subclass) never reads the
+steps: without a residual tolerance or ``debug_asserts``, ``run`` projects it
+in stretches up to the first projection the step rule could stop at (at most
+1024) and records each stretch in one array pass, with the same bits.  Such a
+chooser has moved past a non-finite iterate when ``NumericError`` is raised:
+the rest of its stretch was computed, then discarded.
+
 ``run_lockstep`` drives several strategies over the same lines through the
 origin at once, one row of a stacked iterate array per run, and returns
 the traces ``run`` would give each of them.
@@ -25,7 +32,7 @@ import numpy as np
 
 from .memory import MemoryStack, is_admissible
 from .sets import _LARGEST, _SMALLEST_NORMAL, LineThroughOrigin, _distance
-from .strategies import Memory, Strategy, transition_counts
+from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
 __all__ = [
     "NumericError",
@@ -52,6 +59,8 @@ _EPS = float(np.finfo(float).eps)
 # allowed rounding in the debug error-reduction check, in units of
 # machine epsilon times the magnitudes of the two iterates and the point
 _FEJER_ULPS = 1024
+
+_STRETCH = 1024  # most projections in one stretch: bounds memory under a huge window
 
 
 class NumericError(RuntimeError):
@@ -188,8 +197,8 @@ def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, know
     return x, z, memory_matrix, window
 
 
-# _distance rescales a sum of squares that overflows: its warning is noise
-@np.errstate(over="ignore")
+# _distance rescales an overflowing sum of squares; a non-finite iterate raises
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     sets,
     strategy: Strategy,
@@ -265,6 +274,42 @@ def run(
     last_step = None
     next_index = strategy.next_index
     max_iterations = stop.max_iterations
+    # a chooser blind to the steps, stopped by the step rule alone: project up to
+    # the first projection that rule could stop at, then record the whole stretch
+    stretched = (type(strategy) in (Cyclic, RandomizedCycles)
+                 and residual_tolerance is None and not debug_asserts)
+    while stretched and status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
+        k = len(indices)
+        js, xs, error = [], [x], None
+        try:
+            for _ in range(min(last_big + window + 1 - k, max_iterations - k, _STRETCH)):
+                js.append(j := next_index())
+                xs.append(x := sets[j].project(x))
+        except Exception as exc:  # raised below, unless an earlier iterate is non-finite
+            error = exc
+        if len(xs) > 1:
+            X = np.array(xs)
+            diffs = [X[1:] - X[:-1]] if z is None else [X[1:] - X[:-1], X[1:] - z]
+            lengths = _row_lengths(np.concatenate(diffs))  # the steps, then the residuals
+            new_steps = lengths[:len(X) - 1]
+            for p in np.flatnonzero(~(new_steps < math.inf)).tolist():
+                if not np.all(np.isfinite(X[p + 1])):
+                    raise NumericError(f"non-finite iterate after projection {k + p}")
+        if error is not None:
+            raise error
+        indices.extend(js)
+        steps.extend(new_steps.tolist())
+        if z is not None:
+            residuals.extend(lengths[len(new_steps):].tolist())
+        if iterates is not None:
+            iterates.extend(X[1:])
+        last_step = steps[-1]
+        big = np.flatnonzero(~(new_steps < step_tolerance))
+        if big.size:
+            last_big = k + int(big[-1])
+        if len(indices) - 1 - last_big >= window:
+            status = STATUS_STEP
+
     while status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
         j = next_index(last_step)
         x_next = sets[j].project(x)
@@ -498,6 +543,7 @@ def run_lockstep(
     return traces
 
 
+@np.errstate(over="ignore")  # as for run()
 def residual_series(trace: RunTrace, z) -> np.ndarray:
     """Distances to ``z`` along the run: entry i is after i projections.
 

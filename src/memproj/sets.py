@@ -282,6 +282,7 @@ def project(x, s: ProjectableSet) -> np.ndarray:
     return s.project(x)
 
 
+@np.errstate(over="ignore")  # _distance rescales a sum of squares that overflows
 def distance(x, s: ProjectableSet) -> float:
     """Euclidean distance from ``x`` to ``s`` (zero iff ``x`` is a member)."""
     v = np.asarray(x, dtype=float)

@@ -62,9 +62,9 @@ class RandomizedCycles(Strategy):
 
     def next_index(self, last_step_length=None) -> int:
         if self._pos >= self.n_sets:
-            self._perm = self._rng.permutation(self.n_sets)
+            self._perm = self._rng.permutation(self.n_sets).tolist()
             self._pos = 0
-        j = int(self._perm[self._pos])
+        j = self._perm[self._pos]
         self._pos += 1
         return j
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memproj import (
@@ -39,7 +39,7 @@ from memproj.memory import (
 )
 from memproj.runner import _distance, _row_lengths, run_lockstep
 
-from conftest import assert_same_trace, memory_state
+from conftest import SET_FAMILIES, assert_same_trace, memory_state, sample_set
 
 TOY = ToyConfig(9, 0.05)
 
@@ -296,6 +296,17 @@ class TestResidualSeries:
         with pytest.raises(ValueError, match="store_iterates"):
             residual_series(trace, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_series_whose_squares_overflow_is_quiet(self):
+        sets, x0, sol = toy()
+        x0, sol = np.ldexp(x0, 520), np.ldexp(sol, 520)
+        trace = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(20), known_point=sol,
+                    store_iterates=True)
+        series = residual_series(trace, sol)
+        assert series[1:].tobytes() == trace.residuals.tobytes()
+        with np.errstate(over="ignore"):
+            assert series[0] == _distance(x0, sol)
+
     def test_dimension_mismatch(self):
         sets, x0, sol = toy()
         trace = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(5),
@@ -322,7 +333,8 @@ def _scripted_pair(points, dim):
 
 
 def _two_set_strategies():
-    return [Cyclic(2), Memory(build_dense(2), Policy("min", 0.5), seed=0)]
+    return [Cyclic(2), Memory(build_dense(2), Policy("min", 0.5), seed=0),
+            RandomizedCycles(2, seed=0)]
 
 
 class TestLeanLoopEquivalence:
@@ -340,7 +352,7 @@ class TestLeanLoopEquivalence:
     @given(
         steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=40),
         window=st.integers(2, 6),
-        which=st.integers(0, 1),
+        which=st.integers(0, 2),
     )
     @settings(max_examples=300)
     def test_step_window_stops_where_the_sliding_max_rule_does(self, steps, window, which):
@@ -361,7 +373,7 @@ class TestLeanLoopEquivalence:
         stopped = expected >= window and max(steps[expected - window:expected]) < tol
         assert trace.status == (STATUS_STEP if stopped else STATUS_MAX_ITERATIONS)
 
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", [0, 1, 2])
     @pytest.mark.parametrize("at", [0, 1, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_iterate_raises_at_its_projection(self, bad, at, which):
@@ -392,10 +404,103 @@ class TestLeanLoopEquivalence:
         assert trace.step_lengths.tolist() == [2e200, 2e200]
 
 
+class _OneByOneCyclic(Cyclic):
+    """A subclass, which run() records one projection at a time."""
+
+
+class _OneByOneRandomizedCycles(RandomizedCycles):
+    """A subclass, which run() records one projection at a time."""
+
+
+class _FailingOnCall:
+    """Fake set that moves along the first axis and raises on call ``at``."""
+
+    dim = 2
+
+    def __init__(self, at):
+        self.calls = itertools.count()
+        self.at = at
+
+    def project(self, x):
+        if next(self.calls) == self.at:
+            raise RuntimeError("projection failed")
+        return np.asarray(x, dtype=float) + [1.0, 0.0]
+
+
+class TestStretchedRecording:
+    """run() records plain Cyclic and RandomizedCycles runs stretch by stretch,
+    with the bits of the per-projection loop their subclasses take."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3, 60]),
+        n=st.integers(2, 6),
+        n_distinct=st.integers(1, 6),
+        shuffled=st.booleans(),
+        budget=st.integers(1, 2500),
+        window_extra=st.one_of(st.none(), st.integers(0, 1500)),
+        tol=st.sampled_from([5e-324, 1e-9, 1e-3, 0.5]),
+        rtol=st.sampled_from([None, None, None, 1e-3]),
+        with_point=st.booleans(),
+        store_iterates=st.booleans(),
+    )
+    # a window over the cap of 1024 projections splits a stretch
+    @example(seed=1, dim=3, n=4, n_distinct=4, shuffled=False, budget=2500,
+             window_extra=1400, tol=5e-324, rtol=None, with_point=True,
+             store_iterates=True)
+    # one set repeated: every step after the first is an exact zero
+    @example(seed=2, dim=60, n=5, n_distinct=1, shuffled=True, budget=2000,
+             window_extra=None, tol=5e-324, rtol=None, with_point=False,
+             store_iterates=False)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_projection_loop(self, seed, dim, n, n_distinct, shuffled,
+                                            budget, window_extra, tol, rtol,
+                                            with_point, store_iterates):
+        rng = np.random.default_rng(seed)
+        families = rng.choice(SET_FAMILIES, n_distinct)
+        distinct = [sample_set(rng, family, dim) for family in families]
+        sets = [distinct[i % n_distinct] for i in range(n)]
+        x0 = rng.uniform(-10.0, 10.0, dim)
+        z = rng.uniform(-3.0, 3.0, dim) if with_point else None
+        stop = StoppingRule(
+            max_iterations=budget,
+            step_window=None if window_extra is None else n + window_extra,
+            step_tolerance=tol,
+            residual_tolerance=rtol,
+        )
+        if shuffled:
+            plain = RandomizedCycles(n, seed=seed)
+            one_by_one = _OneByOneRandomizedCycles(n, seed=seed)
+        else:
+            plain, one_by_one = Cyclic(n), _OneByOneCyclic(n)
+        got = run(sets, plain, x0, stop, z, store_iterates=store_iterates)
+        expected = run(sets, one_by_one, x0, stop, z, store_iterates=store_iterates)
+        assert_same_trace(got, expected)
+        assert plain.next_index() == one_by_one.next_index()
+
+    @pytest.mark.parametrize("kind", [Cyclic, _OneByOneCyclic])
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_error_inside_a_stretch_is_raised(self, kind, at):
+        sets = [_FailingOnCall(at), _FailingOnCall(at)]
+        with pytest.raises(RuntimeError, match="projection failed"):
+            run(sets, kind(2), np.zeros(2), StoppingRule.exact_budget(20))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [Cyclic, _OneByOneCyclic])
+    def test_overflow_between_two_hyperplanes_raises_numeric_error(self, kind):
+        # 1.7e308 - -1.7e308 overflows, so the second projection gives
+        # inf * 0 = nan: no warning escapes before the NumericError
+        sets = [Hyperplane([1.0, 0.0], 1.7e308), Hyperplane([1.0, 0.0], -1.7e308)]
+        with pytest.raises(NumericError, match="after projection 1$"):
+            run(sets, kind(2), np.zeros(2), StoppingRule.exact_budget(10))
+
+
 def _toy_strategy(kind, k):
-    """mcp, or pam-min over a dense memory scaled by 2^k."""
+    """mcp, mrp, or pam-min over a dense memory scaled by 2^k."""
     if kind == "mcp":
         return Cyclic(9)
+    if kind == "mrp":
+        return RandomizedCycles(9, seed=3)
     return Memory(build_dense(9, math.ldexp(1.0, k)), Policy("min", 0.01), seed=3)
 
 
@@ -436,7 +541,7 @@ class TestExactAtEveryScale:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("engine", ["run", "run_lockstep"])
-    @pytest.mark.parametrize("kind", ["mcp", "pam"])
+    @pytest.mark.parametrize("kind", ["mcp", "mrp", "pam"])
     @pytest.mark.parametrize("k", [-900, -560, 520, 1000])
     def test_toy_fan_trace_scales_bit_for_bit(self, k, kind, engine):
         # before the rescaling fallback, k=-560 stopped falsely after 18

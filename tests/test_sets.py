@@ -198,6 +198,16 @@ def test_distance_is_zero_only_on_members():
         assert distance(z, s) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distance_whose_squares_overflow_is_quiet_and_exact():
+    # |x| is about 1e157, so x . x overflows in the Ball projection and in
+    # the distance; both rescale exactly, and distance() raises no warning
+    x = np.full(3, 2.0**521)
+    ball = Ball(np.zeros(3), 2.0**520)
+    unit = distance(np.full(3, 2.0), Ball(np.zeros(3), 1.0))
+    assert distance(x, ball) == np.ldexp(unit, 520)
+
+
 @pytest.mark.parametrize("dim", [1, 3, 60])
 def test_ball_and_distance_match_linalg_norm_bit_for_bit(dim):
     """The sqrt-dot distance helper gives the bits np.linalg.norm gives."""

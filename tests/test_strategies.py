@@ -57,6 +57,16 @@ class TestRandomizedCycles:
         cycles = [tuple(s.next_index() for _ in range(n)) for _ in range(20)]
         assert len(set(cycles)) > 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cycles_are_the_generator_permutations_as_python_ints(self, seed):
+        n = 7
+        s = RandomizedCycles(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            cycle = [s.next_index() for _ in range(n)]
+            assert all(type(j) is int for j in cycle)
+            assert cycle == rng.permutation(n).tolist()
+
     def test_long_run_transition_frequencies_roughly_uniform(self):
         n = 9
         s = RandomizedCycles(n, seed=1234)
