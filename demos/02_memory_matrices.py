@@ -13,7 +13,7 @@ import numpy as np
 
 from memproj import (
     DistanceMatrix,
-    PamState,
+    Memory,
     Policy,
     build_banded_bidirectional,
     build_banded_forward,
@@ -44,7 +44,12 @@ a = build_dense(4).to_array()
 a[2, :] = 0.0
 broken = DistanceMatrix(a)
 print(f"broken matrix admissible = {is_admissible(broken)}")
-print(f"witness pair with no connecting chain: {unreachable_pair(broken)}\n")
+print(f"witness pair with no connecting chain: {unreachable_pair(broken)}")
+# the chooser checks admissibility once, when it is built, and refuses it
+try:
+    Memory(broken, Policy("min", 0.1))
+except ValueError as exc:
+    print(f"Memory(broken, ...) refuses it: {exc}\n")
 
 # policies: the floor applied when a transition is rewritten
 row_demo = DistanceMatrix([
@@ -59,12 +64,11 @@ for kind in ("min", "average"):
 
 # a few hand-driven steps: select by row argmax, record a step, repeat
 print("\nfive hand-driven memory steps (dense start, min policy):")
-state = PamState(build_dense(4, scale=1.0), seed=0)
-policy = Policy("min", 0.1)
+memory = Memory(build_dense(4, scale=1.0), Policy("min", 0.1), seed=0)
 fake_steps = [0.8, 0.05, 0.3, 0.0, 0.2]
 for step in fake_steps:
-    j = pam_select(state)
-    print(f"  at set {state.current_index}: choose {j}, record step {step}")
-    pam_update(state, j, step, policy)
+    j = pam_select(memory)  # the pick becomes the pending transition
+    print(f"  at set {memory.current_index}: choose {j}, record step {step}")
+    pam_update(memory, step)  # records it and moves to set j
 print("memory after those steps (note every entry stayed positive):")
-print(np.array2string(state.matrix.to_array(), precision=3, suppress_small=True))
+print(np.array2string(memory.matrix.to_array(), precision=3, suppress_small=True))

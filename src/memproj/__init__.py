@@ -23,7 +23,6 @@ from .sets import (
 from .memory import (
     DistanceMatrix,
     InvariantViolation,
-    PamState,
     Policy,
     build_banded_bidirectional,
     build_banded_forward,
@@ -81,7 +80,6 @@ __all__ = [
     # memory
     "DistanceMatrix",
     "Policy",
-    "PamState",
     "InvariantViolation",
     "is_admissible",
     "unreachable_pair",

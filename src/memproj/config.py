@@ -20,8 +20,6 @@ from .memory import (
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
-    is_admissible,
-    unreachable_pair,
 )
 from .runner import StoppingRule
 from .sets import (
@@ -293,6 +291,11 @@ def set_to_descriptor(s: ProjectableSet) -> dict:
     raise TypeError(f"cannot describe {type(s).__name__}")
 
 
+def _is_number(v, integer=False) -> bool:
+    """A JSON number (an integer if ``integer``); booleans are neither."""
+    return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+
+
 class _Collector:
     def __init__(self):
         self.errors: list[str] = []
@@ -317,10 +320,10 @@ def _parse_problem(doc, col: _Collector):
     if kind == "toy":
         n = doc.get("n_sets", 9)
         r = doc.get("r", 0.05)
-        if not (isinstance(n, int) and n >= 2):
+        if not (_is_number(n, integer=True) and n >= 2):
             col.add("problem.n_sets", "must be an integer >= 2")
             return None
-        if not (isinstance(r, (int, float)) and np.isfinite(r) and r > 0):
+        if not (_is_number(r) and np.isfinite(r) and r > 0):
             col.add("problem.r", "must be a finite number > 0")
             return None
         return ToyProblem(n_sets=n, r=float(r))
@@ -335,7 +338,7 @@ def _parse_problem(doc, col: _Collector):
             if s is not None:
                 sets.append(s)
         x0 = doc.get("x0")
-        if not isinstance(x0, list) or not x0:
+        if not isinstance(x0, list) or not x0 or not all(map(_is_number, x0)):
             col.add("problem.x0", "must be a nonempty list of numbers")
             return None
         if len(sets) != len(raw_sets):
@@ -348,7 +351,8 @@ def _parse_problem(doc, col: _Collector):
                     f"dimension {s.dim} does not match x0 dimension {dim}",
                 )
         zp = doc.get("known_point")
-        if zp is not None and (not isinstance(zp, list) or len(zp) != dim):
+        if zp is not None and (not isinstance(zp, list) or len(zp) != dim
+                               or not all(map(_is_number, zp))):
             col.add("problem.known_point", f"must be a list of {dim} numbers")
         if col.errors:
             return None
@@ -368,17 +372,17 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
     kind = doc.get("kind")
     if kind == "dense":
         scale = doc.get("scale", 1.0)
-        if not (isinstance(scale, (int, float)) and np.isfinite(scale) and scale > 0):
+        if not (_is_number(scale) and np.isfinite(scale) and scale > 0):
             col.add("strategy.matrix.scale", "must be a finite number > 0")
             return None
         return DenseSpec(scale=float(scale))
     if kind in ("banded_bidirectional", "banded_forward"):
         omega = doc.get("omega")
         scale = doc.get("scale", 1.0)
-        if not (isinstance(omega, int) and omega >= 1):
+        if not (_is_number(omega, integer=True) and omega >= 1):
             col.add("strategy.matrix.omega", "must be an integer >= 1")
             return None
-        if not (isinstance(scale, (int, float)) and np.isfinite(scale) and scale > 0):
+        if not (_is_number(scale) and np.isfinite(scale) and scale > 0):
             col.add("strategy.matrix.scale", "must be a finite number > 0")
             return None
         cls = (
@@ -406,7 +410,7 @@ def _parse_strategy(doc, col: _Collector, base_dir):
         return None
     kind = doc.get("kind")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_number(seed, integer=True):
         col.add("strategy.seed", "must be an integer")
         return None
     if kind == "mcp":
@@ -424,7 +428,7 @@ def _parse_strategy(doc, col: _Collector, base_dir):
             beta = pol.get("beta")
             if pkind not in ("min", "average"):
                 col.add("strategy.policy.kind", 'must be "min" or "average"')
-            elif not isinstance(beta, (int, float)) or not (0.0 < float(beta) < 1.0):
+            elif not _is_number(beta) or not (0.0 < float(beta) < 1.0):
                 col.add(
                     "strategy.policy.beta",
                     "an admissible policy requires beta in the open interval (0, 1)",
@@ -446,18 +450,18 @@ def _parse_stop(doc, col: _Collector):
         return None
     kwargs = {}
     max_iter = doc.get("max_iterations", 1000)
-    if not (isinstance(max_iter, int) and max_iter >= 1):
+    if not (_is_number(max_iter, integer=True) and max_iter >= 1):
         col.add("stop.max_iterations", "must be an integer >= 1")
         return None
     kwargs["max_iterations"] = max_iter
     window = doc.get("step_window")
-    if window is not None and not (isinstance(window, int) and window >= 1):
+    if window is not None and not (_is_number(window, integer=True) and window >= 1):
         col.add("stop.step_window", "must be an integer >= 1 or null")
         return None
     kwargs["step_window"] = window
     for key, default in (("step_tolerance", 1e-12), ("residual_tolerance", None)):
         v = doc.get(key, default)
-        if v is not None and not (isinstance(v, (int, float)) and v > 0):
+        if v is not None and not (_is_number(v) and v > 0):
             col.add(f"stop.{key}", "must be a number > 0")
             return None
         kwargs[key] = None if v is None else float(v)
@@ -491,7 +495,7 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     seeds = doc.get("seeds", [])
     if seeds is None:
         seeds = []
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(_is_number(s, integer=True) for s in seeds):
         col.add("seeds", "must be a list of integers")
         seeds = []
 
@@ -510,20 +514,14 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     for name, v in (("debug_asserts", debug_asserts), ("store_iterates", store_iterates)):
         if not isinstance(v, bool):
             col.add(f"flags.{name}", "must be true or false")
-    if interval is not None and not (isinstance(interval, int) and interval >= 1):
+    if interval is not None and not (_is_number(interval, integer=True) and interval >= 1):
         col.add("flags.matrix_snapshot_interval", "must be an integer >= 1 or null")
         interval = None
 
-    # cross-field checks need the pieces to have parsed individually first
-    if problem is not None and strategy is not None and isinstance(strategy, PamSpec):
-        matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
-        if matrix is not None and not is_admissible(matrix):
-            m, nn = unreachable_pair(matrix)
-            col.add(
-                "strategy.matrix",
-                f"matrix is not admissible: no positive-entry chain from set "
-                f"{m} to set {nn}",
-            )
+    # cross-field checks need the pieces to have parsed individually first;
+    # building the Memory checks its matrix (seed 0: run seeds are not checked here)
+    if problem is not None and isinstance(strategy, PamSpec):
+        col.attempt("strategy.matrix", strategy.build, problem.n_sets, 0)
     window = None if stop is None else stop.step_window
     if problem is not None and window is not None and window < problem.n_sets:
         col.add(

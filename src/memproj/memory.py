@@ -4,9 +4,11 @@ A ``DistanceMatrix`` records, per ordered pair of sets (m, n), a floored
 version of the last step length observed on a transition from set m to
 set n.  The method picks its next set by row-wise argmax, so a matrix is
 usable only when its positive entries form a strongly connected digraph
-(otherwise some transition could never be reached again).  Policies rewrite
-recorded values so that every stored number keeps decaying, which is what
-forces the method to revisit every set.
+(otherwise some transition could never be reached again); building a
+``strategies.Memory`` checks that once, and no update changes the pattern.
+Policies rewrite recorded values so that every stored number keeps
+decaying, which is what forces the method to revisit every set.
+``pam_select(memory)`` and ``pam_update(memory, step)`` advance a ``Memory``.
 
 Set indices everywhere in this package are 0-based.
 """
@@ -22,7 +24,6 @@ __all__ = [
     "DistanceMatrix",
     "Policy",
     "MemoryStack",
-    "PamState",
     "is_admissible",
     "unreachable_pair",
     "build_banded_bidirectional",
@@ -124,13 +125,12 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n}, max_entry={self.max_entry():g})"
 
 
-def _positive_pattern(matrix) -> np.ndarray:
-    if isinstance(matrix, DistanceMatrix):
-        return matrix.positive_pattern()
-    a = np.asarray(matrix, dtype=float)
+def _square(matrix) -> np.ndarray:
+    """The entries of a ``DistanceMatrix`` (not copied) or of a square array-like."""
+    a = matrix._a if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return a > 0.0
+    return a
 
 
 def _reachable_from(pattern: np.ndarray, start: int) -> np.ndarray:
@@ -159,24 +159,17 @@ def is_admissible(matrix) -> bool:
     Reachability is along chains of strictly positive entries; the check is
     one forward and one backward traversal from vertex 0.
     """
-    a = matrix.to_array() if isinstance(matrix, DistanceMatrix) else np.asarray(
-        matrix, dtype=float
-    )
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(matrix)
     if np.any(np.diagonal(a) != 0.0):
         return False
     pattern = a > 0.0
-    if not _reachable_from(pattern, 0).all():
-        return False
-    return _reachable_from(pattern.T, 0).all()
+    return bool(_reachable_from(pattern, 0).all() and _reachable_from(pattern.T, 0).all())
 
 
 def unreachable_pair(matrix):
     """A witness (m, n) with no positive-entry chain from m to n, or None."""
-    pattern = _positive_pattern(matrix)
-    n = pattern.shape[0]
-    for m in range(n):
+    pattern = _square(matrix) > 0.0
+    for m in range(pattern.shape[0]):
         reached = _reachable_from(pattern, m)
         if not reached.all():
             return m, int(np.flatnonzero(~reached)[0])
@@ -238,8 +231,8 @@ def build_prior_matrix(weights) -> DistanceMatrix:
 
     Use this to bias the method toward transitions believed to be
     profitable, e.g. weights derived from angles between the sets.
-    Admissibility is not checked here; it is enforced when the matrix is
-    handed to the method.
+    Admissibility is not checked here; it is checked when a ``Memory`` is
+    built on the matrix.
     """
     return DistanceMatrix(weights)
 
@@ -299,47 +292,17 @@ def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
     return min(policy.beta * avg, policy.beta * row.item(row.argmax()))
 
 
-class PamState:
-    """Single-owner evolving state of the memory method.
-
-    Holds the current set index, a private working copy of the memory
-    matrix, and a seeded random generator used only for argmax tie
-    breaking.  The matrix must be admissible; this is checked here once and
-    preserved by every update.
-    """
-
-    __slots__ = ("matrix", "current_index", "rng")
-
-    def __init__(self, matrix: DistanceMatrix, seed=None, start_index: int = 0):
-        if not isinstance(matrix, DistanceMatrix):
-            matrix = DistanceMatrix(matrix)
-        if not is_admissible(matrix):
-            witness = unreachable_pair(matrix)
-            raise ValueError(
-                "initial matrix is not admissible: no positive-entry chain "
-                f"from set {witness[0]} to set {witness[1]}"
-            )
-        if not 0 <= start_index < matrix.n:
-            raise ValueError(f"start index {start_index} out of range")
-        self.matrix = matrix.copy()
-        self.current_index = int(start_index)
-        self.rng = np.random.default_rng(seed)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-
-def pam_select(state: PamState) -> int:
-    """Pick the most promising next set: argmax of the current row.
+def pam_select(memory) -> int:
+    """Pick the next set of a ``Memory``: argmax of its current row.
 
     Ties under exact float equality are resolved uniformly at random with
-    the state's generator; the current index is never returned.
+    its generator; the current index is never returned.  The pick becomes
+    the pending transition that ``pam_update`` records.
     """
-    j = state.current_index
+    j = memory.current_index
     # a view suffices: the diagonal is 0 and no entry is negative, so once
     # the maximum is positive the current index cannot be among the ties
-    row = state.matrix._a[j]
+    row = memory.matrix._a[j]
     k = int(row.argmax())
     best = row.item(k)
     if not best > 0.0:
@@ -350,41 +313,29 @@ def pam_select(state: PamState) -> int:
     # argmax returns the first maximum, so the maximum is unique iff the
     # first one found from the end is the same entry; two argmax calls cost
     # less than one max reduction
-    if k == row.size - 1 - int(row[::-1].argmax()):
-        return k
-    ties = (row == best).nonzero()[0]
-    return int(ties[state.rng.integers(ties.size)])
+    if k != row.size - 1 - int(row[::-1].argmax()):
+        ties = (row == best).nonzero()[0]
+        k = int(ties[memory.rng.integers(ties.size)])
+    memory._pending = k
+    return k
 
 
-def pam_update(
-    state: PamState, j_next: int, step_length: float, policy: Policy
-) -> PamState:
-    """Record a completed transition and advance the current index.
+def pam_update(memory, step_length: float) -> None:
+    """Record the step of the pending transition and advance the current index.
 
-    The entry (current, j_next) becomes max(step_length, floor), where the
+    The entry (current, pending) becomes max(step_length, floor), where the
     floor is the policy value of the current row evaluated on the matrix
     *before* the write, and never less than the smallest positive double.
-    The strict-positivity pattern of the matrix is preserved exactly.
+    ``pam_select`` picked a positive entry, so the positivity pattern stays.
     """
-    j = state.current_index
-    matrix = state.matrix
-    n = matrix._a.shape[0]
-    if not 0 <= j_next < n:
-        raise IndexError(f"index {j_next} out of range 0..{n - 1}")
-    if j_next == j:
-        raise ValueError("next index must differ from the current index")
+    j, col, matrix = memory.current_index, memory._pending, memory.matrix
     step = float(step_length)
+    # an overflowing difference between finite iterates is an infinite step
     if not (math.isfinite(step) and step >= 0.0):
         raise ValueError("step_length must be finite and >= 0")
-    if matrix._a.item(j, j_next) == 0.0:
-        raise InvariantViolation(
-            f"transition ({j}, {j_next}) has zero weight; selection must "
-            "never propose it"
-        )
-    value = _stored_value(step, evaluate_policy(policy, j, matrix))
-    matrix._overwrite(j, j_next, value)
-    state.current_index = int(j_next)
-    return state
+    matrix._overwrite(j, col, _stored_value(step, evaluate_policy(memory.policy, j, matrix)))
+    memory.current_index = col
+    memory._pending = None
 
 
 class MemoryStack:
@@ -415,7 +366,7 @@ class MemoryStack:
         self.beta = np.array([s.policy.beta for s in strategies])
         self.average = np.array([s.policy.kind == "average" for s in strategies])
         self.any_average = bool(self.average.any())
-        self.draw = [s._state.rng.integers for s in strategies]
+        self.draw = [s.rng.integers for s in strategies]
 
     def next_indices(self, slots: np.ndarray, steps: np.ndarray | None) -> np.ndarray:
         """Record the finite ``steps`` of strategies ``slots`` (None on a
@@ -463,5 +414,5 @@ class MemoryStack:
         s, own = self.strategies[slot], slice(self.offset[slot], self.offset[slot] + self.n)
         s.matrix._a[...] = self.rows[own]  # an update never changes _count
         s.matrix._sum, s.matrix._minpos = self.sum[own].tolist(), self.minpos[own].tolist()
-        s._state.current_index = int(self.row[slot] - self.offset[slot])
+        s.current_index = int(self.row[slot] - self.offset[slot])
         s._pending = None if self.pending[slot] < 0 else int(self.pending[slot])

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import MemoryStack, is_admissible
+from .memory import MemoryStack
 from .sets import _LARGEST, _SMALLEST_NORMAL, LineThroughOrigin, _distance
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
@@ -185,12 +185,8 @@ def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, know
         z = np.array(known_point, dtype=float)
         if z.shape != (d,):
             raise ValueError("known_point dimension mismatch")
+    # a Memory checked its matrix when it was built, and n_sets is its size
     memory_matrix = getattr(strategy, "matrix", None)
-    if memory_matrix is not None:
-        if memory_matrix.n != n:
-            raise ValueError("memory matrix size does not match the number of sets")
-        if not is_admissible(memory_matrix):
-            raise ValueError("memory matrix is not admissible")
     window = stop.step_window if stop.step_window is not None else 2 * n
     if window < n:
         raise ValueError("step_window must cover at least one full sweep (>= N)")
@@ -215,7 +211,7 @@ def run(
     All sets must share the dimension of ``x0`` and there must be at least
     two of them.  For the memory strategy the start point is first moved
     into the strategy's starting set (that projection is part of the run
-    and of its cost), and the strategy's matrix is validated here.
+    and of its cost); its matrix was checked when the strategy was built.
     """
     sets = list(sets)
     n = len(sets)

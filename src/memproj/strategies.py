@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .memory import DistanceMatrix, PamState, Policy, pam_select, pam_update
+from .memory import (DistanceMatrix, Policy, is_admissible, pam_select, pam_update,
+                     unreachable_pair)
 
 __all__ = ["Strategy", "Cyclic", "RandomizedCycles", "Memory", "transition_counts"]
 
@@ -72,6 +73,12 @@ class RandomizedCycles(Strategy):
 class Memory(Strategy):
     """Learning chooser: argmax over a row of the step-length memory.
 
+    The one owner of the method's state: ``matrix`` (a private copy),
+    ``current_index``, the tie-break generator ``rng``, the ``policy`` and
+    ``_pending``, the set chosen last whose step is not recorded yet.  This
+    is the one admissibility check: ``parse_config`` builds a ``Memory`` to
+    check a config, and ``run`` and ``run_lockstep`` rely on it.
+
     The first call only selects (there is no step to record yet).  Every
     later call first records the reported step for the transition chosen
     last time, then selects from the updated matrix.  Because the update of
@@ -84,19 +91,21 @@ class Memory(Strategy):
 
     def __init__(self, matrix: DistanceMatrix, policy: Policy, seed=None,
                  start_index: int = 0):
-        self._state = PamState(matrix, seed=seed, start_index=start_index)
+        if not isinstance(matrix, DistanceMatrix):
+            matrix = DistanceMatrix(matrix)
+        if not is_admissible(matrix):
+            m, n = unreachable_pair(matrix)
+            raise ValueError(
+                f"matrix is not admissible: no positive-entry chain from set {m} to set {n}"
+            )
+        if not 0 <= start_index < matrix.n:
+            raise ValueError(f"start index {start_index} out of range")
+        self.matrix = matrix.copy()
+        self.current_index = int(start_index)
+        self.rng = np.random.default_rng(seed)
         self.policy = policy
-        self.n_sets = self._state.n
+        self.n_sets = matrix.n
         self._pending = None
-
-    @property
-    def matrix(self) -> DistanceMatrix:
-        """The live memory matrix (do not mutate)."""
-        return self._state.matrix
-
-    @property
-    def current_index(self) -> int:
-        return self._state.current_index
 
     def next_index(self, last_step_length=None) -> int:
         if self._pending is not None:
@@ -104,15 +113,12 @@ class Memory(Strategy):
                 raise ValueError(
                     "last_step_length is required on every call after the first"
                 )
-            pam_update(self._state, self._pending, last_step_length, self.policy)
-        j = pam_select(self._state)
-        self._pending = j
-        return j
+            pam_update(self, last_step_length)
+        return pam_select(self)
 
     def finish(self, last_step_length=None) -> None:
         if self._pending is not None and last_step_length is not None:
-            pam_update(self._state, self._pending, last_step_length, self.policy)
-            self._pending = None
+            pam_update(self, last_step_length)
 
 
 def transition_counts(indices, n_sets: int) -> np.ndarray:

@@ -118,4 +118,4 @@ def memory_state(strategy):
     """Everything a Memory strategy carries from one call to the next."""
     m = strategy.matrix
     return (m._a.tobytes(), m._count, m._sum, m._minpos, strategy.current_index,
-            strategy._pending, strategy._state.rng.bit_generator.state)
+            strategy._pending, strategy.rng.bit_generator.state)

@@ -18,7 +18,6 @@ from memproj import (
     Cyclic,
     DistanceMatrix,
     Memory,
-    PamState,
     Policy,
     RandomizedCycles,
     StoppingRule,
@@ -129,16 +128,15 @@ def test_ac04_sparsity_pattern_preserved(policy_kind, builder_label, builder):
     sets, x0, _ = toy()
     matrix = builder()
     pattern0 = matrix.positive_pattern()
-    state = PamState(matrix, seed=31)
-    policy = Policy(policy_kind, 0.01)
+    memory = Memory(matrix, Policy(policy_kind, 0.01), seed=31)
     x = sets[0].project(x0)
     for _ in range(10_000):
-        j = pam_select(state)
+        j = pam_select(memory)
         x_next = sets[j].project(x)
-        pam_update(state, j, float(np.linalg.norm(x_next - x)), policy)
+        pam_update(memory, float(np.linalg.norm(x_next - x)))
         x = x_next
-        assert np.array_equal(state.matrix.positive_pattern(), pattern0)
-        assert is_admissible(state.matrix)
+        assert np.array_equal(memory.matrix.positive_pattern(), pattern0)
+        assert is_admissible(memory.matrix)
     _ok(4, f"pattern preserved for 10^4 steps ({builder_label}, {policy_kind})")
 
 

@@ -109,6 +109,26 @@ class TestRun:
         assert "error: stop.step_window:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change,error", [
+        ({"seeds": [True, False], "stop": {"max_iterations": True}},
+         "error: stop.max_iterations: must be an integer >= 1\n"
+         "error: seeds: must be a list of integers\n"),
+        ({"problem": {"kind": "custom",
+                      "sets": [{"kind": "line", "direction": [1.0, 0.0]},
+                               {"kind": "line", "direction": [0.0, 1.0]}],
+                      "x0": [1.0, 1.0], "known_point": [0, None]}},
+         "error: problem.known_point: must be a list of 2 numbers\n"),
+    ])
+    def test_non_number_rejected_before_any_output(
+        self, toy_pam_config, tmp_path, capsys, change, error
+    ):
+        doc = {**json.loads(toy_pam_config.read_text()), **change}
+        toy_pam_config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
     def test_infeasible_reference_point_is_a_numeric_error(self, tmp_path, capsys):
         # debug checks compare against a point that is not in the
         # intersection, so the monotonicity check must trip: exit code 2

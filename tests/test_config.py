@@ -142,7 +142,10 @@ class TestParsing:
         }
         with pytest.raises(ConfigError) as exc:
             parse_config(doc, base_dir=tmp_path)
-        assert any("not admissible" in e for e in exc.value.errors)
+        assert exc.value.errors == [
+            "strategy.matrix: matrix is not admissible: no positive-entry chain "
+            "from set 1 to set 0"
+        ]
 
     def test_prior_matrix_size_mismatch_detected(self, tmp_path):
         write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "w.csv")
@@ -185,6 +188,81 @@ class TestParsing:
         paths = {e.split(":")[0] for e in exc.value.errors}
         assert "flags.debug_asserts" in paths
         assert "flags.matrix_snapshot_interval" in paths
+
+
+_CUSTOM = {
+    "problem": {
+        "kind": "custom",
+        "sets": [
+            {"kind": "hyperplane", "normal": [1.0, 0.0], "offset": 0.0},
+            {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+        ],
+        "x0": [2.0, 2.0],
+        "known_point": [0.0, 0.0],
+    },
+    "strategy": {"kind": "mcp"},
+    "stop": {"max_iterations": 5},
+}
+
+
+def _with(base, path, value):
+    """A deep copy of ``base`` with the dotted key ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(base))
+    *parents, key = path.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return doc
+
+
+class TestNumbersAreNumbers:
+    """A JSON boolean is not a number, and a number field takes no other value."""
+
+    @pytest.mark.parametrize("path,value,message", [
+        ("seeds", [True, False], "must be a list of integers"),
+        ("stop.max_iterations", True, "must be an integer >= 1"),
+        ("stop.step_window", True, "must be an integer >= 1 or null"),
+        ("stop.step_tolerance", True, "must be a number > 0"),
+        ("stop.residual_tolerance", True, "must be a number > 0"),
+        ("problem.n_sets", True, "must be an integer >= 2"),
+        ("problem.r", True, "must be a finite number > 0"),
+        ("strategy.seed", True, "must be an integer"),
+        ("strategy.matrix.scale", True, "must be a finite number > 0"),
+        ("strategy.policy.beta", True,
+         "an admissible policy requires beta in the open interval (0, 1)"),
+        ("flags.matrix_snapshot_interval", True, "must be an integer >= 1 or null"),
+    ])
+    def test_boolean_rejected(self, path, value, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(TOY_PAM, path, value))
+        assert exc.value.errors == [f"{path}: {message}"]
+
+    def test_boolean_bandwidth_rejected(self):
+        doc = _with(TOY_PAM, "strategy.matrix", {"kind": "banded_forward", "omega": True})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.errors == ["strategy.matrix.omega: must be an integer >= 1"]
+
+    @pytest.mark.parametrize("path,value,message", [
+        ("problem.x0", ["a", 1.0], "must be a nonempty list of numbers"),
+        ("problem.x0", [True, 1.0], "must be a nonempty list of numbers"),
+        ("problem.x0", [None, 1.0], "must be a nonempty list of numbers"),
+        ("problem.known_point", [0.0, None], "must be a list of 2 numbers"),
+        ("problem.known_point", [0.0, "0"], "must be a list of 2 numbers"),
+        ("problem.known_point", [False, 0.0], "must be a list of 2 numbers"),
+    ])
+    def test_non_number_point_rejected(self, path, value, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(_CUSTOM, path, value))
+        assert exc.value.errors == [f"{path}: {message}"]
+
+    def test_integers_and_floats_still_accepted(self):
+        doc = _with(_CUSTOM, "problem.x0", [2, 2.5])
+        doc["problem"]["known_point"] = [0, 0.0]
+        cfg = parse_config(doc)
+        assert cfg.problem.x0 == (2.0, 2.5)
+        assert cfg.problem.known_point == (0.0, 0.0)
 
 
 class TestRoundTrip:

@@ -15,7 +15,6 @@ from memproj import (
     DistanceMatrix,
     InvariantViolation,
     Memory,
-    PamState,
     Policy,
     StoppingRule,
     build_banded_bidirectional,
@@ -32,6 +31,7 @@ from memproj import (
     unreachable_pair,
 )
 from memproj.memory import MemoryStack, _reachable_from
+from memproj.runner import run_lockstep
 
 
 class TestDistanceMatrix:
@@ -234,12 +234,12 @@ class TestPolicies:
         # entry, the update stores the smallest positive double
         tiny = 5e-324
         a = np.array([[0.0, tiny, tiny], [tiny, 0.0, tiny], [tiny, tiny, 0.0]])
-        state = PamState(DistanceMatrix(a), seed=0)
+        memory = Memory(DistanceMatrix(a), Policy(kind, 0.5), seed=0)
         assert evaluate_policy(Policy(kind, 0.5), 0, DistanceMatrix(a)) == 0.0
-        pam_update(state, 1, 0.0, Policy(kind, 0.5))
-        assert state.matrix.to_array().tobytes() == a.tobytes()
-        assert state.matrix._minpos[0] == tiny
-        assert state.current_index == 1
+        _record(memory, 1, 0.0)
+        assert memory.matrix.to_array().tobytes() == a.tobytes()
+        assert memory.matrix._minpos[0] == tiny
+        assert memory.current_index == 1
 
     def test_average_policy_long_run_ends_by_a_stop_rule(self):
         # 300k projections on the default fan: the iterates shrink to
@@ -271,20 +271,58 @@ class TestPolicies:
                 assert v <= beta * row_max
 
 
-class TestPamState:
+class TestAdmissibilityCheckedOnce:
+    """Building a Memory is the one admissibility check; runs rely on it."""
+
+    @pytest.fixture
+    def traversals(self, monkeypatch):
+        calls = []
+
+        def counted(pattern, start):
+            calls.append(start)
+            return _reachable_from(pattern, start)
+
+        monkeypatch.setattr("memproj.memory._reachable_from", counted)
+        return calls
+
+    def test_construction_traverses_forward_and_backward(self, traversals):
+        Memory(build_dense(9), Policy("min", 0.01), seed=0)
+        assert len(traversals) == 2
+
+    def test_run_adds_no_traversal(self, traversals):
+        sets, x0, z = make_toy_problem()
+        memory = Memory(build_dense(9), Policy("min", 0.01), seed=0)
+        run(sets, memory, x0, StoppingRule.exact_budget(300), known_point=z)
+        assert len(traversals) == 2
+
+    def test_run_lockstep_adds_no_traversal(self, traversals):
+        sets, x0, z = make_toy_problem()
+        many = [Memory(build_dense(9), Policy("min", 0.01), seed=s) for s in range(20)]
+        run_lockstep(sets, many, x0, StoppingRule.exact_budget(300), z)
+        assert len(traversals) == 2 * 20
+
+
+def _record(memory, col, step):
+    """Record ``step`` for the transition to ``col``, as if selection picked it."""
+    memory._pending = col
+    pam_update(memory, step)
+
+
+class TestMemoryConstruction:
     def test_rejects_inadmissible_matrix(self):
-        with pytest.raises(ValueError, match="admissible"):
-            PamState(DistanceMatrix([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="matrix is not admissible: no positive-entry "
+                                             "chain from set 1 to set 0"):
+            Memory(DistanceMatrix([[0.0, 1.0], [0.0, 0.0]]), Policy("min", 0.5))
 
     def test_copies_the_matrix(self):
         d = build_dense(3)
-        state = PamState(d, seed=0)
-        pam_update(state, 1, 0.5, Policy("min", 0.5))
+        memory = Memory(d, Policy("min", 0.5), seed=0)
+        _record(memory, 1, 0.5)
         assert d.entry(0, 1) == 1.0  # caller's matrix untouched
 
     def test_start_index_range(self):
         with pytest.raises(ValueError):
-            PamState(build_dense(3), start_index=3)
+            Memory(build_dense(3), Policy("min", 0.5), start_index=3)
 
 
 class TestSelect:
@@ -292,17 +330,26 @@ class TestSelect:
         a = np.ones((4, 4))
         np.fill_diagonal(a, 0.0)
         a[0] = [0.0, 5.0, 1.0, 1.0]
-        state = PamState(DistanceMatrix(a), seed=0)
+        memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=0)
         for _ in range(20):
-            state.current_index = 0
-            assert pam_select(state) == 1
+            memory.current_index = 0
+            assert pam_select(memory) == 1
+
+    def test_pick_is_pending_until_recorded(self):
+        memory = Memory(build_banded_forward(4, 1), Policy("min", 0.5), seed=0)
+        assert memory._pending is None
+        assert pam_select(memory) == 1
+        assert (memory._pending, memory.current_index) == (1, 0)
+        pam_update(memory, 0.25)
+        assert (memory._pending, memory.current_index) == (None, 1)
+        assert memory.matrix.entry(0, 1) == 0.5  # max(0.25, 0.5 * 1.0)
 
     def test_tie_sampling_is_uniform(self):
         a = np.ones((4, 4))
         np.fill_diagonal(a, 0.0)
         a[0] = [0.0, 3.0, 3.0, 1.0]
-        state = PamState(DistanceMatrix(a), seed=2024)
-        draws = np.array([pam_select(state) for _ in range(10_000)])
+        memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=2024)
+        draws = np.array([pam_select(memory) for _ in range(10_000)])
         assert set(draws) == {1, 2}
         freq = (draws == 1).mean()
         assert abs(freq - 0.5) < 0.02
@@ -311,23 +358,23 @@ class TestSelect:
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            state = PamState(build_dense(n), seed=int(rng.integers(1 << 30)))
-            state.current_index = int(rng.integers(n))
-            assert pam_select(state) != state.current_index
+            memory = Memory(build_dense(n), Policy("min", 0.5), seed=int(rng.integers(1 << 30)))
+            memory.current_index = int(rng.integers(n))
+            assert pam_select(memory) != memory.current_index
 
     def test_forward_band_forces_cycle(self):
         n = 9
-        state = PamState(build_banded_forward(n, 1), seed=5)
+        memory = Memory(build_banded_forward(n, 1), Policy("min", 0.5), seed=5)
         for m in range(n):
-            state.current_index = m
-            assert pam_select(state) == (m + 1) % n
+            memory.current_index = m
+            assert pam_select(memory) == (m + 1) % n
 
     def test_zero_row_guard(self):
-        state = PamState(build_dense(3), seed=0)
-        state.matrix._a[0] = 0.0  # simulate a corrupted state
-        state.matrix._rebuild_row_stats()
-        with pytest.raises(InvariantViolation):
-            pam_select(state)
+        memory = Memory(build_dense(3), Policy("min", 0.5), seed=0)
+        memory.matrix._a[0] = 0.0  # simulate a corrupted state
+        memory.matrix._rebuild_row_stats()
+        with pytest.raises(InvariantViolation, match="row 0"):
+            pam_select(memory)
 
     def test_argmax_set_invariant_under_scaling(self):
         rng = np.random.default_rng(13)
@@ -349,14 +396,12 @@ class TestSelect:
 
     def test_same_seed_same_selection_sequence(self):
         def run_selections(seed):
-            state = PamState(build_dense(6), seed=seed)
-            policy = Policy("min", 0.5)
+            memory = Memory(build_dense(6), Policy("min", 0.5), seed=seed)
             rng = np.random.default_rng(99)
             out = []
             for _ in range(200):
-                j = pam_select(state)
-                out.append(j)
-                pam_update(state, j, float(rng.random()), policy)
+                out.append(pam_select(memory))
+                pam_update(memory, float(rng.random()))
             return out
 
         assert run_selections(31) == run_selections(31)
@@ -367,89 +412,80 @@ class TestUpdate:
         a = np.ones((4, 4))
         np.fill_diagonal(a, 0.0)
         a[0] = [0.0, 0.2, 0.2, 0.2]  # min policy floor = 0.1 at beta 0.5
-        state = PamState(DistanceMatrix(a), seed=0)
-        pam_update(state, 1, 0.7, Policy("min", 0.5))
-        assert state.matrix.entry(0, 1) == 0.7
-        assert state.current_index == 1
+        memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=0)
+        _record(memory, 1, 0.7)
+        assert memory.matrix.entry(0, 1) == 0.7
+        assert memory.current_index == 1
 
     def test_floor_keeps_entry_positive_on_zero_step(self):
         a = np.ones((4, 4))
         np.fill_diagonal(a, 0.0)
         a[0] = [0.0, 2.0, 4.0, 0.0]
-        state = PamState(DistanceMatrix(a), seed=0)
-        pam_update(state, 1, 0.0, Policy("min", 0.01))
-        assert state.matrix.entry(0, 1) == pytest.approx(0.02)
-        assert state.matrix.entry(0, 1) > 0.0
+        memory = Memory(DistanceMatrix(a), Policy("min", 0.01), seed=0)
+        _record(memory, 1, 0.0)
+        assert memory.matrix.entry(0, 1) == pytest.approx(0.02)
+        assert memory.matrix.entry(0, 1) > 0.0
 
     def test_floor_uses_matrix_before_the_write(self):
         a = np.ones((4, 4))
         np.fill_diagonal(a, 0.0)
         a[0] = [0.0, 2.0, 4.0, 0.0]
-        state = PamState(DistanceMatrix(a), seed=0)
-        policy = Policy("min", 0.5)
-        pam_update(state, 1, 0.0, policy)
-        assert state.matrix.entry(0, 1) == 1.0  # 0.5 * min(2, 4)
-        state.current_index = 0
-        pam_update(state, 1, 0.0, policy)
-        assert state.matrix.entry(0, 1) == 0.5  # 0.5 * min(1, 4)
-
-    def test_rejects_self_transition(self):
-        state = PamState(build_dense(3), seed=0)
-        with pytest.raises(ValueError, match="differ"):
-            pam_update(state, 0, 0.5, Policy("min", 0.5))
+        memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=0)
+        _record(memory, 1, 0.0)
+        assert memory.matrix.entry(0, 1) == 1.0  # 0.5 * min(2, 4)
+        memory.current_index = 0
+        _record(memory, 1, 0.0)
+        assert memory.matrix.entry(0, 1) == 0.5  # 0.5 * min(1, 4)
 
     def test_rejects_bad_step(self):
-        state = PamState(build_dense(3), seed=0)
-        with pytest.raises(ValueError):
-            pam_update(state, 1, -0.1, Policy("min", 0.5))
-        with pytest.raises(ValueError):
-            pam_update(state, 1, np.nan, Policy("min", 0.5))
-
-    def test_rejects_write_into_zero_pattern(self):
-        state = PamState(build_banded_forward(4, 1), seed=0)
-        with pytest.raises(InvariantViolation, match="zero weight"):
-            pam_update(state, 2, 0.5, Policy("min", 0.5))  # (0, 2) is outside the band
+        memory = Memory(build_dense(3), Policy("min", 0.5), seed=0)
+        pam_select(memory)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                pam_update(memory, bad)
+        # a rejected step leaves the pending transition unrecorded
+        assert memory._pending is not None and memory.current_index == 0
+        assert memory.matrix == build_dense(3)
 
     def test_pattern_preserved_under_random_updates(self):
         rng = np.random.default_rng(17)
-        policy = Policy("average", 0.3)
-        state = PamState(build_banded_bidirectional(7, 2), seed=8)
-        pattern0 = state.matrix.positive_pattern()
+        memory = Memory(build_banded_bidirectional(7, 2), Policy("average", 0.3), seed=8)
+        pattern0 = memory.matrix.positive_pattern()
         for _ in range(3000):
-            j = pam_select(state)
-            pam_update(state, j, float(rng.random() * 0.1), policy)
-            assert np.array_equal(state.matrix.positive_pattern(), pattern0)
+            pam_select(memory)
+            pam_update(memory, float(rng.random() * 0.1))
+            assert np.array_equal(memory.matrix.positive_pattern(), pattern0)
 
     def test_row_aggregates_match_fresh_rebuild(self):
         rng = np.random.default_rng(23)
         policy_min = Policy("min", 0.4)
         policy_avg = Policy("average", 0.4)
-        state = PamState(build_dense(5, 2.0), seed=1)
+        memory = Memory(build_dense(5, 2.0), policy_min, seed=1)
         for _ in range(1500):
-            j = pam_select(state)
-            pam_update(state, j, float(rng.random() * 3.0), policy_min)
-            fresh = DistanceMatrix(state.matrix.to_array())
+            pam_select(memory)
+            pam_update(memory, float(rng.random() * 3.0))
+            fresh = DistanceMatrix(memory.matrix.to_array())
             for m in range(5):
-                assert evaluate_policy(policy_min, m, state.matrix) == pytest.approx(
+                assert evaluate_policy(policy_min, m, memory.matrix) == pytest.approx(
                     evaluate_policy(policy_min, m, fresh), rel=1e-12
                 )
-                assert evaluate_policy(policy_avg, m, state.matrix) == pytest.approx(
+                assert evaluate_policy(policy_avg, m, memory.matrix) == pytest.approx(
                     evaluate_policy(policy_avg, m, fresh), rel=1e-12
                 )
 
 
 # Plain definitions of the lean memory layer's parts, kept as references.
 
-def _pam_select_reference(state):
-    j = state.current_index
-    row = state.matrix._a[j]
+def _pam_select_reference(memory):
+    j = memory.current_index
+    row = memory.matrix._a[j]
     best = row.max()
     if not best > 0.0:
         raise InvariantViolation(f"row {j} has no positive entry")
     ties = (row == best).nonzero()[0]
     if ties.size == 1:
         return int(ties[0])
-    return int(ties[state.rng.integers(ties.size)])
+    return int(ties[memory.rng.integers(ties.size)])
 
 
 def _evaluate_policy_reference(policy, m, matrix):
@@ -488,13 +524,13 @@ class TestLeanMemoryEquivalence:
     )
     @settings(max_examples=300, deadline=None)
     def test_select_matches_plain_definition(self, rows, seed):
-        lean = PamState(build_dense(12), seed=seed)
-        plain = PamState(build_dense(12), seed=seed)
+        lean = Memory(build_dense(12), Policy("min", 0.5), seed=seed)
+        plain = Memory(build_dense(12), Policy("min", 0.5), seed=seed)
         for j, values in rows:
             row = np.insert(values, j, 0.0)
-            for state in (lean, plain):
-                state.current_index = j
-                state.matrix._a[j] = row
+            for memory in (lean, plain):
+                memory.current_index = j
+                memory.matrix._a[j] = row
             try:
                 expected = _pam_select_reference(plain)
             except InvariantViolation:
@@ -520,8 +556,8 @@ class TestLeanMemoryEquivalence:
     def test_aggregates_match_rebuild_after_random_overwrites(self, build, kind):
         rng = np.random.default_rng(41)
         policy = Policy(kind, 0.5)
-        state = PamState(build(), seed=3)
-        matrix = state.matrix
+        memory = Memory(build(), policy, seed=3)
+        matrix = memory.matrix
         rows, cols = np.nonzero(matrix.positive_pattern())
         # a few repeated values make writes that land exactly on the row
         # minimum, which exercises the rescan branch
@@ -530,7 +566,8 @@ class TestLeanMemoryEquivalence:
             step = (float(rng.choice(values)) if rng.random() < 0.5
                     else float(rng.random() * 4.0))
             if i % 2:
-                pam_update(state, pam_select(state), step, policy)
+                pam_select(memory)
+                pam_update(memory, step)
             else:  # any positive entry, not only the row argmax pam writes
                 e = int(rng.integers(rows.size))
                 matrix._overwrite(int(rows[e]), int(cols[e]), step + 0.125)
@@ -538,7 +575,7 @@ class TestLeanMemoryEquivalence:
             fresh._rebuild_row_stats()
             assert list(matrix._count) == list(fresh._count)
             assert list(matrix._minpos) == list(fresh._minpos)
-            for m in range(state.n):
+            for m in range(memory.n_sets):
                 for p in (Policy("min", 0.5), Policy("average", 0.5)):
                     assert evaluate_policy(p, m, matrix) == \
                         _evaluate_policy_reference(p, m, matrix)
