@@ -370,26 +370,18 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
         col.add("strategy.matrix", "must be an object")
         return None
     kind = doc.get("kind")
-    if kind == "dense":
-        scale = doc.get("scale", 1.0)
-        if not (_is_number(scale) and np.isfinite(scale) and scale > 0):
-            col.add("strategy.matrix.scale", "must be a finite number > 0")
-            return None
-        return DenseSpec(scale=float(scale))
-    if kind in ("banded_bidirectional", "banded_forward"):
+    if kind in ("dense", "banded_bidirectional", "banded_forward"):
         omega = doc.get("omega")
         scale = doc.get("scale", 1.0)
-        if not (_is_number(omega, integer=True) and omega >= 1):
+        if kind != "dense" and not (_is_number(omega, integer=True) and omega >= 1):
             col.add("strategy.matrix.omega", "must be an integer >= 1")
             return None
         if not (_is_number(scale) and np.isfinite(scale) and scale > 0):
             col.add("strategy.matrix.scale", "must be a finite number > 0")
             return None
-        cls = (
-            BandedBidirectionalSpec
-            if kind == "banded_bidirectional"
-            else BandedForwardSpec
-        )
+        if kind == "dense":
+            return DenseSpec(scale=float(scale))
+        cls = BandedBidirectionalSpec if kind == "banded_bidirectional" else BandedForwardSpec
         return cls(omega=omega, scale=float(scale))
     if kind == "prior":
         path = doc.get("path")
@@ -519,9 +511,11 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         interval = None
 
     # cross-field checks need the pieces to have parsed individually first;
-    # building the Memory checks its matrix (seed 0: run seeds are not checked here)
+    # Memory's own check, without the numpy.random import a Memory's generator costs
     if problem is not None and isinstance(strategy, PamSpec):
-        col.attempt("strategy.matrix", strategy.build, problem.n_sets, 0)
+        matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
+        if matrix is not None:
+            col.attempt("strategy.matrix", Memory.admissible, matrix)
     window = None if stop is None else stop.step_window
     if problem is not None and window is not None and window < problem.n_sets:
         col.add(

@@ -75,9 +75,9 @@ class Memory(Strategy):
 
     The one owner of the method's state: ``matrix`` (a private copy),
     ``current_index``, the tie-break generator ``rng``, the ``policy`` and
-    ``_pending``, the set chosen last whose step is not recorded yet.  This
-    is the one admissibility check: ``parse_config`` builds a ``Memory`` to
-    check a config, and ``run`` and ``run_lockstep`` rely on it.
+    ``_pending``, the set chosen last whose step is not recorded yet.  Its
+    ``admissible`` is the one admissibility check: ``__init__`` and
+    ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it.
 
     The first call only selects (there is no step to record yet).  Every
     later call first records the reported step for the transition chosen
@@ -91,13 +91,7 @@ class Memory(Strategy):
 
     def __init__(self, matrix: DistanceMatrix, policy: Policy, seed=None,
                  start_index: int = 0):
-        if not isinstance(matrix, DistanceMatrix):
-            matrix = DistanceMatrix(matrix)
-        if not is_admissible(matrix):
-            m, n = unreachable_pair(matrix)
-            raise ValueError(
-                f"matrix is not admissible: no positive-entry chain from set {m} to set {n}"
-            )
+        matrix = self.admissible(matrix)
         if not 0 <= start_index < matrix.n:
             raise ValueError(f"start index {start_index} out of range")
         self.matrix = matrix.copy()
@@ -106,6 +100,18 @@ class Memory(Strategy):
         self.policy = policy
         self.n_sets = matrix.n
         self._pending = None
+
+    @staticmethod
+    def admissible(matrix) -> DistanceMatrix:
+        """``matrix`` as a ``DistanceMatrix``, or ValueError if it is not admissible."""
+        if not isinstance(matrix, DistanceMatrix):
+            matrix = DistanceMatrix(matrix)
+        if not is_admissible(matrix):
+            m, n = unreachable_pair(matrix)
+            raise ValueError(
+                f"matrix is not admissible: no positive-entry chain from set {m} to set {n}"
+            )
+        return matrix
 
     def next_index(self, last_step_length=None) -> int:
         if self._pending is not None:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +148,18 @@ class TestParsing:
             "strategy.matrix: matrix is not admissible: no positive-entry chain "
             "from set 1 to set 0"
         ]
+
+    def test_matrix_checked_without_building_a_generator(self):
+        # a Memory's generator imports numpy.random, about 15 ms of a fresh
+        # process's set-up; parsing makes Memory's check without one
+        # (a NumPy that imports numpy.random eagerly leaves nothing to test)
+        code = ("import json, sys, memproj; loaded = 'numpy.random' in sys.modules; "
+                "memproj.parse_config(json.loads(sys.argv[1])); "
+                "print(loaded, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(TOY_PAM)],
+                              capture_output=True, text=True, check=True)
+        loaded, after = proc.stdout.split()
+        assert after == loaded
 
     def test_prior_matrix_size_mismatch_detected(self, tmp_path):
         write_matrix_csv(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "w.csv")
