@@ -405,6 +405,9 @@ def _parse_strategy(doc, col: _Collector, base_dir):
     if seed is not None and not _is_number(seed, integer=True):
         col.add("strategy.seed", "must be an integer")
         return None
+    if seed is not None and seed < 0:  # a generator seed is never negative
+        col.add("strategy.seed", "must be an integer >= 0")
+        return None
     if kind == "mcp":
         return McpSpec()
     if kind == "mrp":
@@ -489,6 +492,9 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         seeds = []
     if not isinstance(seeds, list) or not all(_is_number(s, integer=True) for s in seeds):
         col.add("seeds", "must be a list of integers")
+        seeds = []
+    elif any(s < 0 for s in seeds):
+        col.add("seeds", "must be a list of integers >= 0")
         seeds = []
 
     output_dir = doc.get("output_dir")

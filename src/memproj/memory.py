@@ -262,13 +262,17 @@ class Policy:
 _TINY = 5e-324
 
 
-def _stored_value(step, floor, maximum=max):
-    """The value an update writes: max(step, floor), at least ``_TINY``.
-
-    Applied to floats by ``pam_update`` and to arrays by ``MemoryStack``
-    (``maximum=np.maximum``), so both paths store the same bits.
-    """
-    return maximum(maximum(step, floor), _TINY)
+def _floor(policy: Policy, matrix: DistanceMatrix, m: int, top: int) -> float:
+    """Floor value for row ``m``, whose largest entry is in column ``top``."""
+    count = matrix._count[m]
+    if count == 0:
+        return 0.0
+    if policy.kind == "min":
+        return policy.beta * matrix._minpos[m]
+    # the incrementally maintained sum can nudge the average a hair above
+    # the row max; clamping to the exact row max keeps the decay bound exact
+    # in floats
+    return min(policy.beta * (matrix._sum[m] / count), policy.beta * matrix._a.item(m, top))
 
 
 def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
@@ -279,17 +283,7 @@ def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
     """
     if not 0 <= m < matrix.n:
         raise IndexError(f"row index {m} out of range 0..{matrix.n - 1}")
-    count = matrix._count[m]
-    if count == 0:
-        return 0.0
-    if policy.kind == "min":
-        return policy.beta * matrix._minpos[m]
-    avg = matrix._sum[m] / count
-    # the incrementally maintained sum can nudge the average a hair above
-    # the row max; clamping to the exact row max, read only here, keeps the
-    # decay bound exact in floats
-    row = matrix._a[m]
-    return min(policy.beta * avg, policy.beta * row.item(row.argmax()))
+    return _floor(policy, matrix, m, int(matrix._a[m].argmax()))
 
 
 def pam_select(memory) -> int:
@@ -329,11 +323,15 @@ def pam_update(memory, step_length: float) -> None:
     ``pam_select`` picked a positive entry, so the positivity pattern stays.
     """
     j, col, matrix = memory.current_index, memory._pending, memory.matrix
+    if col is None:
+        raise InvariantViolation("pam_update needs a pending pick: call pam_select first")
     step = float(step_length)
     # an overflowing difference between finite iterates is an infinite step
     if not (math.isfinite(step) and step >= 0.0):
         raise ValueError("step_length must be finite and >= 0")
-    matrix._overwrite(j, col, _stored_value(step, evaluate_policy(memory.policy, j, matrix)))
+    # the pending entry is a maximum of row j: pam_select picked it, and
+    # nothing has written row j since
+    matrix._overwrite(j, col, max(step, _floor(memory.policy, matrix, j, col), _TINY))
     memory.current_index = col
     memory._pending = None
 
@@ -389,16 +387,15 @@ class MemoryStack:
 
     def _record(self, slots: np.ndarray, steps: np.ndarray) -> None:
         r, col = self.row[slots], self.pending[slots]
+        cell = r * self.n + col
+        old = self.cells[cell]  # each a maximum of its row, as in pam_update
         low = self.minpos[r]
         beta = self.beta[slots]
         floor = beta * low  # read before the write, as in pam_update
         if self.any_average:
             a, ra = self.average[slots], r[self.average[slots]]
-            floor[a] = np.minimum(beta[a] * (self.sum[ra] / self.count[ra]),
-                                  beta[a] * self.rows[ra].max(1))
-        value = _stored_value(steps, floor, np.maximum)
-        cell = r * self.n + col
-        old = self.cells[cell]
+            floor[a] = np.minimum(beta[a] * (self.sum[ra] / self.count[ra]), beta[a] * old[a])
+        value = np.maximum(np.maximum(steps, floor), _TINY)  # pam_update's max, same bits
         self.cells[cell] = value
         self.sum[r] += value - old
         self.minpos[r] = np.minimum(value, low)

@@ -17,7 +17,10 @@ steps: without a residual tolerance or ``debug_asserts``, ``run`` projects it
 in stretches up to the first projection the step rule could stop at (at most
 1024) and records each stretch in one array pass, with the same bits.  Such a
 chooser has moved past a non-finite iterate when ``NumericError`` is raised:
-the rest of its stretch was computed, then discarded.
+the rest of its stretch was computed, then discarded.  Likewise, with a known
+point but no residual tolerance or ``debug_asserts``, no residual is read
+during the run: ``run`` measures them in array passes over at most 1024
+iterates each, with the bits of one distance per projection.
 
 ``run_lockstep`` drives several strategies over the same lines through the
 origin at once, one row of a stacked iterate array per run, and returns
@@ -232,6 +235,14 @@ def run(
     # tolerance, i.e. once the latest step at or above it is ``window``
     # projections back; -1 stands for "before the first projection"
     last_big = -1
+    # iterates whose residuals nothing reads during the run, measured in array
+    # passes; None: each residual is measured at its projection
+    deferred = z is not None and residual_tolerance is None and not check_fejer
+    unmeasured = [] if deferred else None
+
+    def measure():
+        residuals.extend(_row_lengths(np.array(unmeasured) - z).tolist())
+        unmeasured.clear()
 
     def record(j: int, x_prev: np.ndarray, x_next: np.ndarray) -> tuple[float, str | None]:
         """Append projection ``len(indices)``; return its step and the stop verdict."""
@@ -248,7 +259,11 @@ def run(
         if not step < step_tolerance:
             last_big = k
         verdict = None
-        if z is not None:
+        if unmeasured is not None:
+            unmeasured.append(x_next)
+            if len(unmeasured) == _STRETCH:
+                measure()
+        elif z is not None:
             res = _distance(x_next, z)
             residuals.append(res)
             if residual_tolerance is not None and res < residual_tolerance:
@@ -315,6 +330,8 @@ def run(
             snapshots.append((len(indices), strategy.matrix.to_array()))
         if verdict is not None:
             status = verdict
+    if unmeasured:
+        measure()
 
     strategy.finish(last_step)
     final_matrix = None

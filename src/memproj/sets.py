@@ -4,7 +4,8 @@ Every family here has a closed-form projection, so membership, idempotence
 and the obtuse-angle property of the nearest point hold to floating-point
 accuracy (about 1e-12 at moderate scales) without any inner iteration.
 Instances are immutable after construction and safe to share across threads;
-``project`` is a pure function.
+``project`` is a pure function.  Its vector products call ``ndarray.dot``,
+which makes the BLAS call of ``@`` without the matmul dispatch.
 """
 from __future__ import annotations
 
@@ -60,6 +61,9 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     return math.ldexp(math.sqrt(w.dot(w)), e)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -75,6 +79,9 @@ class ProjectableSet:
         raise NotImplementedError
 
     def _check_point(self, x) -> np.ndarray:
+        # the engines pass float vectors of the right length: take them as they are
+        if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (self.dim,):
+            return x
         v = np.asarray(x, dtype=float)
         if v.ndim != 1 or v.shape[0] != self.dim:
             raise ValueError(
@@ -114,7 +121,7 @@ class Hyperplane(ProjectableSet):
 
     def project(self, x):
         v = self._check_point(x)
-        return v - ((self.normal @ v - self.offset) / self._nn) * self.normal
+        return v - ((self.normal.dot(v) - self.offset) / self._nn) * self.normal
 
     def _params(self):
         return (self.normal, self.offset)
@@ -141,7 +148,7 @@ class Halfspace(ProjectableSet):
 
     def project(self, x):
         v = self._check_point(x)
-        slack = self.normal @ v - self.offset
+        slack = self.normal.dot(v) - self.offset
         if slack <= 0.0:
             return v.copy()
         return v - (slack / self._nn) * self.normal
@@ -218,7 +225,7 @@ class LineThroughOrigin(ProjectableSet):
 
     def project(self, x):
         v = self._check_point(x)
-        return ((self.direction @ v) / self._vv) * self.direction
+        return (self.direction.dot(v) / self._vv) * self.direction
 
     def _params(self):
         return (self.direction,)
@@ -265,7 +272,7 @@ class AffineSubspace(ProjectableSet):
     def project(self, x):
         v = self._check_point(x)
         w = v - self.basepoint
-        return self.basepoint + self.basis.T @ (self.basis @ w)
+        return self.basepoint + self.basis.T.dot(self.basis.dot(w))
 
     def _params(self):
         return (self.basepoint, self.basis)

@@ -65,6 +65,28 @@ def sample_set(rng, family, dim):
     raise ValueError(family)
 
 
+def sets_through_origin(rng, dim):
+    """One set of each family, every one containing the origin (``dim >= 2``).
+
+    The line lies in the hyperplane and in the affine subspace, so the sets
+    meet in a segment of it around the origin; a run converges to some point
+    of that segment and its distance to the origin stays of order one.
+    """
+    line = _unit(rng, dim)
+    normal = rng.standard_normal(dim)
+    normal -= (normal @ line) * line
+    span = np.vstack([line, rng.standard_normal((int(rng.integers(0, dim)), dim))])
+    center = rng.uniform(-3, 3, size=dim)
+    return [
+        Hyperplane(normal, 0.0),
+        Halfspace(_unit(rng, dim) * rng.uniform(0.5, 2.0), rng.uniform(0.0, 5.0)),
+        Ball(center, float(np.linalg.norm(center)) + rng.uniform(0.5, 3.0)),
+        Box(-rng.uniform(0.0, 5.0, size=dim), rng.uniform(0.0, 5.0, size=dim)),
+        LineThroughOrigin(line * rng.uniform(0.2, 3.0)),
+        AffineSubspace(np.zeros(dim), span),
+    ]
+
+
 def sample_member(rng, s):
     """A point of the set, constructed without using s.project."""
     if isinstance(s, Hyperplane):

@@ -129,6 +129,26 @@ class TestRun:
         assert capsys.readouterr().err == error
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("seeds", [0, -1], "error: seeds: must be a list of integers >= 0\n"),
+        ("strategy.seed", -7, "error: strategy.seed: must be an integer >= 0\n"),
+    ])
+    def test_negative_seed_rejected_before_any_output(
+        self, toy_pam_config, tmp_path, capsys, key, value, error
+    ):
+        # NumPy's generators take no negative seed; the run must not start
+        doc = json.loads(toy_pam_config.read_text())
+        *parents, name = key.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[name] = value
+        toy_pam_config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
     def test_infeasible_reference_point_is_a_numeric_error(self, tmp_path, capsys):
         # debug checks compare against a point that is not in the
         # intersection, so the monotonicity check must trip: exit code 2

@@ -252,6 +252,15 @@ class TestNumbersAreNumbers:
             parse_config(_with(TOY_PAM, path, value))
         assert exc.value.errors == [f"{path}: {message}"]
 
+    @pytest.mark.parametrize("path,value,message", [
+        ("seeds", [0, -1], "must be a list of integers >= 0"),
+        ("strategy.seed", -1, "must be an integer >= 0"),
+    ])
+    def test_negative_seed_rejected(self, path, value, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(TOY_PAM, path, value))
+        assert exc.value.errors == [f"{path}: {message}"]
+
     def test_boolean_bandwidth_rejected(self):
         doc = _with(TOY_PAM, "strategy.matrix", {"kind": "banded_forward", "omega": True})
         with pytest.raises(ConfigError) as exc:

@@ -447,6 +447,12 @@ class TestUpdate:
         assert memory._pending is not None and memory.current_index == 0
         assert memory.matrix == build_dense(3)
 
+    def test_update_without_a_pick_names_the_missing_select(self):
+        memory = Memory(build_dense(3), Policy("min", 0.5))
+        with pytest.raises(InvariantViolation, match="call pam_select first"):
+            pam_update(memory, 0.5)
+        assert memory.matrix == build_dense(3) and memory.current_index == 0
+
     def test_pattern_preserved_under_random_updates(self):
         rng = np.random.default_rng(17)
         memory = Memory(build_banded_bidirectional(7, 2), Policy("average", 0.3), seed=8)

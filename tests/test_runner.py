@@ -40,7 +40,8 @@ from memproj.memory import (
 )
 from memproj.runner import _distance, _row_lengths, run_lockstep
 
-from conftest import SET_FAMILIES, assert_same_trace, memory_state, sample_set
+from conftest import (SET_FAMILIES, assert_same_trace, memory_state, sample_set,
+                      sets_through_origin)
 
 TOY = ToyConfig(9, 0.05)
 
@@ -496,6 +497,56 @@ class TestStretchedRecording:
         sets = [Hyperplane([1.0, 0.0], 1.7e308), Hyperplane([1.0, 0.0], -1.7e308)]
         with pytest.raises(NumericError, match="after projection 1$"):
             run(sets, kind(2), np.zeros(2), StoppingRule.exact_budget(10))
+
+
+def _origin_run(seed, dim, kind, budget, tol, store_iterates, debug_asserts):
+    """A run over sets through the origin, with the origin as its known point."""
+    rng = np.random.default_rng(seed)
+    sets = sets_through_origin(rng, dim)
+    x0 = rng.uniform(-10.0, 10.0, dim)
+    n = len(sets)
+    if kind == "mcp":
+        strategy = Cyclic(n)
+    elif kind == "mrp":
+        strategy = RandomizedCycles(n, seed=seed)
+    else:
+        strategy = Memory(build_dense(n), Policy(kind, 0.01), seed=seed)
+    stop = StoppingRule(max_iterations=budget, step_tolerance=tol)
+    return run(sets, strategy, x0, stop, np.zeros(dim), store_iterates=store_iterates,
+               debug_asserts=debug_asserts)
+
+
+class TestDeferredResiduals:
+    """With a known point and no residual stop, run() measures the residuals
+    in array passes; debug_asserts measures each at its projection."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([3, 8, 60]),
+        kind=st.sampled_from(["min", "average", "mcp", "mrp"]),
+        budget=st.sampled_from([1023, 1024, 1025, 2049]),
+        tol=st.sampled_from([5e-324, 1e-12, 1e-9]),
+        store_iterates=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_projection_residuals(self, seed, dim, kind, budget, tol,
+                                             store_iterates):
+        got, expected = (_origin_run(seed, dim, kind, budget, tol, store_iterates, debug)
+                         for debug in (False, True))
+        assert_same_trace(got, expected)
+
+    @pytest.mark.parametrize("seed,dim,kind,tol,stops_at", [
+        (0, 3, "min", 1e-9, 1060),
+        (4, 60, "min", 1e-12, 1407),
+        (0, 3, "average", 1e-9, 1110),
+        (0, 8, "mcp", 1e-9, 1312),
+        (6, 8, "mrp", 1e-9, 1140),
+    ])
+    def test_step_stop_inside_a_chunk(self, seed, dim, kind, tol, stops_at):
+        got, expected = (_origin_run(seed, dim, kind, 2049, tol, False, debug)
+                         for debug in (False, True))
+        assert got.status == STATUS_STEP and got.n_projections == stops_at
+        assert_same_trace(got, expected)
 
 
 def _toy_strategy(kind, k):

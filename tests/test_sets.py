@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import SET_FAMILIES, sample_member, sample_set
+from memproj.sets import _distance
 from memproj import (
     AffineSubspace,
     Ball,
@@ -221,3 +222,94 @@ def test_ball_and_distance_match_linalg_norm_bit_for_bit(dim):
         expected = x.copy() if dist <= s.radius else s.center + (s.radius / dist) * delta
         assert s.project(x).tobytes() == expected.tobytes()
         assert distance(x, s) == float(np.linalg.norm(x - s.project(x)))
+
+
+def _reference_project(s, x):
+    """Each family's nearest point written with ``@`` on ``np.asarray(x)``."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or v.shape[0] != s.dim:
+        raise ValueError(f"point has shape {np.shape(x)}, expected ({s.dim},)")
+    if isinstance(s, Hyperplane):
+        return v - ((s.normal @ v - s.offset) / s._nn) * s.normal
+    if isinstance(s, Halfspace):
+        slack = s.normal @ v - s.offset
+        return v.copy() if slack <= 0.0 else v - (slack / s._nn) * s.normal
+    if isinstance(s, Ball):
+        dist = _distance(v, s.center)
+        return v.copy() if dist <= s.radius else s.center + (s.radius / dist) * (v - s.center)
+    if isinstance(s, Box):
+        return np.clip(v, s.lower, s.upper)
+    if isinstance(s, LineThroughOrigin):
+        return ((s.direction @ v) / s._vv) * s.direction
+    return s.basepoint + s.basis.T @ (s.basis @ (v - s.basepoint))
+
+
+def _outcome(fn, *args):
+    """The exact bits ``fn`` returns, or the type and text of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the test compares whatever is raised
+        return type(exc), str(exc)
+    return type(out), out.dtype, out.shape, out.tobytes()
+
+
+def _at_scale(rng, family, dim, k):
+    """A random set of ``family`` whose offsets and points are of size ~ 2^k."""
+    s = sample_set(rng, family, dim)
+    if isinstance(s, (Hyperplane, Halfspace)):
+        return type(s)(s.normal, np.ldexp(s.offset, k))
+    if isinstance(s, Ball):
+        return Ball(np.ldexp(s.center, k), np.ldexp(s.radius, k))
+    if isinstance(s, Box):
+        return Box(np.ldexp(s.lower, k), np.ldexp(s.upper, k))
+    if isinstance(s, AffineSubspace):
+        return AffineSubspace(np.ldexp(s.basepoint, k), s.basis)
+    return s
+
+
+class TestProjectEqualsReference:
+    """``project`` gives the bits of its ``@``-based definition, whatever the input."""
+
+    @given(
+        family=st.sampled_from(SET_FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3, 60]),
+        k=st.integers(-1000, 1000),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    # a ball's distance rescales exactly once its squares overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_at_every_scale(self, family, seed, dim, k, strided):
+        rng = np.random.default_rng(seed)
+        s = _at_scale(rng, family, dim, k)
+        x = np.ldexp(rng.uniform(-8.0, 8.0, 2 * dim if strided else dim), k)
+        x = x[::2] if strided else x
+        assert _outcome(s.project, x) == _outcome(_reference_project, s, x)
+
+    @pytest.mark.parametrize("family", SET_FAMILIES)
+    def test_inputs_that_are_not_float_vectors(self, family):
+        rng = np.random.default_rng(SET_FAMILIES.index(family))
+        s = sample_set(rng, family, 3)
+        x = rng.uniform(-8.0, 8.0, 3)
+        sub = type("Sub", (np.ndarray,), {})
+        readonly = x.copy()
+        readonly.setflags(write=False)
+        inputs = [x.tolist(), tuple(x), [1, -2, 3], np.array([1, -2, 3]),
+                  x.astype(np.float32), x.astype(">f8"), x.view(sub), readonly]
+        for v in inputs:
+            assert _outcome(s.project, v) == _outcome(_reference_project, s, v)
+            assert type(s.project(v)) is np.ndarray
+
+    @pytest.mark.parametrize("family", SET_FAMILIES)
+    def test_inputs_of_the_wrong_shape(self, family):
+        s = sample_set(np.random.default_rng(0), family, 3)
+        cases = [(5.0, "()"), (np.float64(5.0), "()"), (np.array(5.0), "()"),
+                 (np.zeros((1, 3)), "(1, 3)"), ([[1.0, 2.0, 3.0]], "(1, 3)"),
+                 (np.zeros(2), "(2,)"), (np.zeros(4, dtype=np.float32), "(4,)"),
+                 ([1.0, 2.0], "(2,)"), ([], "(0,)")]
+        for v, shape in cases:
+            message = f"point has shape {shape}, expected (3,)"
+            assert _outcome(s.project, v) == (ValueError, message)
+        for v in (["a", "b", "c"], [1.0, None, 2.0]):
+            assert _outcome(s.project, v) == _outcome(_reference_project, s, v)
