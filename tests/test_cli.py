@@ -129,20 +129,18 @@ class TestRun:
         assert capsys.readouterr().err == error
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value,error", [
-        ("seeds", [0, -1], "error: seeds: must be a list of integers >= 0\n"),
-        ("strategy.seed", -7, "error: strategy.seed: must be an integer >= 0\n"),
+    @pytest.mark.parametrize("change,error", [
+        (lambda doc: doc.update(seeds=[0, -1]),
+         "error: seeds: must be a list of integers >= 0\n"),
+        (lambda doc: doc["strategy"].update(seed=-7),
+         "error: strategy.seed: must be an integer >= 0\n"),
     ])
     def test_negative_seed_rejected_before_any_output(
-        self, toy_pam_config, tmp_path, capsys, key, value, error
+        self, toy_pam_config, tmp_path, capsys, change, error
     ):
         # NumPy's generators take no negative seed; the run must not start
         doc = json.loads(toy_pam_config.read_text())
-        *parents, name = key.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[name] = value
+        change(doc)
         toy_pam_config.write_text(json.dumps(doc))
         out = tmp_path / "results"
         assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1

@@ -303,7 +303,11 @@ class TestAdmissibilityCheckedOnce:
 
 
 def _record(memory, col, step):
-    """Record ``step`` for the transition to ``col``, as if selection picked it."""
+    """Record ``step`` for the transition to ``col``, as if selection picked it.
+
+    The average policy reads the row maximum from the pending entry, so there
+    ``col`` must hold a maximum of its row, as every pick does.
+    """
     memory._pending = col
     pam_update(memory, step)
 
