@@ -250,50 +250,51 @@ class ExperimentConfig:
         }
 
 
-_SET_KINDS = ("hyperplane", "halfspace", "ball", "box", "line", "affine")
+# set kind -> its class, and each constructor argument (an attribute of the
+# same name) with its nesting depth: 0 a number, 1 a vector, 2 a list of vectors
+_SET_KINDS = {
+    "hyperplane": (Hyperplane, {"normal": 1, "offset": 0}),
+    "halfspace": (Halfspace, {"normal": 1, "offset": 0}),
+    "ball": (Ball, {"center": 1, "radius": 0}),
+    "box": (Box, {"lower": 1, "upper": 1}),
+    "line": (LineThroughOrigin, {"direction": 1}),
+    "affine": (AffineSubspace, {"basepoint": 1, "basis": 2}),
+}
+_NUMBERS = ("a number", "a list of numbers", "a list of lists of numbers")
 
 
 def set_from_descriptor(d: dict) -> ProjectableSet:
     """Build a set from its config descriptor (kind + numeric parameters)."""
+    if not isinstance(d, dict):
+        raise ValueError("must be an object")
     kind = d.get("kind")
-    if kind == "hyperplane":
-        return Hyperplane(d["normal"], d["offset"])
-    if kind == "halfspace":
-        return Halfspace(d["normal"], d["offset"])
-    if kind == "ball":
-        return Ball(d["center"], d["radius"])
-    if kind == "box":
-        return Box(d["lower"], d["upper"])
-    if kind == "line":
-        return LineThroughOrigin(d["direction"])
-    if kind == "affine":
-        return AffineSubspace(d["basepoint"], d["basis"])
-    raise ValueError(f"unknown set kind {kind!r}; choose one of {_SET_KINDS}")
+    if not isinstance(kind, str) or kind not in _SET_KINDS:
+        raise ValueError(f"unknown set kind {kind!r}; choose one of {tuple(_SET_KINDS)}")
+    cls, fields = _SET_KINDS[kind]
+    for name, depth in fields.items():
+        if not _is_numbers(d[name], depth):
+            raise ValueError(f"{name} must be {_NUMBERS[depth]}")
+    return cls(*(d[name] for name in fields))
 
 
 def set_to_descriptor(s: ProjectableSet) -> dict:
-    if isinstance(s, Hyperplane):
-        return {"kind": "hyperplane", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Halfspace):
-        return {"kind": "halfspace", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Ball):
-        return {"kind": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Box):
-        return {"kind": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    if isinstance(s, LineThroughOrigin):
-        return {"kind": "line", "direction": s.direction.tolist()}
-    if isinstance(s, AffineSubspace):
-        return {
-            "kind": "affine",
-            "basepoint": s.basepoint.tolist(),
-            "basis": s.basis.tolist(),
-        }
+    for kind, (cls, fields) in _SET_KINDS.items():
+        if isinstance(s, cls):
+            return {"kind": kind,
+                    **{name: np.asarray(getattr(s, name)).tolist() for name in fields}}
     raise TypeError(f"cannot describe {type(s).__name__}")
 
 
 def _is_number(v, integer=False) -> bool:
     """A JSON number (an integer if ``integer``); booleans are neither."""
     return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v, depth: int) -> bool:
+    """A number (depth 0), or a list of ``depth - 1``-deep numbers."""
+    if depth == 0:
+        return _is_number(v)
+    return isinstance(v, list) and all(_is_numbers(x, depth - 1) for x in v)
 
 
 class _Collector:

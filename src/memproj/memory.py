@@ -340,16 +340,26 @@ class MemoryStack:
     """The memory of several ``Memory`` strategies, advanced together.
 
     Strategy s owns rows s*N .. s*N + N - 1 of one (S*N, N) matrix and of
-    the row aggregates, its current row, its pending column (-1: none), its
-    policy and its generator.  ``next_indices`` does per entry the float
-    operations of ``pam_update`` and ``pam_select``, drawing each tie-break
-    from the strategy's own generator, so each strategy picks what it would
-    alone, and ``write_back`` leaves it in the state it would reach alone.
-    The matrices must be admissible: as no update stores less than
-    ``_TINY``, every row then keeps a positive entry to select.
+    the row aggregates, its current row, its pending column (-1: none) and
+    its generator; the strategies share one policy and start with no
+    pending pick, or ``ValueError`` names the first that does not.
+    ``next_indices`` does per entry the float operations of ``pam_update``
+    and ``pam_select``, drawing each tie-break from the strategy's own
+    generator, so each strategy picks what it would alone, and
+    ``write_back`` leaves it in the state it would reach alone.  The
+    matrices must be admissible: as no update stores less than ``_TINY``,
+    every row then keeps a positive entry to select.
     """
 
     def __init__(self, strategies):
+        policy = strategies[0].policy
+        for i, s in enumerate(strategies):
+            if s._pending is not None:
+                raise ValueError(f"strategy {i} has a pending pick; a MemoryStack "
+                                 "starts every Memory at its current set")
+            if s.policy != policy:
+                raise ValueError(f"strategy {i} has {s.policy}, strategy 0 {policy}; "
+                                 "a MemoryStack advances Memory strategies of one policy")
         self.strategies = strategies
         mats = [s.matrix for s in strategies]
         self.n = mats[0].n
@@ -361,9 +371,8 @@ class MemoryStack:
         self.offset = np.arange(len(strategies)) * self.n
         self.row = self.offset + [s.current_index for s in strategies]
         self.pending = np.full(len(strategies), -1)
-        self.beta = np.array([s.policy.beta for s in strategies])
-        self.average = np.array([s.policy.kind == "average" for s in strategies])
-        self.any_average = bool(self.average.any())
+        self.beta = policy.beta
+        self.average = policy.kind == "average"
         self.draw = [s.rng.integers for s in strategies]
 
     def next_indices(self, slots: np.ndarray, steps: np.ndarray | None) -> np.ndarray:
@@ -390,11 +399,11 @@ class MemoryStack:
         cell = r * self.n + col
         old = self.cells[cell]  # each a maximum of its row, as in pam_update
         low = self.minpos[r]
-        beta = self.beta[slots]
-        floor = beta * low  # read before the write, as in pam_update
-        if self.any_average:
-            a, ra = self.average[slots], r[self.average[slots]]
-            floor[a] = np.minimum(beta[a] * (self.sum[ra] / self.count[ra]), beta[a] * old[a])
+        # read before the write, as in pam_update
+        if self.average:
+            floor = np.minimum(self.beta * (self.sum[r] / self.count[r]), self.beta * old)
+        else:
+            floor = self.beta * low
         value = np.maximum(np.maximum(steps, floor), _TINY)  # pam_update's max, same bits
         self.cells[cell] = value
         self.sum[r] += value - old

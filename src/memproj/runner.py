@@ -22,9 +22,10 @@ point but no residual tolerance or ``debug_asserts``, no residual is read
 during the run: ``run`` measures them in array passes over at most 1024
 iterates each, with the bits of one distance per projection.
 
-``run_lockstep`` drives several strategies over the same lines through the
-origin at once, one row of a stacked iterate array per run, and returns
-the traces ``run`` would give each of them.
+``run_lockstep`` drives several strategies of one class (and, for
+``Memory``, one policy) over the same lines through the origin at once, one
+row of a stacked iterate array per run, and returns the traces ``run`` would
+give each of them; ``Memory`` rows pick together through a ``MemoryStack``.
 """
 from __future__ import annotations
 
@@ -144,11 +145,16 @@ def _check_fejer(x_prev, x_next, z, step, k):
     d_prev = _distance(x_prev, z)
     d_next = _distance(x_next, z)
     # rounding in the projection and in the three distances is bounded by a
-    # multiple of machine epsilon times the magnitudes involved, so the
+    # multiple of machine epsilon times the magnitudes involved, plus as many
+    # smallest subnormals (among subnormals rounding is absolute), so the
     # slack scales with them and the check means the same at every scale
     scale = _distance(x_prev, 0.0) + _distance(x_next, 0.0) + _distance(z, 0.0)
-    slack = _FEJER_ULPS * _EPS * scale
-    if d_next * d_next > d_prev * d_prev - step * step + slack * scale:
+    slack = _FEJER_ULPS * (_EPS * scale + math.ulp(0.0))
+    # squared, the quantities are first scaled by the power of two that brings
+    # scale into [0.5, 1): exact, and no square that matters under- or overflows
+    e = -math.frexp(scale)[1]
+    p, q, s, t = (math.ldexp(v, e) for v in (d_prev, d_next, step, slack))
+    if q * q > p * p - s * s + t * math.ldexp(scale, e):
         raise FejerViolation(
             f"projection {k}: squared distance to the reference point fell "
             f"by less than the squared step ({d_prev:.17g} -> {d_next:.17g}, "
@@ -388,11 +394,13 @@ def run_lockstep(
 
     Returns ``[run(sets, s, x0, stop, known_point,
     store_iterates=store_iterates) for s in strategies]`` bit for bit, and
-    raises what that raises.  The iterates of the runs form one (S, d)
-    array, so one projection of all S runs costs the NumPy calls of one
-    projection of one run.  Plain ``Memory`` strategies pick together in a
-    ``MemoryStack``, each from its own random stream.  Every set must
-    be a ``LineThroughOrigin`` and every strategy a distinct object.
+    raises what that raises, for the lowest-numbered failing run.  The
+    iterates of the runs form one (S, d) array, so one projection of all S
+    runs costs the NumPy calls of one projection of one run.  Every set must
+    be a ``LineThroughOrigin``, and the strategies distinct objects of one
+    class, ``Cyclic``, ``RandomizedCycles`` or ``Memory``; ``Memory`` ones
+    pick together in a ``MemoryStack``, each from its own random stream.
+    Any other list raises an error naming the first strategy that does not fit.
     """
     sets = list(sets)
     strategies = list(strategies)
@@ -407,6 +415,14 @@ def run_lockstep(
             )
     if len({id(s) for s in strategies}) < len(strategies):
         raise ValueError("every run needs its own strategy object")
+    kind = type(strategies[0])
+    for i, s in enumerate(strategies):
+        if type(s) is not kind or kind not in (Cyclic, RandomizedCycles, Memory):
+            raise TypeError(
+                f"strategy {i} is a {type(s).__name__}; run_lockstep takes all Cyclic, "
+                "all RandomizedCycles or all Memory strategies"
+            )
+    stack = MemoryStack(strategies) if kind is Memory else None
 
     n = len(sets)
     x, z, _, window = inputs[0]
@@ -414,24 +430,11 @@ def run_lockstep(
     vv = np.array([s._vv for s in sets])
     step_tolerance = stop.step_tolerance
     residual_tolerance = stop.residual_tolerance if z is not None else None
-    start = [
-        int(getattr(s, "current_index", 0)) if s.needs_start_projection else None
-        for s in strategies
-    ]
 
-    # plain Memory strategies pick through one MemoryStack (a subclass keeps
-    # its own next_index); slot[p] is row p's strategy in the stack, or -1
-    batched = [i for i, s in enumerate(strategies) if type(s) is Memory
-               and s._pending is None and s.needs_start_projection]
-    stack = MemoryStack([strategies[i] for i in batched]) if batched else None
-    slot = np.full(len(strategies), -1)
-    slot[batched] = range(len(batched))
-
-    # row p of the stacked state belongs to run rows[p]; a run leaves the
-    # rows when it stops or raises
-    rows = list(range(len(strategies)))
+    # row p of the stacked state belongs to run rows[p], which is also its
+    # slot in the stack; a run leaves the rows when it stops or raises
+    rows = np.arange(len(strategies))
     X = np.tile(x, (len(rows), 1))
-    lasts = [None] * len(rows)
     last_big = np.full(len(rows), -1)
     # per projection since the rows last changed: indices, steps,
     # residuals and iterates, one entry per row
@@ -442,15 +445,17 @@ def run_lockstep(
 
     def close_segment():
         columns = [None if c[0] is None else np.array(c) for c in zip(*segment)]
-        for p, i in enumerate(rows):
+        for p, i in enumerate(rows.tolist()):
             chunks[i].append(tuple(None if c is None else c[:, p] for c in columns))
         segment.clear()
 
     def finish(p: int, i: int, status: str):
         strategy = strategies[i]
         try:
-            strategy.finish(lasts[p])
-        except Exception as exc:  # run() would raise it; so does the caller, later
+            # a Memory's first step is its start projection's, which run() never
+            # passes on; it has no pending pick then, so finish ignores the step
+            strategy.finish(float(steps[p]))
+        except ValueError as exc:  # run() would raise it; so does the caller, later
             errors[i] = exc
             return
         x_i, z_i, matrix_i, _ = inputs[i]
@@ -471,28 +476,12 @@ def run_lockstep(
     for k in range(stop.max_iterations):
         # row -> stop status, or None for a run that raised
         leaving: dict[int, str | None] = {}
-        picked = {}
-        pos = (slot >= 0).nonzero()[0] if k else ()
-        if len(pos):  # every batched run made a start projection at k = 0
-            picks = stack.next_indices(slot[pos], steps[pos] if k > 1 else None)
-            picked = dict(zip(pos.tolist(), picks.tolist())) if len(pos) < len(rows) else None
-        if picked is None:
-            ja = picks  # the stack picked for every row
-        else:
-            js = []
-            for p, i in enumerate(rows):
-                if k == 0 and start[i] is not None:
-                    js.append(start[i])
-                elif p in picked:
-                    js.append(picked[p])
-                else:
-                    try:
-                        js.append(strategies[i].next_index(lasts[p]))
-                    except Exception as exc:  # one run's error must not stop the others
-                        errors[i] = exc
-                        leaving[p] = None
-                        js.append(0)  # a stand-in; the row leaves after this projection
-            ja = np.array(js)
+        if stack is None:
+            ja = np.array([strategies[i].next_index() for i in rows.tolist()])
+        elif k == 0:  # the start projections, onto each Memory's current set
+            ja = stack.row - stack.offset
+        else:  # as in run(), the start projection's step is not recorded
+            ja = stack.next_indices(rows, steps if k > 1 else None)
         d_rows = directions[ja]
         # the order of run(): ((d . x) / (d . d)) d, then the differences
         x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
@@ -501,20 +490,18 @@ def run_lockstep(
         steps, res = lengths[:len(rows)], None if z is None else lengths[len(rows):]
         segment.append((ja, steps, res, x_next if store_iterates else None))
         X = x_next
-        lasts = steps.tolist()
-        if k == 0:
-            lasts = [None if start[i] is not None else s for i, s in zip(rows, lasts)]
         last_big = np.where(steps < step_tolerance, last_big, k)
 
         # a finite step from a finite iterate implies a finite next iterate
         if not steps.max() < math.inf:
             for p in np.flatnonzero(~(steps < math.inf)).tolist():
-                if p not in leaving and not np.all(np.isfinite(x_next[p])):
-                    errors[rows[p]] = NumericError(f"non-finite iterate after projection {k}")
+                if not np.all(np.isfinite(x_next[p])):
+                    errors[int(rows[p])] = NumericError(
+                        f"non-finite iterate after projection {k}")
                     leaving[p] = None
-                elif slot[p] >= 0:  # Memory rejects an overflowed step itself
-                    stack.write_back(slot[p])
-                    slot[p] = -1
+                elif stack and k:
+                    # the run leaves now: its Memory's finish rejects the step, as in run()
+                    leaving[p] = STATUS_MAX_ITERATIONS
         if last_big.min() <= k - window or (
             residual_tolerance is not None and (res < residual_tolerance).any()
         ):
@@ -535,21 +522,19 @@ def run_lockstep(
             # only the lowest-numbered failing run's error is raised, so the
             # runs after it need not go on
             first_error = min(errors)
-            for p, i in enumerate(rows):
+            for p, i in enumerate(rows.tolist()):
                 if i > first_error:
                     leaving.setdefault(p, None)
         close_segment()
         for p, status in leaving.items():
-            if slot[p] >= 0:
-                stack.write_back(slot[p])
+            if stack:
+                stack.write_back(rows[p])
             if status is not None:
-                finish(p, rows[p], status)
+                finish(p, int(rows[p]), status)
         keep = [p for p in range(len(rows)) if p not in leaving]
         if not keep:
             break
-        rows = [rows[p] for p in keep]
-        lasts = [lasts[p] for p in keep]
-        X, steps, last_big, slot = X[keep], steps[keep], last_big[keep], slot[keep]
+        rows, X, steps, last_big = rows[keep], X[keep], steps[keep], last_big[keep]
 
     if errors:
         raise errors[min(errors)]

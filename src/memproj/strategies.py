@@ -77,7 +77,8 @@ class Memory(Strategy):
     ``current_index``, the tie-break generator ``rng``, the ``policy`` and
     ``_pending``, the set chosen last whose step is not recorded yet.  Its
     ``admissible`` is the one admissibility check: ``__init__`` and
-    ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it.
+    ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it; the
+    latter takes unpicked ones of one policy, advanced in a ``MemoryStack``.
 
     The first call only selects (there is no step to record yet).  Every
     later call first records the reported step for the transition chosen

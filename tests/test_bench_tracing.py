@@ -108,3 +108,19 @@ def test_counts_through_every_projection_path(tracing):
     assert value["memory.selections"] == value["strategies.next_index.calls"] == sum(
         t.n_projections - 1 for t in traces)
     assert value["sets.noop.count"] == sum(_unchanged(t) for t in traces)
+
+
+def test_traced_preset_seeds_count_the_cyclic_picks(tracing):
+    # the preset-seeds workload's traced view: run_lockstep's mcp and mrp rows
+    # call their own next_index, one call a row a projection, and its pam rows
+    # pick through the MemoryStack
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = memproj.run_preset("benchmark", memproj.ToyConfig(9), seeds=range(3))
+    finally:
+        tracer.uninstall()
+    assert [len(m.traces) for m in report.methods] == [3, 3, 3]
+    metrics, absent = tracer.layer_metrics(cycles=1, overhead_frac=0.0)
+    assert absent == []
+    assert metrics["strategies.next_index.calls"]["value"] == 2 * 3 * 315

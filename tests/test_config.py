@@ -280,6 +280,30 @@ class TestNumbersAreNumbers:
             parse_config(_with(_CUSTOM, path, value))
         assert exc.value.errors == [f"{path}: {message}"]
 
+    @pytest.mark.parametrize("descriptor,message", [
+        ({"kind": "ball", "center": [0, 0], "radius": True}, "radius must be a number"),
+        ({"kind": "ball", "center": [0, 0], "radius": "1"}, "radius must be a number"),
+        ({"kind": "ball", "center": ["0", 0], "radius": 1}, "center must be a list of numbers"),
+        ({"kind": "hyperplane", "normal": [True, 0], "offset": 0},
+         "normal must be a list of numbers"),
+        ({"kind": "hyperplane", "normal": [1, 0], "offset": False}, "offset must be a number"),
+        ({"kind": "halfspace", "normal": [1, 0], "offset": None}, "offset must be a number"),
+        ({"kind": "box", "lower": [0, 0], "upper": [1, None]}, "upper must be a list of numbers"),
+        ({"kind": "line", "direction": 1.0}, "direction must be a list of numbers"),
+        ({"kind": "affine", "basepoint": [0, 0], "basis": [[1, True]]},
+         "basis must be a list of lists of numbers"),
+        ({"kind": "affine", "basepoint": [0, 0], "basis": [1, 0]},
+         "basis must be a list of lists of numbers"),
+        ("ball", "must be an object"),
+        ({"kind": ["ball"]}, "unknown set kind ['ball']; choose one of ('hyperplane', "
+         "'halfspace', 'ball', 'box', 'line', 'affine')"),
+    ])
+    def test_non_number_set_parameter_rejected(self, descriptor, message):
+        doc = _with(_CUSTOM, "problem.sets", [descriptor, _CUSTOM["problem"]["sets"][1]])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.errors == [f"problem.sets[0]: {message}"]
+
     def test_integers_and_floats_still_accepted(self):
         doc = _with(_CUSTOM, "problem.x0", [2, 2.5])
         doc["problem"]["known_point"] = [0, 0.0]

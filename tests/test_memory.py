@@ -630,10 +630,9 @@ _STACK_PRIORS = {
 _STEPS = (0.0, 5e-324, 1e-310, 0.125, 0.25, 0.5, 1.0, 3.0)
 
 
-def _memories(prior, n, kinds, seed):
-    return [Memory(_STACK_PRIORS[prior](n), Policy(kind, 0.5 if i % 2 else 0.01),
-                   seed=seed + i, start_index=(3 * i) % n)
-            for i, kind in enumerate(kinds)]
+def _memories(prior, n, policy, count, seed):
+    return [Memory(_STACK_PRIORS[prior](n), policy, seed=seed + i, start_index=(3 * i) % n)
+            for i in range(count)]
 
 
 class TestMemoryStack:
@@ -643,17 +642,19 @@ class TestMemoryStack:
         seed=st.integers(0, 2**32 - 1),
         prior=st.sampled_from(sorted(_STACK_PRIORS)),
         n=st.integers(3, 7),
-        kinds=st.lists(st.sampled_from(["min", "average"]), min_size=1, max_size=5),
+        kind=st.sampled_from(["min", "average"]),
+        beta=st.sampled_from([0.01, 0.5]),
+        count=st.integers(1, 5),
         n_steps=st.integers(0, 60),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_one_memory_each(self, seed, prior, n, kinds, n_steps):
+    def test_matches_one_memory_each(self, seed, prior, n, kind, beta, count, n_steps):
         rng = np.random.default_rng(seed)
-        batched = _memories(prior, n, kinds, seed)
-        single = _memories(prior, n, kinds, seed)
+        batched = _memories(prior, n, Policy(kind, beta), count, seed)
+        single = _memories(prior, n, Policy(kind, beta), count, seed)
         stack = MemoryStack(batched)
         # each strategy leaves at a step of its own, as a run stops
-        leave = rng.integers(0, n_steps + 1, len(kinds))
+        leave = rng.integers(0, n_steps + 1, count)
         steps = None
         for k in range(n_steps + 1):
             slots = np.flatnonzero(leave >= k)
@@ -669,9 +670,9 @@ class TestMemoryStack:
                         for s, x in zip(slots.tolist(), [None] * slots.size
                                         if last is None else last.tolist())]
             assert picks.tolist() == expected
-            steps = np.full(len(kinds), np.nan)
+            steps = np.full(count, np.nan)
             steps[slots] = rng.choice(_STEPS, slots.size) * rng.choice([1.0, 0.75], slots.size)
-        for s in range(len(kinds)):
+        for s in range(count):
             if leave[s] >= n_steps:
                 stack.write_back(s)
         for b, s in zip(batched, single):

@@ -665,6 +665,22 @@ class TestFejerCheckAtEveryScale:
                     StoppingRule.exact_budget(200), known_point=c, debug_asserts=True)
         assert trace.n_projections > 0
 
+    def test_feasible_reference_through_subnormal_iterates(self):
+        # the iterates shrink by 2^-1/2 a projection, through the range where
+        # squared distances underflow (from about projection 1070) and where
+        # the iterates themselves are subnormal (from about projection 2040)
+        sets = [LineThroughOrigin([1.0, 0.0]), LineThroughOrigin([1.0, 1.0])]
+        trace = run(sets, Cyclic(2), np.array([1.0, 2.0]), StoppingRule.exact_budget(3000),
+                    known_point=np.zeros(2), debug_asserts=True)
+        assert trace.residuals[1100] < 1e-160 and trace.residuals[2100] < 1e-310
+
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_infeasible_reference_fires_at_the_same_projection_at_every_scale(self, k):
+        sets = [LineThroughOrigin([1.0, 0.0]), LineThroughOrigin([1.0, 1.0])]
+        with pytest.raises(FejerViolation, match="^projection 0: squared distance"):
+            run(sets, Cyclic(2), np.ldexp([1.0, 2.0], k), StoppingRule.exact_budget(50),
+                known_point=np.ldexp([0.0, 1.0], k), debug_asserts=True)
+
     @pytest.mark.parametrize("exponent", [-6, -3, 0, 4, 8, 12])
     def test_infeasible_reference_still_fires(self, exponent):
         rng = np.random.default_rng(exponent + 6)
@@ -677,14 +693,16 @@ class TestFejerCheckAtEveryScale:
                 known_point=z, debug_asserts=True)
 
 
-def _mixed_strategies(n, seeds=range(3)):
-    """Strategies of every kind, with and without a start projection."""
-    out = [Cyclic(n)]
-    out += [RandomizedCycles(n, seed=s) for s in seeds]
-    out += [Memory(build_dense(n), Policy("min", 0.5), seed=s, start_index=s % n)
-            for s in seeds]
-    out.append(Memory(build_banded_forward(n, 1), Policy("average", 0.5)))
-    return out
+def _strategy_lists(n, seeds=range(3)):
+    """One list of strategies per class and policy, the Memory ones with a
+    start projection."""
+    return [
+        [Cyclic(n)],
+        [RandomizedCycles(n, seed=s) for s in seeds],
+        [Memory(build_dense(n), Policy("min", 0.5), seed=s, start_index=s % n)
+         for s in seeds],
+        [Memory(build_banded_forward(n, 1), Policy("average", 0.5))],
+    ]
 
 
 def _lockstep_and_single(sets, make, x0, stop, known_point=None, store_iterates=False):
@@ -751,49 +769,35 @@ class TestLockstepEngine:
                      StoppingRule(max_iterations=2000, residual_tolerance=0.1)):
             self._assert_matches_run(sets, make, x0, stop, z)
 
-    def test_batched_runs_leave_at_different_projections(self):
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    def test_batched_runs_leave_at_different_projections(self, kind):
         sets, x0, z = toy()
-        make = lambda: [Memory(build_dense(9), Policy(kind, 0.5), seed=s)
-                        for s in range(4) for kind in ("min", "average")]
+        make = lambda: [Memory(build_dense(9), Policy(kind, 0.5), seed=s) for s in range(4)]
         expected = self._assert_matches_run(
             sets, make, x0, StoppingRule(max_iterations=3000, residual_tolerance=0.05), z)
         assert len({t.n_projections for t in expected}) > 2
 
-    def test_mixed_lists_match_run(self):
+    def test_lists_of_each_class_and_policy_match_run(self):
         sets, x0, z = toy()
-        make = lambda: [
-            Cyclic(9), RandomizedCycles(9, seed=1),
-            Memory(build_dense(9), Policy("min", 0.5), seed=2, start_index=2),
-            RandomizedCycles(9, seed=3),
-            Memory(build_banded_forward(9, 1), Policy("average", 0.5), seed=4),
-            Memory(_tie_prone_prior(9), Policy("min", 0.5), seed=9, start_index=5),
-            Cyclic(9),
+        makes = [
+            lambda: [Cyclic(9), Cyclic(9)],
+            lambda: [RandomizedCycles(9, seed=1), RandomizedCycles(9, seed=3)],
+            lambda: [Memory(build_dense(9), Policy("min", 0.5), seed=2, start_index=2),
+                     Memory(_tie_prone_prior(9), Policy("min", 0.5), seed=9, start_index=5)],
+            lambda: [Memory(build_banded_forward(9, 1), Policy("average", 0.5), seed=4)],
         ]
         for stop in (StoppingRule.exact_budget(1), StoppingRule.exact_budget(2),
                      StoppingRule.exact_budget(250),
                      StoppingRule(max_iterations=3000, residual_tolerance=5e-2)):
-            self._assert_matches_run(sets, make, x0, stop, z)
+            for make in makes:
+                self._assert_matches_run(sets, make, x0, stop, z)
 
-    def test_memory_subclass_keeps_its_own_next_index(self):
-        class Counting(Memory):
-            def next_index(self, last_step_length=None):
-                self.calls = getattr(self, "calls", 0) + 1
-                return super().next_index(last_step_length)
-
-        sets, x0, z = toy()
-        make = lambda: [Counting(build_dense(9), Policy("min", 0.01), seed=s) for s in range(3)]
-        batched, single = make(), make()
-        got = run_lockstep(sets, batched, x0, StoppingRule.exact_budget(50), z)
-        for g, b, s in zip(got, batched, single):
-            assert_same_trace(g, run(sets, s, x0, StoppingRule.exact_budget(50), z))
-            assert b.calls == s.calls == 49
-            assert memory_state(b) == memory_state(s)
-
+    @pytest.mark.parametrize("row", [0, 1])
     @pytest.mark.parametrize("budget", [6, 20])
-    def test_overflowed_step_is_rejected_by_the_memory_itself(self, budget, monkeypatch):
+    def test_overflowed_step_is_rejected_by_the_memory_itself(self, budget, row, monkeypatch):
         # on lines no step after the first projection can overflow between
-        # finite iterates, so one is injected at projection 5: the batched
-        # row goes back to its own Memory, which rejects the step as under run()
+        # finite iterates, so one is injected at projection 5: the row goes
+        # back to its own Memory, which rejects the step as under run()
         import memproj.runner as engine
 
         sets, x0, _ = toy()
@@ -802,29 +806,30 @@ class TestLockstepEngine:
         distances, projections = itertools.count(), itertools.count()
         monkeypatch.setattr(engine, "_distance", lambda a, b: (
             math.inf if next(distances) == 5 else real_distance(a, b)))
-        alone = pam_strategy(1)
+        alone = pam_strategy(1 + row)
         expected = _raised(lambda: run(sets, alone, x0, stop))
         monkeypatch.setattr(engine, "_distance", real_distance)
 
         def lengths(v):
             out = real_lengths(v)
             if next(projections) == 5:
-                out[1] = math.inf
+                out[row] = math.inf
             return out
 
         monkeypatch.setattr(engine, "_row_lengths", lengths)
-        batched = [Cyclic(9), pam_strategy(1), pam_strategy(2)]
+        batched = [pam_strategy(1), pam_strategy(2)]
         got = _raised(lambda: run_lockstep(sets, batched, x0, stop))
         assert got == expected == (ValueError, "step_length must be finite and >= 0")
-        assert memory_state(batched[1]) == memory_state(alone)
+        assert memory_state(batched[row]) == memory_state(alone)
 
-    def test_clamped_floor_matches_run(self):
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    def test_clamped_floor_matches_run(self, kind):
         # subnormal iterates over a memory of smallest positive doubles: the
         # floor 0.5 * 5e-324 rounds to 0, and on an exact-zero step the
         # update stores the clamp 5e-324 instead
         sets, x0, z = toy()
         make = lambda: [Memory(build_dense(9, 5e-324), Policy(kind, 0.5), seed=s)
-                        for s in range(3) for kind in ("min", "average")]
+                        for s in range(3)]
         expected = self._assert_matches_run(
             sets, make, np.ldexp(x0, -1070), StoppingRule.exact_budget(200), z)
         for t in expected:
@@ -835,8 +840,8 @@ class TestLockstepEngine:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 6),
         dim=st.integers(2, 5),
-        kinds=st.lists(st.sampled_from(["mcp", "mrp", "pam", "pam_avg"]),
-                       min_size=1, max_size=6),
+        kind=st.sampled_from(["mcp", "mrp", "pam", "pam_avg"]),
+        count=st.integers(1, 6),
         budget=st.integers(1, 80),
         tol=st.sampled_from([5e-324, 1e-6, 1e-2, 0.5]),
         window_extra=st.one_of(st.none(), st.integers(0, 6)),
@@ -845,24 +850,20 @@ class TestLockstepEngine:
         store_iterates=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_equals_one_run_per_strategy(self, seed, n, dim, kinds, budget, tol,
+    def test_equals_one_run_per_strategy(self, seed, n, dim, kind, count, budget, tol,
                                          window_extra, rtol, with_point, store_iterates):
         rng = np.random.default_rng(seed)
         sets = [LineThroughOrigin(rng.standard_normal(dim)) for _ in range(n)]
         x0 = rng.uniform(-3.0, 3.0, dim)
 
         def make():
-            out = []
-            for i, kind in enumerate(kinds):
-                if kind == "mcp":
-                    out.append(Cyclic(n))
-                elif kind == "mrp":
-                    out.append(RandomizedCycles(n, seed=seed + i))
-                else:
-                    policy = Policy("min" if kind == "pam" else "average", 0.5)
-                    out.append(Memory(build_dense(n), policy, seed=seed + i,
-                                      start_index=i % n))
-            return out
+            if kind == "mcp":
+                return [Cyclic(n) for _ in range(count)]
+            if kind == "mrp":
+                return [RandomizedCycles(n, seed=seed + i) for i in range(count)]
+            policy = Policy("min" if kind == "pam" else "average", 0.5)
+            return [Memory(build_dense(n), policy, seed=seed + i, start_index=i % n)
+                    for i in range(count)]
 
         stop = StoppingRule(
             max_iterations=budget,
@@ -878,36 +879,43 @@ class TestLockstepEngine:
 
     def test_single_strategy(self):
         sets, x0, z = toy()
-        for i in range(len(_mixed_strategies(9))):
-            got, expected = _lockstep_and_single(
-                sets, lambda: [_mixed_strategies(9)[i]], x0,
-                StoppingRule.exact_budget(200), z, store_iterates=True)
-            assert len(got) == 1
-            assert_same_trace(got[0], expected[0])
+        for c, group in enumerate(_strategy_lists(9)):
+            for i in range(len(group)):
+                got, expected = _lockstep_and_single(
+                    sets, lambda: [_strategy_lists(9)[c][i]], x0,
+                    StoppingRule.exact_budget(200), z, store_iterates=True)
+                assert len(got) == 1
+                assert_same_trace(got[0], expected[0])
 
     def test_exact_zero_steps_stop_runs_at_different_projections(self):
         # orthogonal lines: two projections in a row onto orthogonal lines
         # land on the origin, and the zero steps after it fire the window
         sets = [LineThroughOrigin(d) for d in
                 ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1])]
-        make = lambda: _mixed_strategies(5, seeds=range(6))
-        got, expected = _lockstep_and_single(
-            sets, make, np.array([1.0, 2.0, 3.0]), StoppingRule(max_iterations=300),
-            np.zeros(3), store_iterates=True)
-        assert {t.status for t in expected} == {STATUS_STEP}
-        assert len({t.n_projections for t in expected}) > 2
-        for g, e in zip(got, expected):
-            assert_same_trace(g, e)
+        for c in range(4):
+            make = lambda: _strategy_lists(5, seeds=range(6))[c]
+            got, expected = _lockstep_and_single(
+                sets, make, np.array([1.0, 2.0, 3.0]), StoppingRule(max_iterations=300),
+                np.zeros(3), store_iterates=True)
+            assert {t.status for t in expected} == {STATUS_STEP}
+            if len(expected) > 1:
+                assert len({t.n_projections for t in expected}) > 2
+            for g, e in zip(got, expected):
+                assert_same_trace(g, e)
 
     def test_residual_stop_at_different_projections(self):
         sets, x0, z = toy()
         stop = StoppingRule(max_iterations=3000, residual_tolerance=5e-2)
-        got, expected = _lockstep_and_single(sets, lambda: _mixed_strategies(9), x0, stop, z)
-        statuses = [t.status for t in expected]
+        statuses = []
+        for c in range(4):
+            got, expected = _lockstep_and_single(
+                sets, lambda: _strategy_lists(9, seeds=range(6))[c], x0, stop, z)
+            statuses += [t.status for t in expected]
+            if len(expected) > 1:
+                assert len({t.n_projections for t in expected}) > 2
+            for g, e in zip(got, expected):
+                assert_same_trace(g, e)
         assert STATUS_RESIDUAL in statuses and STATUS_MAX_ITERATIONS in statuses
-        assert len({t.n_projections for t in expected}) > 2
-        for g, e in zip(got, expected):
-            assert_same_trace(g, e)
 
     def test_residual_rule_wins_a_tie_with_the_step_rule(self):
         # every step is below the tolerance, so the step rule fires at
@@ -916,34 +924,12 @@ class TestLockstepEngine:
         probe = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(9), known_point=z)
         stop = StoppingRule(max_iterations=100, step_window=9, step_tolerance=10.0,
                             residual_tolerance=float(np.nextafter(probe.residuals[8], np.inf)))
-        got, expected = _lockstep_and_single(
-            sets, lambda: [Cyclic(9), RandomizedCycles(9, seed=0)], x0, stop, z)
+        got, expected = _lockstep_and_single(sets, lambda: [Cyclic(9)], x0, stop, z)
         assert expected[0].status == STATUS_RESIDUAL and expected[0].n_projections == 9
-        for g, e in zip(got, expected):
-            assert_same_trace(g, e)
-
-    def test_strategies_receive_the_steps_run_passes(self):
-        class Recording(Cyclic):
-            needs_start_projection = True
-
-            def __init__(self, n):
-                super().__init__(n)
-                self.calls = []
-
-            def next_index(self, last_step_length=None):
-                self.calls.append(("next", last_step_length))
-                return super().next_index(last_step_length)
-
-            def finish(self, last_step_length=None):
-                self.calls.append(("finish", last_step_length))
-
-        sets, x0, z = toy()
-        for budget in (1, 2, 5):
-            single, lockstep = Recording(9), Recording(9)
-            run(sets, single, x0, StoppingRule.exact_budget(budget), z)
-            run_lockstep(sets, [lockstep], x0, StoppingRule.exact_budget(budget), z)
-            assert lockstep.calls == single.calls
-            assert single.calls[0] == (("next", None) if budget > 1 else ("finish", None))
+        assert_same_trace(got[0], expected[0])
+        got, expected = _lockstep_and_single(
+            sets, lambda: [RandomizedCycles(9, seed=0)], x0, stop, z)
+        assert_same_trace(got[0], expected[0])
 
     def test_no_strategies(self):
         sets, x0, _ = toy()
@@ -961,6 +947,35 @@ class TestLockstepEngine:
         with pytest.raises(ValueError, match="own strategy"):
             run_lockstep(sets, [shared, shared], x0, StoppingRule.exact_budget(5))
 
+    def test_lists_of_more_than_one_class_or_policy_rejected(self):
+        class Sub(Cyclic):
+            pass
+
+        def used(seed):
+            strategy = pam_strategy(seed)
+            strategy.next_index()  # a pending pick no run has made
+            return strategy
+
+        sets, x0, _ = toy()
+        cases = [
+            ([Cyclic(9), RandomizedCycles(9, seed=1)], TypeError,
+             "strategy 1 is a RandomizedCycles; run_lockstep takes all Cyclic, "
+             "all RandomizedCycles or all Memory strategies"),
+            ([Cyclic(9), Sub(9)], TypeError, "strategy 1 is a Sub; run_lockstep takes"),
+            ([Sub(9), Sub(9)], TypeError, "strategy 0 is a Sub; run_lockstep takes"),
+            ([pam_strategy(0), pam_strategy(1, beta=0.5)], ValueError,
+             "strategy 1 has Policy(kind='min', beta=0.5), strategy 0 "
+             "Policy(kind='min', beta=0.01); a MemoryStack advances Memory strategies "
+             "of one policy"),
+            ([pam_strategy(0), pam_strategy(1), used(2)], ValueError,
+             "strategy 2 has a pending pick; a MemoryStack starts every Memory "
+             "at its current set"),
+        ]
+        for strategies, error, message in cases:
+            with pytest.raises(error) as exc:
+                run_lockstep(sets, strategies, x0, StoppingRule.exact_budget(5))
+            assert str(exc.value).startswith(message)
+
     def _assert_same_error(self, sets, make, x0, stop, known_point=None):
         expected = _raised(lambda: [run(sets, s, x0, stop, known_point) for s in make()])
         assert expected is not None
@@ -969,14 +984,7 @@ class TestLockstepEngine:
     def test_validation_errors_match_run(self):
         sets, x0, z = toy()
         budget = StoppingRule.exact_budget(5)
-
-        def used(seed):
-            strategy = pam_strategy(seed)
-            strategy.next_index()  # a pending transition no run has made
-            return strategy
-
         cases = [
-            (lambda: [pam_strategy(0), used(1), pam_strategy(2)], budget, z),
             (lambda: [Cyclic(9), Cyclic(5)], budget, z),
             (lambda: [Cyclic(9)], StoppingRule(max_iterations=100, step_window=4), z),
             (lambda: [Cyclic(9)], budget, np.zeros(2)),
@@ -992,7 +1000,7 @@ class TestLockstepEngine:
         sets = [LineThroughOrigin(d) for d in _OVERFLOW_LINES]
         x0 = np.array([1e100, 2e100, 3e100])
         stop = StoppingRule.exact_budget(40)
-        make = lambda: [RandomizedCycles(4, seed=s) for s in (1, 2, 0, 3)] + [Cyclic(4)]
+        make = lambda: [RandomizedCycles(4, seed=s) for s in (1, 2, 0, 3)]
         failures = [_raised(lambda s=s: run(sets, s, x0, stop)) for s in make()]
         assert all(f is not None and f[0] is NumericError for f in failures)
         # the first run fails later than the one right after it
@@ -1002,33 +1010,26 @@ class TestLockstepEngine:
         # within a budget of 3 the first run finishes and the second fails
         assert _raised(lambda: run(sets, make()[0], x0, StoppingRule.exact_budget(3))) is None
         self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(3))
+        self._assert_same_error(sets, lambda: [Cyclic(4), Cyclic(4)], x0, stop)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_error_from_a_strategy_is_raised_in_order(self):
         # the batched Memory runs meet a genuinely non-finite iterate (the
         # last of _OVERFLOW_LINES maps x0 ~ 1e100 to nan) at projections of
-        # their own: the first run fails later than the second, and a
-        # strategy that raises from next_index fails between them
-        class FailsOnThirdCall(Cyclic):
-            def next_index(self, last_step_length=None):
-                if self._k == 2:
-                    raise RuntimeError("third call")
-                return super().next_index(last_step_length)
-
+        # their own: the first run fails later than the second, and the
+        # fourth fails between them
         sets = [LineThroughOrigin(d) for d in _OVERFLOW_LINES]
         x0 = np.array([1e100, 2e100, 3e100])
-        make = lambda: [
-            *[Memory(build_dense(4), Policy("min", 0.5), seed=s) for s in (1, 0, 6)],
-            FailsOnThirdCall(4), RandomizedCycles(4, seed=2),
-        ]
+        make = lambda: [Memory(build_dense(4), Policy("min", 0.5), seed=s)
+                        for s in (1, 0, 6, 9)]
         stop = StoppingRule.exact_budget(40)
         failures = [_raised(lambda s=s: run(sets, s, x0, stop)) for s in make()]
-        assert failures[:4] == [
+        assert failures == [
             (NumericError, "non-finite iterate after projection 3"),
             (NumericError, "non-finite iterate after projection 1"),
             None,
-            (RuntimeError, "third call"),
+            (NumericError, "non-finite iterate after projection 2"),
         ]
         for budget in (40, 3, 2):
             self._assert_same_error(sets, make, x0, StoppingRule.exact_budget(budget))
