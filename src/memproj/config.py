@@ -9,7 +9,8 @@ reproduces an equal object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +184,13 @@ class PamSpec:
     matrix: object
     policy: Policy
     seed: int | None = None
+    # the matrix parse_config built and checked, so that seeds neither build
+    # nor read it again; not part of the config's identity or its echo
+    built: DistanceMatrix | None = field(default=None, compare=False, repr=False)
 
     def build(self, n_sets: int, seed=None):
         return Memory(
-            self.matrix.build(n_sets),
+            self.matrix.build(n_sets) if self.built is None else self.built,
             self.policy,
             seed=self.seed if seed is None else seed,
         )
@@ -274,6 +278,8 @@ def set_from_descriptor(d: dict) -> ProjectableSet:
     for name, depth in fields.items():
         if not _is_numbers(d[name], depth):
             raise ValueError(f"{name} must be {_NUMBERS[depth]}")
+        if depth == 2 and len({len(row) for row in d[name]}) > 1:
+            raise ValueError(f"{name} must be {_NUMBERS[depth]} of one length")
     return cls(*(d[name] for name in fields))
 
 
@@ -288,6 +294,11 @@ def set_to_descriptor(s: ProjectableSet) -> dict:
 def _is_number(v, integer=False) -> bool:
     """A JSON number (an integer if ``integer``); booleans are neither."""
     return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(values) -> bool:
+    """Every number within the float range (exact for integers of any size)."""
+    return all(abs(v) <= sys.float_info.max for v in values)
 
 
 def _is_numbers(v, depth: int) -> bool:
@@ -342,6 +353,8 @@ def _parse_problem(doc, col: _Collector):
         if not isinstance(x0, list) or not x0 or not all(map(_is_number, x0)):
             col.add("problem.x0", "must be a nonempty list of numbers")
             return None
+        if not _is_finite(x0):  # JSON 1e400 reads as inf
+            col.add("problem.x0", "must have finite entries")
         if len(sets) != len(raw_sets):
             return None
         dim = len(x0)
@@ -355,6 +368,8 @@ def _parse_problem(doc, col: _Collector):
         if zp is not None and (not isinstance(zp, list) or len(zp) != dim
                                or not all(map(_is_number, zp))):
             col.add("problem.known_point", f"must be a list of {dim} numbers")
+        elif zp is not None and not _is_finite(zp):
+            col.add("problem.known_point", "must have finite entries")
         if col.errors:
             return None
         return CustomProblem(
@@ -521,8 +536,9 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     # Memory's own check, without the numpy.random import a Memory's generator costs
     if problem is not None and isinstance(strategy, PamSpec):
         matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
-        if matrix is not None:
-            col.attempt("strategy.matrix", Memory.admissible, matrix)
+        if matrix is not None and col.attempt(
+                "strategy.matrix", Memory.admissible, matrix) is not None:
+            strategy = replace(strategy, built=matrix)
     window = None if stop is None else stop.step_window
     if problem is not None and window is not None and window < problem.n_sets:
         col.add(

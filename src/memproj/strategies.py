@@ -23,6 +23,9 @@ class Strategy:
     # when True the driver must first project the start point onto the
     # chooser's current set, because selection assumes the iterate is there
     needs_start_projection = False
+    # when True every instance built for the same sets picks the same
+    # indices whatever its seed, so one run serves every seed
+    deterministic = False
 
     def next_index(self, last_step_length=None) -> int:
         raise NotImplementedError
@@ -33,6 +36,8 @@ class Strategy:
 
 class Cyclic(Strategy):
     """Fixed cyclic order 0, 1, ..., N-1, 0, 1, ..."""
+
+    deterministic = True
 
     def __init__(self, n_sets: int):
         if n_sets < 1:

@@ -14,12 +14,13 @@ statistics.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .memory import Policy, build_banded_forward, build_dense
-from .runner import StoppingRule, run_lockstep
+from .runner import StoppingRule, run, run_lockstep
 from .sets import LineThroughOrigin
 from .strategies import Cyclic, Memory, RandomizedCycles
 
@@ -208,13 +209,14 @@ def _method_lineup(preset: str, n_sets: int, omega, beta: float):
     """(label, strategy factory seed -> Strategy) pairs for a preset."""
     policy = Policy("min", beta)
 
+    # each Memory copies the matrix it is given, so one serves every seed
     def pam_dense(scale):
-        return lambda seed: Memory(build_dense(n_sets, scale), policy, seed=seed)
+        matrix = build_dense(n_sets, scale)
+        return lambda seed: Memory(matrix, policy, seed=seed)
 
     def pam_forward(w):
-        return lambda seed: Memory(
-            build_banded_forward(n_sets, w), policy, seed=seed
-        )
+        matrix = build_banded_forward(n_sets, w)
+        return lambda seed: Memory(matrix, policy, seed=seed)
 
     mcp = ("mcp", lambda seed: Cyclic(n_sets))
     mrp = ("mrp", lambda seed: RandomizedCycles(n_sets, seed=seed))
@@ -254,8 +256,8 @@ def run_preset(
     preset default unless ``iterations`` overrides it).  The seeds of a
     method advance in lockstep (``run_lockstep``); each trace is the one a
     single ``run()`` with that seed gives, bit for bit.  Deterministic
-    methods simply repeat; keeping the runs uniform keeps the summary
-    statistics comparable.
+    methods run once, copied per seed: every seed still has its own trace,
+    which keeps the summary statistics comparable.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose one of {PRESETS}")
@@ -267,14 +269,14 @@ def run_preset(
     rule = StoppingRule.exact_budget(budget)
     methods = []
     for label, factory in _method_lineup(preset, config.n_sets, omega, beta):
-        traces = run_lockstep(
-            sets,
-            [factory(seed) for seed in seeds],
-            x0,
-            rule,
-            known_point=solution,
-            store_iterates=store_iterates,
-        )
+        strategies = [factory(seed) for seed in seeds]
+        if strategies[0].deterministic:
+            trace = run(sets, strategies[0], x0, rule, known_point=solution,
+                        store_iterates=store_iterates)
+            traces = [trace, *(copy.deepcopy(trace) for _ in seeds[1:])]
+        else:
+            traces = run_lockstep(sets, strategies, x0, rule, known_point=solution,
+                                  store_iterates=store_iterates)
         methods.append(MethodResult(label=label, traces=traces, seeds=list(seeds)))
     params = {"beta": beta}
     if omega is not None:

@@ -129,6 +129,25 @@ class TestRun:
         assert capsys.readouterr().err == error
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["x0", "known_point"])
+    def test_non_finite_point_rejected_before_any_output(self, tmp_path, capsys, key):
+        # JSON 1e400 reads as inf, which no run can start from or measure to
+        doc = {
+            "problem": {"kind": "custom",
+                        "sets": [{"kind": "line", "direction": [1.0, 0.0]},
+                                 {"kind": "line", "direction": [0.0, 1.0]}],
+                        "x0": [1.0, 1.0], "known_point": [0.0, 0.0]},
+            "strategy": {"kind": "mcp"},
+            "stop": {"max_iterations": 10},
+        }
+        doc["problem"][key] = [1.0, "BIG"]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+        out = tmp_path / "results"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: problem.{key}: must have finite entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("change,error", [
         (lambda doc: doc.update(seeds=[0, -1]),
          "error: seeds: must be a list of integers >= 0\n"),

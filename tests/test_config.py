@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from memproj.config import (
     PamSpec,
     PriorSpec,
 )
+from memproj import traceio
+from memproj.cli import execute_config
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
 from memproj.traceio import write_matrix_csv
 
@@ -294,6 +298,8 @@ class TestNumbersAreNumbers:
          "basis must be a list of lists of numbers"),
         ({"kind": "affine", "basepoint": [0, 0], "basis": [1, 0]},
          "basis must be a list of lists of numbers"),
+        ({"kind": "affine", "basepoint": [0, 0], "basis": [[1, 0], [0]]},
+         "basis must be a list of lists of numbers of one length"),
         ("ball", "must be an object"),
         ({"kind": ["ball"]}, "unknown set kind ['ball']; choose one of ('hyperplane', "
          "'halfspace', 'ball', 'box', 'line', 'affine')"),
@@ -303,6 +309,27 @@ class TestNumbersAreNumbers:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.errors == [f"problem.sets[0]: {message}"]
+
+    @pytest.mark.parametrize("path,value", [
+        ("problem.x0", [math.inf, 1.0]),
+        ("problem.x0", [1.0, math.nan]),
+        ("problem.x0", [-(10**400), 1.0]),
+        ("problem.known_point", [0.0, -math.inf]),
+        ("problem.known_point", [10**400, 0.0]),
+    ])
+    def test_non_finite_point_rejected(self, path, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(_CUSTOM, path, value))
+        assert exc.value.errors == [f"{path}: must have finite entries"]
+
+    def test_overflowing_json_number_rejected(self):
+        # JSON 1e400 reads as inf
+        text = json.dumps(_with(_CUSTOM, "problem.x0", [2.0, "BIG"])).replace('"BIG"', "1e400")
+        text = text.replace('"known_point": [0.0, 0.0]', '"known_point": [1e400, 0.0]')
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == ["problem.x0: must have finite entries",
+                                    "problem.known_point: must have finite entries"]
 
     def test_integers_and_floats_still_accepted(self):
         doc = _with(_CUSTOM, "problem.x0", [2, 2.5])
@@ -405,6 +432,31 @@ class TestBuilding:
         strat = cfg.build_strategy(seed=3)
         assert isinstance(strat, Memory)
         assert strat.n_sets == 9
+
+    def test_prior_is_read_once_for_every_seed(self, tmp_path, monkeypatch):
+        write_matrix_csv(np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0]]),
+                         tmp_path / "w.csv")
+        doc = {
+            "problem": {"kind": "toy", "n_sets": 3, "r": 0.5},
+            "strategy": {"kind": "pam", "matrix": {"kind": "prior", "path": "w.csv"},
+                         "policy": {"kind": "average", "beta": 0.5}},
+            "stop": {"max_iterations": 50},
+            "seeds": [0, 1, 2],
+        }
+        reads = []
+        read = traceio.read_matrix_csv
+        monkeypatch.setattr(traceio, "read_matrix_csv", lambda p: reads.append(p) or read(p))
+        cfg = parse_config(doc, base_dir=tmp_path)
+        execute_config(cfg, tmp_path / "once")
+        assert len(reads) == 1
+        # every seed runs from the matrix as read, as if each had read it
+        execute_config(replace(cfg, strategy=replace(cfg.strategy, built=None)),
+                       tmp_path / "each")
+        assert len(reads) == 4
+        for seed in doc["seeds"]:
+            for name in (f"trace_seed{seed}.csv", f"trace_seed{seed}.json"):
+                assert (tmp_path / "once" / name).read_bytes() == (
+                    tmp_path / "each" / name).read_bytes()
 
     def test_build_mcp_and_mrp(self):
         cfg = parse_config({

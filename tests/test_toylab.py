@@ -276,6 +276,16 @@ class TestPresets:
                                store_iterates=store_iterates)
                 assert_same_trace(trace, expected)
 
+    @pytest.mark.parametrize("preset", ["benchmark", "sparse_forward"])
+    def test_each_seed_of_a_cyclic_method_has_its_own_arrays(self, preset):
+        rep = run_preset(preset, seeds=range(3), iterations=40, store_iterates=True)
+        first, second, _ = rep.method("mcp").traces
+        kept = second.step_lengths.copy()
+        first.step_lengths[:] = -1.0
+        assert second.step_lengths.tobytes() == kept.tobytes()
+        for name in ("set_indices", "residuals", "x0", "x_final", "known_point", "iterates"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+
     def test_method_lookup(self):
         rep = run_preset("benchmark", seeds=[0], iterations=20)
         assert rep.method("mcp").label == "mcp"
