@@ -21,7 +21,9 @@ from memproj import (
     ToyProblem,
     emit_config,
     parse_config,
+    traceio,
 )
+from memproj.cli import execute_config
 from memproj.config import (
     BandedBidirectionalSpec,
     BandedForwardSpec,
@@ -31,8 +33,6 @@ from memproj.config import (
     PamSpec,
     PriorSpec,
 )
-from memproj import traceio
-from memproj.cli import execute_config
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
 from memproj.traceio import write_matrix_csv
 
