@@ -61,8 +61,8 @@ def execute_config(config: ExperimentConfig, outdir) -> Path:
         sets, x0, known_point = config.build_problem()
         echo_text = emit_config(config)
         target("config.json").write_text(echo_text)
-        for seed in config.effective_seeds():
-            strategy = config.build_strategy(seed)
+        seeds = config.effective_seeds()
+        for seed, strategy in zip(seeds, config.build_strategies(seeds)):
             trace = run(
                 sets,
                 strategy,

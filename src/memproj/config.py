@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -184,13 +184,10 @@ class PamSpec:
     matrix: object
     policy: Policy
     seed: int | None = None
-    # the matrix parse_config built and checked, so that seeds neither build
-    # nor read it again; not part of the config's identity or its echo
-    built: DistanceMatrix | None = field(default=None, compare=False, repr=False)
 
     def build(self, n_sets: int, seed=None):
         return Memory(
-            self.matrix.build(n_sets) if self.built is None else self.built,
+            self.matrix.build(n_sets),
             self.policy,
             seed=self.seed if seed is None else seed,
         )
@@ -233,6 +230,15 @@ class ExperimentConfig:
 
     def build_strategy(self, seed=None):
         return self.strategy.build(self.n_sets, seed=seed)
+
+    def build_strategies(self, seeds) -> list:
+        """One strategy per seed.  A pam matrix is built (a prior read) once;
+        each Memory copies it."""
+        spec = self.strategy
+        if not isinstance(spec, PamSpec):
+            return [self.build_strategy(seed) for seed in seeds]
+        matrix = spec.matrix.build(self.n_sets)
+        return [Memory(matrix, spec.policy, seed=seed) for seed in seeds]
 
     def to_dict(self) -> dict:
         return {
@@ -536,9 +542,8 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     # Memory's own check, without the numpy.random import a Memory's generator costs
     if problem is not None and isinstance(strategy, PamSpec):
         matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
-        if matrix is not None and col.attempt(
-                "strategy.matrix", Memory.admissible, matrix) is not None:
-            strategy = replace(strategy, built=matrix)
+        if matrix is not None:
+            col.attempt("strategy.matrix", Memory.admissible, matrix)
     window = None if stop is None else stop.step_window
     if problem is not None and window is not None and window < problem.n_sets:
         col.add(

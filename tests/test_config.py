@@ -21,6 +21,7 @@ from memproj import (
     ToyProblem,
     emit_config,
     parse_config,
+    run,
     traceio,
 )
 from memproj.cli import execute_config
@@ -34,7 +35,7 @@ from memproj.config import (
     PriorSpec,
 )
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
-from memproj.traceio import write_matrix_csv
+from memproj.traceio import write_matrix_csv, write_trace_csv
 
 TOY_PAM = {
     "problem": {"kind": "toy", "n_sets": 9, "r": 0.05},
@@ -443,20 +444,31 @@ class TestBuilding:
             "stop": {"max_iterations": 50},
             "seeds": [0, 1, 2],
         }
+        cfg = parse_config(doc, base_dir=tmp_path)
         reads = []
         read = traceio.read_matrix_csv
         monkeypatch.setattr(traceio, "read_matrix_csv", lambda p: reads.append(p) or read(p))
-        cfg = parse_config(doc, base_dir=tmp_path)
-        execute_config(cfg, tmp_path / "once")
-        assert len(reads) == 1
+        execute_config(cfg, tmp_path / "out")
+        assert len(reads) <= 1
         # every seed runs from the matrix as read, as if each had read it
-        execute_config(replace(cfg, strategy=replace(cfg.strategy, built=None)),
-                       tmp_path / "each")
-        assert len(reads) == 4
+        sets, x0, known = cfg.build_problem()
         for seed in doc["seeds"]:
-            for name in (f"trace_seed{seed}.csv", f"trace_seed{seed}.json"):
-                assert (tmp_path / "once" / name).read_bytes() == (
-                    tmp_path / "each" / name).read_bytes()
+            trace = run(sets, cfg.build_strategy(seed), x0, cfg.stop, known_point=known)
+            write_trace_csv(trace, tmp_path / "alone.csv")
+            assert (tmp_path / "out" / f"trace_seed{seed}.csv").read_bytes() == (
+                tmp_path / "alone.csv").read_bytes()
+
+    def test_replaced_matrix_is_the_one_run(self, tmp_path):
+        cfg = parse_config({**TOY_PAM, "seeds": [0, 1]})
+        other = replace(cfg, strategy=replace(cfg.strategy, matrix=BandedForwardSpec(2)))
+        execute_config(cfg, tmp_path / "dense")
+        execute_config(other, tmp_path / "replaced")
+        execute_config(parse_config(emit_config(other)), tmp_path / "parsed")
+        for seed in (0, 1):
+            name = f"trace_seed{seed}.csv"
+            replaced = (tmp_path / "replaced" / name).read_bytes()
+            assert replaced == (tmp_path / "parsed" / name).read_bytes()
+            assert replaced != (tmp_path / "dense" / name).read_bytes()
 
     def test_build_mcp_and_mrp(self):
         cfg = parse_config({
