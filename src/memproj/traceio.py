@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -196,7 +197,9 @@ def write_report(report, outdir, echo: dict | None = None) -> Path:
 
     Layout: config.json (byte-stable echo of what ran), summary.json
     (statistics, with the timestamp confined to its metadata block),
-    traces/<label>_seed<S>.csv and frequency/<label>_seed<S>.csv.
+    traces/<label>_seed<S>.csv and frequency/<label>_seed<S>.csv.  A trace
+    whose recorded bits equal those of the method's previous trace gets
+    copies of that trace's two files, which hold the same bytes.
     """
     outdir = Path(outdir)
     (outdir / "traces").mkdir(parents=True, exist_ok=True)
@@ -222,10 +225,18 @@ def write_report(report, outdir, echo: dict | None = None) -> Path:
     (outdir / "summary.json").write_text(dumps_stable(summary))
 
     for m in report.methods:
+        last_key = last_paths = None
         for seed, trace in zip(m.seeds, m.traces):
             stem = f"{m.label}_seed{seed}"
-            write_trace_csv(trace, outdir / "traces" / f"{stem}.csv")
-            write_matrix_csv(
-                trace.transition_counts(), outdir / "frequency" / f"{stem}.csv"
-            )
+            paths = (outdir / "traces" / f"{stem}.csv", outdir / "frequency" / f"{stem}.csv")
+            arrays = (trace.set_indices, trace.step_lengths, trace.residuals)
+            # both files are made from these bits alone (summary() needs residuals)
+            key = (trace.n_sets, *((a.dtype.str, a.tobytes()) for a in arrays))
+            if key != last_key:
+                write_trace_csv(trace, paths[0])
+                write_matrix_csv(trace.transition_counts(), paths[1])
+                last_key, last_paths = key, paths
+            elif paths != last_paths:  # a repeated seed names the same files
+                for src, dst in zip(last_paths, paths):
+                    shutil.copyfile(src, dst)
     return outdir

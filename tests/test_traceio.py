@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from memproj import (
     Cyclic,
     Memory,
+    MethodResult,
     Policy,
+    PresetReport,
     RunTrace,
     StoppingRule,
     ToyConfig,
@@ -250,6 +252,61 @@ _ECHO = {
     "flags": {"debug_asserts": False, "store_iterates": True,
               "matrix_snapshot_interval": None},
 }
+
+
+def _bump_residual(t):
+    t.residuals[4] = np.nextafter(t.residuals[4], 1.0)
+
+
+def _negate_zero_step(t):
+    t.step_lengths[1] = -0.0
+
+
+# each turns one trace into another whose files differ; equal values with
+# other bits (0.0 and -0.0) are written differently, so they count as different
+_CHANGES = {
+    "residual": _bump_residual,
+    "signed_zero_step": _negate_zero_step,
+    "set_index": lambda t: t.set_indices.__setitem__(-1, 3),
+    "n_sets": lambda t: setattr(t, "n_sets", 5),
+}
+
+
+class TestReportRepeatedTraces:
+    """write_report copies the files of a trace equal to the one before it."""
+
+    @staticmethod
+    def _write(tmp_path, traces, seeds):
+        report = PresetReport(preset="benchmark", config=ToyConfig(), iterations=9,
+                              seeds=seeds, params={}, methods=[MethodResult("mcp", traces, seeds)])
+        return write_report(report, tmp_path / "rep")
+
+    @pytest.mark.parametrize("change", [None, *_CHANGES], ids=str)
+    def test_each_seed_gets_the_files_of_its_own_trace(self, tmp_path, change):
+        traces = [_special_trace(True), _special_trace(True)]
+        for t in traces:  # without NaN, equal values are equal lists
+            np.nan_to_num(t.step_lengths, copy=False)
+            np.nan_to_num(t.residuals, copy=False)
+        if change is not None:
+            _CHANGES[change](traces[1])
+        out = self._write(tmp_path, traces, [0, 1])
+        for seed, trace in enumerate(traces):
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            write_matrix_csv(trace.transition_counts(), tmp_path / "freq.csv")
+            assert (out / "traces" / f"mcp_seed{seed}.csv").read_bytes() == (
+                tmp_path / "trace.csv").read_bytes()
+            assert (out / "frequency" / f"mcp_seed{seed}.csv").read_bytes() == (
+                tmp_path / "freq.csv").read_bytes()
+        first, second = ((out / "traces" / f"mcp_seed{s}.csv").read_bytes() for s in (0, 1))
+        assert (first == second) == (change in (None, "n_sets"))
+
+    def test_repeated_seed(self, tmp_path):
+        out = self._write(tmp_path, [_special_trace(True)] * 3, [4, 4, 2])
+        names = sorted(p.name for p in (out / "traces").iterdir())
+        assert names == ["mcp_seed2.csv", "mcp_seed4.csv"]
+        write_trace_csv(_special_trace(True), tmp_path / "trace.csv")
+        for name in names:
+            assert (out / "traces" / name).read_bytes() == (tmp_path / "trace.csv").read_bytes()
 
 
 class TestWritersMatchReference:
