@@ -231,14 +231,14 @@ class ExperimentConfig:
     def build_strategy(self, seed=None):
         return self.strategy.build(self.n_sets, seed=seed)
 
-    def build_strategies(self, seeds) -> list:
-        """One strategy per seed.  A pam matrix is built (a prior read) once;
-        each Memory copies it."""
+    def build_strategies(self, seeds):
+        """Yield one strategy per seed, each when it is asked for.  A pam
+        matrix is built (a prior read) once; each Memory copies it."""
         spec = self.strategy
-        if not isinstance(spec, PamSpec):
-            return [self.build_strategy(seed) for seed in seeds]
-        matrix = spec.matrix.build(self.n_sets)
-        return [Memory(matrix, spec.policy, seed=seed) for seed in seeds]
+        matrix = spec.matrix.build(self.n_sets) if isinstance(spec, PamSpec) else None
+        for seed in seeds:
+            yield self.build_strategy(seed) if matrix is None else Memory(
+                matrix, spec.policy, seed=seed)
 
     def to_dict(self) -> dict:
         return {
