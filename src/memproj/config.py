@@ -9,8 +9,8 @@ reproduces an equal object.
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +63,20 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(self.errors))
 
 
-@dataclass(frozen=True)
-class ToyProblem:
-    n_sets: int = 9
-    r: float = 0.05
-
-    def build(self):
-        return make_toy_problem(ToyConfig(self.n_sets, self.r))
+class _FlatSpec:
+    """A spec whose JSON form is its ``kind`` and its compared fields."""
 
     def to_dict(self):
-        return {"kind": "toy", "n_sets": self.n_sets, "r": self.r}
+        return {"kind": self.kind,
+                **{f.name: getattr(self, f.name) for f in fields(self) if f.compare}}
+
+
+@dataclass(frozen=True)
+class ToyProblem(ToyConfig, _FlatSpec):
+    kind = "toy"
+
+    def build(self):
+        return make_toy_problem(self)
 
 
 @dataclass(frozen=True)
@@ -100,44 +104,39 @@ class CustomProblem:
 
 
 @dataclass(frozen=True)
-class BandedBidirectionalSpec:
+class BandedBidirectionalSpec(_FlatSpec):
+    kind = "banded_bidirectional"
     omega: int
     scale: float = 1.0
 
     def build(self, n_sets: int) -> DistanceMatrix:
         return build_banded_bidirectional(n_sets, self.omega, self.scale)
 
-    def to_dict(self):
-        return {"kind": "banded_bidirectional", "omega": self.omega, "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class BandedForwardSpec:
+class BandedForwardSpec(_FlatSpec):
+    kind = "banded_forward"
     omega: int
     scale: float = 1.0
 
     def build(self, n_sets: int) -> DistanceMatrix:
         return build_banded_forward(n_sets, self.omega, self.scale)
 
-    def to_dict(self):
-        return {"kind": "banded_forward", "omega": self.omega, "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class DenseSpec:
+class DenseSpec(_FlatSpec):
+    kind = "dense"
     scale: float = 1.0
 
     def build(self, n_sets: int) -> DistanceMatrix:
         return build_dense(n_sets, self.scale)
 
-    def to_dict(self):
-        return {"kind": "dense", "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_FlatSpec):
     """Weights loaded from a CSV file (path kept as written)."""
 
+    kind = "prior"
     path: str
     base_dir: str | None = field(default=None, compare=False)
 
@@ -155,28 +154,22 @@ class PriorSpec:
             )
         return m
 
-    def to_dict(self):
-        return {"kind": "prior", "path": self.path}
-
 
 @dataclass(frozen=True)
-class McpSpec:
+class McpSpec(_FlatSpec):
+    kind = "mcp"
+
     def build(self, n_sets: int, seed=None):
         return Cyclic(n_sets)
 
-    def to_dict(self):
-        return {"kind": "mcp"}
-
 
 @dataclass(frozen=True)
-class MrpSpec:
+class MrpSpec(_FlatSpec):
+    kind = "mrp"
     seed: int | None = None
 
     def build(self, n_sets: int, seed=None):
         return RandomizedCycles(n_sets, seed=self.seed if seed is None else seed)
-
-    def to_dict(self):
-        return {"kind": "mrp", "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -244,12 +237,7 @@ class ExperimentConfig:
         return {
             "problem": self.problem.to_dict(),
             "strategy": self.strategy.to_dict(),
-            "stop": {
-                "max_iterations": self.stop.max_iterations,
-                "step_window": self.stop.step_window,
-                "step_tolerance": self.stop.step_tolerance,
-                "residual_tolerance": self.stop.residual_tolerance,
-            },
+            "stop": {f.name: getattr(self.stop, f.name) for f in fields(self.stop)},
             "seeds": list(self.seeds),
             "output_dir": self.output_dir,
             "flags": {
@@ -260,15 +248,15 @@ class ExperimentConfig:
         }
 
 
-# set kind -> its class, and each constructor argument (an attribute of the
-# same name) with its nesting depth: 0 a number, 1 a vector, 2 a list of vectors
+# set kind -> its class, and the nesting depth of each of its ``params``:
+# 0 a number, 1 a vector, 2 a list of vectors
 _SET_KINDS = {
-    "hyperplane": (Hyperplane, {"normal": 1, "offset": 0}),
-    "halfspace": (Halfspace, {"normal": 1, "offset": 0}),
-    "ball": (Ball, {"center": 1, "radius": 0}),
-    "box": (Box, {"lower": 1, "upper": 1}),
-    "line": (LineThroughOrigin, {"direction": 1}),
-    "affine": (AffineSubspace, {"basepoint": 1, "basis": 2}),
+    "hyperplane": (Hyperplane, (1, 0)),
+    "halfspace": (Halfspace, (1, 0)),
+    "ball": (Ball, (1, 0)),
+    "box": (Box, (1, 1)),
+    "line": (LineThroughOrigin, (1,)),
+    "affine": (AffineSubspace, (1, 2)),
 }
 _NUMBERS = ("a number", "a list of numbers", "a list of lists of numbers")
 
@@ -280,20 +268,20 @@ def set_from_descriptor(d: dict) -> ProjectableSet:
     kind = d.get("kind")
     if not isinstance(kind, str) or kind not in _SET_KINDS:
         raise ValueError(f"unknown set kind {kind!r}; choose one of {tuple(_SET_KINDS)}")
-    cls, fields = _SET_KINDS[kind]
-    for name, depth in fields.items():
+    cls, depths = _SET_KINDS[kind]
+    for name, depth in zip(cls.params, depths):
         if not _is_numbers(d[name], depth):
             raise ValueError(f"{name} must be {_NUMBERS[depth]}")
         if depth == 2 and len({len(row) for row in d[name]}) > 1:
             raise ValueError(f"{name} must be {_NUMBERS[depth]} of one length")
-    return cls(*(d[name] for name in fields))
+    return cls(*(_as_float(d[name]) for name in cls.params))
 
 
 def set_to_descriptor(s: ProjectableSet) -> dict:
-    for kind, (cls, fields) in _SET_KINDS.items():
+    for kind, (cls, _) in _SET_KINDS.items():
         if isinstance(s, cls):
             return {"kind": kind,
-                    **{name: np.asarray(getattr(s, name)).tolist() for name in fields}}
+                    **{name: np.asarray(getattr(s, name)).tolist() for name in cls.params}}
     raise TypeError(f"cannot describe {type(s).__name__}")
 
 
@@ -302,9 +290,15 @@ def _is_number(v, integer=False) -> bool:
     return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
 
 
-def _is_finite(values) -> bool:
-    """Every number within the float range (exact for integers of any size)."""
-    return all(abs(v) <= sys.float_info.max for v in values)
+def _as_float(v):
+    """A JSON number, or nested lists of them, as floats; an integer beyond
+    the float range reads as +-inf, as JSON 1e400 does."""
+    if isinstance(v, list):
+        return [_as_float(x) for x in v]
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _is_numbers(v, depth: int) -> bool:
@@ -341,10 +335,10 @@ def _parse_problem(doc, col: _Collector):
         if not (_is_number(n, integer=True) and n >= 2):
             col.add("problem.n_sets", "must be an integer >= 2")
             return None
-        if not (_is_number(r) and np.isfinite(r) and r > 0):
+        if not (_is_number(r) and 0.0 < _as_float(r) < math.inf):
             col.add("problem.r", "must be a finite number > 0")
             return None
-        return ToyProblem(n_sets=n, r=float(r))
+        return ToyProblem(n_sets=n, r=_as_float(r))
     if kind == "custom":
         raw_sets = doc.get("sets")
         if not isinstance(raw_sets, list) or len(raw_sets) < 2:
@@ -359,7 +353,8 @@ def _parse_problem(doc, col: _Collector):
         if not isinstance(x0, list) or not x0 or not all(map(_is_number, x0)):
             col.add("problem.x0", "must be a nonempty list of numbers")
             return None
-        if not _is_finite(x0):  # JSON 1e400 reads as inf
+        x0 = _as_float(x0)
+        if not all(map(math.isfinite, x0)):
             col.add("problem.x0", "must have finite entries")
         if len(sets) != len(raw_sets):
             return None
@@ -374,14 +369,14 @@ def _parse_problem(doc, col: _Collector):
         if zp is not None and (not isinstance(zp, list) or len(zp) != dim
                                or not all(map(_is_number, zp))):
             col.add("problem.known_point", f"must be a list of {dim} numbers")
-        elif zp is not None and not _is_finite(zp):
+        elif zp is not None and not all(map(math.isfinite, _as_float(zp))):
             col.add("problem.known_point", "must have finite entries")
         if col.errors:
             return None
         return CustomProblem(
             sets=tuple(sets),
-            x0=tuple(float(v) for v in x0),
-            known_point=None if zp is None else tuple(float(v) for v in zp),
+            x0=tuple(x0),
+            known_point=None if zp is None else tuple(_as_float(zp)),
         )
     col.add("problem.kind", 'must be "toy" or "custom"')
     return None
@@ -398,13 +393,13 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
         if kind != "dense" and not (_is_number(omega, integer=True) and omega >= 1):
             col.add("strategy.matrix.omega", "must be an integer >= 1")
             return None
-        if not (_is_number(scale) and np.isfinite(scale) and scale > 0):
+        if not (_is_number(scale) and 0.0 < _as_float(scale) < math.inf):
             col.add("strategy.matrix.scale", "must be a finite number > 0")
             return None
         if kind == "dense":
-            return DenseSpec(scale=float(scale))
+            return DenseSpec(scale=_as_float(scale))
         cls = BandedBidirectionalSpec if kind == "banded_bidirectional" else BandedForwardSpec
-        return cls(omega=omega, scale=float(scale))
+        return cls(omega=omega, scale=_as_float(scale))
     if kind == "prior":
         path = doc.get("path")
         if not isinstance(path, str) or not path:
@@ -445,13 +440,13 @@ def _parse_strategy(doc, col: _Collector, base_dir):
             beta = pol.get("beta")
             if pkind not in ("min", "average"):
                 col.add("strategy.policy.kind", 'must be "min" or "average"')
-            elif not _is_number(beta) or not (0.0 < float(beta) < 1.0):
+            elif not _is_number(beta) or not (0.0 < _as_float(beta) < 1.0):
                 col.add(
                     "strategy.policy.beta",
                     "an admissible policy requires beta in the open interval (0, 1)",
                 )
             else:
-                policy = Policy(pkind, float(beta))
+                policy = Policy(pkind, _as_float(beta))
         if matrix is None or policy is None:
             return None
         return PamSpec(matrix=matrix, policy=policy, seed=seed)
@@ -478,12 +473,11 @@ def _parse_stop(doc, col: _Collector):
     kwargs["step_window"] = window
     for key, default in (("step_tolerance", 1e-12), ("residual_tolerance", None)):
         v = doc.get(key, default)
-        if v is not None and not (_is_number(v) and v > 0):
+        # residual_tolerance alone may be null: no residual stop
+        if (v is not None or default is not None) and not (_is_number(v) and v > 0):
             col.add(f"stop.{key}", "must be a number > 0")
             return None
-        kwargs[key] = None if v is None else float(v)
-    if kwargs["residual_tolerance"] is None:
-        del kwargs["residual_tolerance"]
+        kwargs[key] = None if v is None else _as_float(v)
     return StoppingRule(**kwargs)
 
 
@@ -539,6 +533,9 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         interval = None
 
     # cross-field checks need the pieces to have parsed individually first;
+    # a toy problem's lines must not be parallel (an O(N^2) check)
+    if isinstance(problem, ToyProblem):
+        col.attempt("problem", problem.build)
     # Memory's own check, without the numpy.random import a Memory's generator costs
     if problem is not None and isinstance(strategy, PamSpec):
         matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)

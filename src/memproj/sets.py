@@ -73,6 +73,9 @@ class ProjectableSet:
     """Base class: a closed convex subset of R^d with an exact projection."""
 
     dim: int
+    # the constructor's arguments in order, each kept as an attribute of the
+    # same name: equality, repr and config descriptors read them
+    params: tuple[str, ...]
 
     def project(self, x) -> np.ndarray:
         """Return the unique nearest point of the set to ``x``."""
@@ -89,22 +92,22 @@ class ProjectableSet:
             )
         return v
 
-    def _params(self) -> tuple:
-        raise NotImplementedError
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(
-            np.array_equal(p, q)
-            for p, q in zip(self._params(), other._params())
-        )
+        return all(np.array_equal(getattr(self, p), getattr(other, p)) for p in self.params)
+
+    def __repr__(self):
+        args = (f"{p}={np.asarray(getattr(self, p)).tolist()}" for p in self.params)
+        return f"{type(self).__name__}({', '.join(args)})"
 
     __hash__ = None
 
 
-class Hyperplane(ProjectableSet):
-    """The set {y : normal . y = offset}."""
+class _NormalOffset(ProjectableSet):
+    """The constructor of the sets bounded by one hyperplane."""
+
+    params = ("normal", "offset")
 
     def __init__(self, normal, offset):
         a = as_vector(normal, "normal")
@@ -118,33 +121,18 @@ class Hyperplane(ProjectableSet):
         self.offset = b
         self.dim = a.shape[0]
         self._nn = nn
+
+
+class Hyperplane(_NormalOffset):
+    """The set {y : normal . y = offset}."""
 
     def project(self, x):
         v = self._check_point(x)
         return v - ((self.normal.dot(v) - self.offset) / self._nn) * self.normal
 
-    def _params(self):
-        return (self.normal, self.offset)
 
-    def __repr__(self):
-        return f"Hyperplane(normal={self.normal.tolist()}, offset={self.offset})"
-
-
-class Halfspace(ProjectableSet):
+class Halfspace(_NormalOffset):
     """The set {y : normal . y <= offset}."""
-
-    def __init__(self, normal, offset):
-        a = as_vector(normal, "normal")
-        nn = float(a @ a)
-        if nn == 0.0:
-            raise ValueError("normal must be nonzero")
-        b = float(offset)
-        if not np.isfinite(b):
-            raise ValueError("offset must be finite")
-        self.normal = _readonly(a)
-        self.offset = b
-        self.dim = a.shape[0]
-        self._nn = nn
 
     def project(self, x):
         v = self._check_point(x)
@@ -153,15 +141,11 @@ class Halfspace(ProjectableSet):
             return v.copy()
         return v - (slack / self._nn) * self.normal
 
-    def _params(self):
-        return (self.normal, self.offset)
-
-    def __repr__(self):
-        return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"
-
 
 class Ball(ProjectableSet):
     """Closed Euclidean ball of given center and radius."""
+
+    params = ("center", "radius")
 
     def __init__(self, center, radius):
         c = as_vector(center, "center")
@@ -179,15 +163,11 @@ class Ball(ProjectableSet):
             return v.copy()
         return self.center + (self.radius / dist) * (v - self.center)
 
-    def _params(self):
-        return (self.center, self.radius)
-
-    def __repr__(self):
-        return f"Ball(center={self.center.tolist()}, radius={self.radius})"
-
 
 class Box(ProjectableSet):
     """Axis-aligned box {y : lower <= y <= upper componentwise}."""
+
+    params = ("lower", "upper")
 
     def __init__(self, lower, upper):
         lo = as_vector(lower, "lower")
@@ -204,15 +184,11 @@ class Box(ProjectableSet):
         v = self._check_point(x)
         return np.clip(v, self.lower, self.upper)
 
-    def _params(self):
-        return (self.lower, self.upper)
-
-    def __repr__(self):
-        return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
-
 
 class LineThroughOrigin(ProjectableSet):
     """One-dimensional subspace {s * direction : s real}."""
+
+    params = ("direction",)
 
     def __init__(self, direction):
         v = as_vector(direction, "direction")
@@ -227,12 +203,6 @@ class LineThroughOrigin(ProjectableSet):
         v = self._check_point(x)
         return (self.direction.dot(v) / self._vv) * self.direction
 
-    def _params(self):
-        return (self.direction,)
-
-    def __repr__(self):
-        return f"LineThroughOrigin(direction={self.direction.tolist()})"
-
 
 class AffineSubspace(ProjectableSet):
     """The flat basepoint + span(rows of basis).
@@ -242,6 +212,8 @@ class AffineSubspace(ProjectableSet):
     by SVD, and linearly dependent input is rejected.  An empty basis gives
     the single point {basepoint}.
     """
+
+    params = ("basepoint", "basis")
 
     def __init__(self, basepoint, basis):
         p = as_vector(basepoint, "basepoint")
@@ -273,15 +245,6 @@ class AffineSubspace(ProjectableSet):
         v = self._check_point(x)
         w = v - self.basepoint
         return self.basepoint + self.basis.T.dot(self.basis.dot(w))
-
-    def _params(self):
-        return (self.basepoint, self.basis)
-
-    def __repr__(self):
-        return (
-            f"AffineSubspace(basepoint={self.basepoint.tolist()}, "
-            f"subspace_dim={self.basis.shape[0]})"
-        )
 
 
 def project(x, s: ProjectableSet) -> np.ndarray:

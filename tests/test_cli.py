@@ -118,6 +118,8 @@ class TestRun:
                                {"kind": "line", "direction": [0.0, 1.0]}],
                       "x0": [1.0, 1.0], "known_point": [0, None]}},
          "error: problem.known_point: must be a list of 2 numbers\n"),
+        ({"stop": {"max_iterations": 60, "step_tolerance": None}},
+         "error: stop.step_tolerance: must be a number > 0\n"),
     ])
     def test_non_number_rejected_before_any_output(
         self, toy_pam_config, tmp_path, capsys, change, error
@@ -146,6 +148,19 @@ class TestRun:
         out = tmp_path / "results"
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: problem.{key}: must have finite entries\n"
+        assert not out.exists()
+
+    def test_parallel_toy_lines_rejected_before_any_output(
+        self, toy_pam_config, tmp_path, capsys
+    ):
+        doc = json.loads(toy_pam_config.read_text())
+        doc["problem"]["r"] = 1e-9
+        toy_pam_config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: problem: lines 0 and 1 are parallel; "
+            "their intersection is not a single point\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("change,error", [

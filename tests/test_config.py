@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 from memproj import (
+    AffineSubspace,
     Ball,
+    Box,
     ConfigError,
     CustomProblem,
     ExperimentConfig,
+    Halfspace,
     Hyperplane,
+    LineThroughOrigin,
     Policy,
     StoppingRule,
     ToyProblem,
@@ -91,6 +95,13 @@ class TestParsing:
             parse_config(doc)
         assert any(e.startswith("problem.sets[0]") and "nonzero" in e
                    for e in exc.value.errors)
+
+    def test_parallel_toy_lines_detected(self):
+        # at r = 1e-9 the nine directions agree to 1e-12 in angle
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(TOY_PAM, "problem.r", 1e-9))
+        assert exc.value.errors == [
+            "problem: lines 0 and 1 are parallel; their intersection is not a single point"]
 
     def test_all_errors_reported_not_just_first(self):
         doc = {
@@ -224,6 +235,13 @@ _CUSTOM = {
 }
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        return exc.errors
+
+
 def _with(base, path, value):
     """A deep copy of ``base`` with the dotted key ``path`` set to ``value``."""
     doc = json.loads(json.dumps(base))
@@ -256,6 +274,13 @@ class TestNumbersAreNumbers:
         with pytest.raises(ConfigError) as exc:
             parse_config(_with(TOY_PAM, path, value))
         assert exc.value.errors == [f"{path}: {message}"]
+
+    def test_null_tolerance(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(TOY_PAM, "stop.step_tolerance", None))
+        assert exc.value.errors == ["stop.step_tolerance: must be a number > 0"]
+        cfg = parse_config(_with(TOY_PAM, "stop.residual_tolerance", None))
+        assert cfg.stop.residual_tolerance is None
 
     @pytest.mark.parametrize("path,value,message", [
         ("seeds", [0, -1], "must be a list of integers >= 0"),
@@ -332,12 +357,90 @@ class TestNumbersAreNumbers:
         assert exc.value.errors == ["problem.x0: must have finite entries",
                                     "problem.known_point: must have finite entries"]
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("base,path,value", [
+        (TOY_PAM, "problem.r", "BIG"),
+        (TOY_PAM, "strategy.matrix.scale", "BIG"),
+        (TOY_PAM, "strategy.policy.beta", "BIG"),
+        (TOY_PAM, "stop.step_tolerance", "BIG"),
+        (TOY_PAM, "stop.residual_tolerance", "BIG"),
+        (_CUSTOM, "problem.x0", [2.0, "BIG"]),
+        (_CUSTOM, "problem.known_point", ["BIG", 0.0]),
+        *((_CUSTOM, "problem.sets", [d, {"kind": "line", "direction": [1, 1]}]) for d in [
+            {"kind": "hyperplane", "normal": [1, 0], "offset": "BIG"},
+            {"kind": "halfspace", "normal": [1, "BIG"], "offset": 0},
+            {"kind": "ball", "center": [0, 0], "radius": "BIG"},
+            {"kind": "ball", "center": ["BIG", 0], "radius": 1},
+            {"kind": "box", "lower": [0, 0], "upper": [1, "BIG"]},
+            {"kind": "line", "direction": ["BIG", 0]},
+            {"kind": "affine", "basepoint": [0, "BIG"], "basis": [[1, 0]]},
+            {"kind": "affine", "basepoint": [0, 0], "basis": [[1, "BIG"]]},
+        ]),
+    ])
+    def test_huge_integer_reads_as_json_overflow(self, base, path, value, sign):
+        # an integer beyond the float range is what JSON 1e400 is: infinity
+        text = json.dumps(_with(base, path, value))
+        as_int = json.loads(text.replace('"BIG"', sign + str(10**400)))
+        as_float = text.replace('"BIG"', sign + "1e400")
+        assert _outcome(parse_config, as_int) == _outcome(parse_config, as_float)
+
     def test_integers_and_floats_still_accepted(self):
         doc = _with(_CUSTOM, "problem.x0", [2, 2.5])
         doc["problem"]["known_point"] = [0, 0.0]
         cfg = parse_config(doc)
         assert cfg.problem.x0 == (2.0, 2.5)
         assert cfg.problem.known_point == (0.0, 0.0)
+
+
+_FULL_TOY_PAM = {
+    "problem": {"kind": "toy", "n_sets": 9, "r": 0.05},
+    "strategy": {
+        "kind": "pam",
+        "matrix": {"kind": "banded_forward", "omega": 2, "scale": 1.0},
+        "policy": {"kind": "average", "beta": 0.5},
+        "seed": 7,
+    },
+    "stop": {"max_iterations": 50, "step_window": 18, "step_tolerance": 1e-12,
+             "residual_tolerance": 1e-9},
+    "seeds": [0, 1],
+    "output_dir": "out",
+    "flags": {"debug_asserts": True, "store_iterates": False,
+              "matrix_snapshot_interval": 5},
+}
+_FULL_CUSTOM = _with(_CUSTOM, "problem.sets", [
+    {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
+    {"kind": "hyperplane", "normal": [1.0, 1.0], "offset": 0.0},
+    {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    {"kind": "affine", "basepoint": [0.0, 0.0], "basis": [[1.0, -1.0]]},
+])
+
+
+def _key_paths(node, path=()):
+    """Every key of a JSON document, list positions included, as key tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("base", [_FULL_TOY_PAM, _FULL_CUSTOM], ids=["toy-pam", "custom"])
+def test_parse_config_raises_nothing_but_config_error(base):
+    escaped = []
+    for path in _key_paths(base):
+        for value in (None, True, "x", [], {}, 10**400, -(10**400), math.nan, math.inf):
+            doc = json.loads(json.dumps(base))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                parse_config(doc)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 -- any other type is the finding
+                escaped.append((path, value, type(exc).__name__))
+    assert escaped == []
 
 
 class TestRoundTrip:
@@ -366,6 +469,22 @@ class TestRoundTrip:
                 ),
                 x0=(3.0, -1.0),
                 known_point=None,
+            ),
+            strategy=McpSpec(),
+            stop=StoppingRule(max_iterations=50),
+        ),
+        ExperimentConfig(  # every set family, each described under its own kind
+            problem=CustomProblem(
+                sets=(
+                    Hyperplane([1.0, 0.5, 0.0], 0.25),
+                    Halfspace([1.0, 0.5, 0.0], 0.25),
+                    Ball([0.0, 0.1, 0.0], 2.0),
+                    Box([-1.0, -2.0, -3.0], [1.0, 2.0, 3.0]),
+                    LineThroughOrigin([0.0, 1.0, 1.0]),
+                    AffineSubspace([1.0, 0.0, 0.0], [[0.0, 0.6, 0.8]]),
+                ),
+                x0=(3.0, -1.0, 2.0),
+                known_point=(0.0, 0.0, 0.0),
             ),
             strategy=McpSpec(),
             stop=StoppingRule(max_iterations=50),

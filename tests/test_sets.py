@@ -16,6 +16,7 @@ from memproj import (
     Halfspace,
     Hyperplane,
     LineThroughOrigin,
+    ProjectableSet,
     distance,
     project,
     toy_directions,
@@ -134,6 +135,15 @@ class TestConstruction:
         assert Ball([0.0, 1.0], 2.0) == Ball([0.0, 1.0], 2.0)
         assert Ball([0.0, 1.0], 2.0) != Ball([0.0, 1.0], 2.5)
         assert Hyperplane([1.0], 0.0) != Halfspace([1.0], 0.0)
+        assert Halfspace([1.0], 0.0) != Hyperplane([1.0], 0.0)
+        assert Halfspace([1.0, 2.0], 3.0) == Halfspace([1.0, 2.0], 3.0)
+
+    def test_a_family_without_params_cannot_compare(self):
+        class Bare(ProjectableSet):
+            dim = 1
+
+        with pytest.raises(AttributeError):
+            Bare() == Bare()  # noqa: B015 -- the comparison itself must fail
 
 
 @given(
@@ -165,6 +175,15 @@ def test_ball_projection_is_idempotent_and_member(x, center, radius):
     p = s.project(np.asarray(x))
     assert distance(p, s) <= 1e-12
     assert np.linalg.norm(s.project(p) - p) <= 1e-12
+
+
+@pytest.mark.parametrize("family", SET_FAMILIES)
+def test_repr_names_every_param_and_rebuilds_the_set(family):
+    s = sample_set(np.random.default_rng(3), family, 3)
+    text = repr(s)
+    for p in s.params:
+        assert f"{p}={np.asarray(getattr(s, p)).tolist()}" in text
+    assert eval(text, {type(s).__name__: type(s)}) == s
 
 
 @pytest.mark.parametrize("family", SET_FAMILIES)
