@@ -287,3 +287,71 @@ def test_run_bytes_match_golden_digests(tmp_path):
         for path in sorted(outdir.iterdir()):
             out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert out == RUN_GOLDEN
+
+
+def _stored_case(strategy, stop, known_point=True, **kwargs):
+    sets, x0, sol = _toy(9)
+    return lambda: run(sets, strategy(), x0, stop, sol if known_point else None, **kwargs)
+
+
+# runs that cross the 1024-projection stretch of run(); the pam memories
+# are snapshotted every 1 and every 7 projections, and the residual stop
+# lands on projection 1932 = 7 * 276, where a snapshot is due
+LONG = StoppingRule.exact_budget(1100)
+STORED_CASES = {
+    "pam_snapshots_every_1_n9": _stored_case(
+        lambda: Memory(build_dense(9), MIN, seed=1), LONG, matrix_snapshot_interval=1),
+    "pam_snapshots_every_7_n9": _stored_case(
+        lambda: Memory(build_dense(9), AVERAGE, seed=2), LONG, matrix_snapshot_interval=7),
+    "pam_snapshots_every_7_residual_stop_n9": _stored_case(
+        lambda: Memory(build_dense(9), MIN, seed=0),
+        StoppingRule(max_iterations=100_000, step_tolerance=5e-324, residual_tolerance=1e-3),
+        matrix_snapshot_interval=7),
+    **{f"{name}_iterates{suffix}_n9": _stored_case(
+        make, StoppingRule.exact_budget(1500), known_point, store_iterates=True)
+       for name, make in (("mcp", lambda: Cyclic(9)),
+                          ("mrp", lambda: RandomizedCycles(9, seed=3)),
+                          ("pam", lambda: Memory(build_dense(9), MIN, seed=4)))
+       for suffix, known_point in (("", True), ("_no_known_point", False))},
+}
+
+STORED_GOLDEN = {
+    "mcp_iterates_n9":
+        "78f2160b197120e6c0906321006838a3e5f7bf82a9df3323b957e3e240c18aea",
+    "mcp_iterates_no_known_point_n9":
+        "8fbab5349be6a176ff3f0c1d35831af8599f37cb61ad7dbcd1e8895b3a0b057c",
+    "mrp_iterates_n9":
+        "23ed80234dc2312c0068cf59ba9347fc8f6844830f7bb814c5ffd6a7c5fab0a2",
+    "mrp_iterates_no_known_point_n9":
+        "0ac12b93021d162e95cb60d2490a3fac59d8890c3c3d70b0317bcd4a07c0fa1a",
+    "pam_iterates_n9":
+        "ae8b21c0abab5b875900f0570cfd1bc6caf91735fd553f9cb24daeec67a2a9d2",
+    "pam_iterates_no_known_point_n9":
+        "7c1c2d6d03dc18bcb387ba3fa198a3b947173e5643ebdf8d8f8901f8286deb13",
+    "pam_snapshots_every_1_n9":
+        "477f3f9c861853c87d1db0538b0f766715a785ce976d46582edca87da8d2356f",
+    "pam_snapshots_every_7_n9":
+        "a5b84107e21e73948d1fc500af29a3049bdf08da1b51a415cc790ec10f770c03",
+    "pam_snapshots_every_7_residual_stop_n9":
+        "6bbe7d441accecc953ce2b9ed1b662b57b943b5d7562199eb1375a4cc4b303b5",
+}
+
+
+def stored_digest(trace) -> str:
+    """``trace_digest`` followed by the iterates and every matrix snapshot."""
+    h = hashlib.sha256(trace_digest(trace).encode())
+    if trace.iterates is not None:
+        h.update(np.ascontiguousarray(trace.iterates).tobytes())
+    for count, matrix in trace.matrix_snapshots:
+        h.update(int(count).to_bytes(8, "little"))
+        h.update(np.ascontiguousarray(matrix).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STORED_CASES))
+def test_stored_iterates_and_snapshots_match_golden_digest(name):
+    assert stored_digest(STORED_CASES[name]()) == STORED_GOLDEN[name]
+
+
+def test_every_stored_case_is_pinned():
+    assert sorted(STORED_GOLDEN) == sorted(STORED_CASES)
