@@ -335,6 +335,10 @@ def _parse_problem(doc, col: _Collector):
         if not (_is_number(n, integer=True) and n >= 2):
             col.add("problem.n_sets", "must be an integer >= 2")
             return None
+        if n > ToyConfig.max_lines:
+            col.add("problem.n_sets", f"must be at most {ToyConfig.max_lines}; "
+                    "neighbouring lines of a larger fan are parallel at every r")
+            return None
         if not (_is_number(r) and 0.0 < _as_float(r) < math.inf):
             col.add("problem.r", "must be a finite number > 0")
             return None
@@ -533,9 +537,9 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         interval = None
 
     # cross-field checks need the pieces to have parsed individually first;
-    # a toy problem's lines must not be parallel (an O(N^2) check)
+    # a toy problem's lines must not be parallel
     if isinstance(problem, ToyProblem):
-        col.attempt("problem", problem.build)
+        col.attempt("problem", problem.directions)
     # Memory's own check, without the numpy.random import a Memory's generator costs
     if problem is not None and isinstance(strategy, PamSpec):
         matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memory import Policy, build_banded_forward, build_dense
-from .runner import StoppingRule, run, run_lockstep
+from .runner import StoppingRule, _row_dots, run, run_lockstep
 from .sets import LineThroughOrigin
 from .strategies import Cyclic, Memory, RandomizedCycles
 
@@ -42,12 +42,31 @@ class ToyConfig:
 
     n_sets: int = 9
     r: float = 0.05
+    # neighbouring lines are pi / N apart: with more, 1 - |cos| < 1e-12 at every r
+    max_lines = 2_300_000
 
     def __post_init__(self):
         if self.n_sets < 2:
             raise ValueError("need at least 2 lines")
         if not (np.isfinite(self.r) and self.r > 0.0):
             raise ValueError("r must be finite and > 0")
+
+    def directions(self) -> np.ndarray:
+        """``toy_directions`` of the fan, or ValueError naming its first pair of
+        parallel lines in row-major order.  Lines t apart in angle have |cos| =
+        |r^2 cos t + 1| / (r^2 + 1), largest at the least and greatest t, so in
+        O(N) memory only the pairs (0, b) and (a, a + 1) are checked."""
+        dirs = toy_directions(self.n_sets, self.r)
+        norms = np.linalg.norm(dirs, axis=1)
+        a = np.r_[np.zeros(self.n_sets - 1, int), 1:self.n_sets - 1]
+        b = np.r_[1:self.n_sets, 2:self.n_sets]
+        cosines = np.abs(_row_dots(dirs[a], dirs[b])) / (norms[a] * norms[b])
+        parallel = np.flatnonzero(cosines >= 1.0 - 1e-12)
+        if parallel.size:
+            p = parallel[0]
+            raise ValueError(f"lines {a[p]} and {b[p]} are parallel; their "
+                             "intersection is not a single point")
+        return dirs
 
 
 def toy_directions(n_sets: int, r: float) -> np.ndarray:
@@ -64,16 +83,7 @@ def make_toy_problem(cfg: ToyConfig = ToyConfig()):
     origin.  The construction verifies that distinct lines only meet at the
     origin (no two directions are parallel).
     """
-    dirs = toy_directions(cfg.n_sets, cfg.r)
-    norms = np.linalg.norm(dirs, axis=1)
-    cosines = np.abs(dirs @ dirs.T) / np.outer(norms, norms)
-    parallel = np.flatnonzero(np.triu(cosines >= 1.0 - 1e-12, 1))
-    if parallel.size:
-        a, b = divmod(int(parallel[0]), cfg.n_sets)
-        raise ValueError(
-            f"lines {a} and {b} are parallel; their intersection is "
-            "not a single point"
-        )
+    dirs = cfg.directions()
     sets = [LineThroughOrigin(dirs[i]) for i in range(cfg.n_sets)]
     x0 = np.array([np.cos(np.pi / cfg.n_sets), np.sin(np.pi / cfg.n_sets), 1.0])
     solution = np.zeros(3)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from memproj import __version__
+from memproj import LineThroughOrigin, __version__, toylab
 from memproj.cli import main
 
 
@@ -162,6 +162,21 @@ class TestRun:
             "error: problem: lines 0 and 1 are parallel; "
             "their intersection is not a single point\n")
         assert not out.exists()
+
+    def test_toy_fan_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def line(direction):
+            built.append(direction)
+            return LineThroughOrigin(direction)
+
+        monkeypatch.setattr(toylab, "LineThroughOrigin", line)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"problem": {"kind": "toy", "n_sets": 9},
+                                    "strategy": {"kind": "mcp"},
+                                    "stop": {"max_iterations": 20}}))
+        assert main(["run", str(path), "--out", str(tmp_path / "results")]) == 0
+        assert len(built) == 9
 
     @pytest.mark.parametrize("change,error", [
         (lambda doc: doc.update(seeds=[0, -1]),

@@ -103,6 +103,17 @@ class TestParsing:
         assert exc.value.errors == [
             "problem: lines 0 and 1 are parallel; their intersection is not a single point"]
 
+    def test_huge_toy_fan_is_checked_without_an_n_by_n_matrix(self):
+        doc = {"problem": {"kind": "toy", "n_sets": 10**5, "r": 1.0},
+               "strategy": {"kind": "mcp"}, "stop": {"max_iterations": 10}}
+        assert parse_config(doc).problem.n_sets == 10**5
+        doc["problem"]["n_sets"] = 10**12
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.errors == [
+            "problem.n_sets: must be at most 2300000; neighbouring lines of a larger "
+            "fan are parallel at every r"]
+
     def test_all_errors_reported_not_just_first(self):
         doc = {
             "problem": {"kind": "toy", "n_sets": 1, "r": 0.05},

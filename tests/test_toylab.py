@@ -123,6 +123,21 @@ class TestParallelCheckMatchesPairLoop:
             make_toy_problem(ToyConfig(n, r))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 64, 256])
+    @pytest.mark.parametrize("r", [1e-8, 1e-7, 1e-3, 0.05, 3.0, 1e6, 1e9])
+    def test_check_without_the_sets_names_the_same_pair(self, n, r):
+        message = _first_parallel_reference(ToyConfig(n, r))
+        if message is None:
+            assert ToyConfig(n, r).directions().tobytes() == toy_directions(n, r).tobytes()
+            return
+        with pytest.raises(ValueError) as info:
+            ToyConfig(n, r).directions()
+        assert str(info.value) == message
+
+    def test_check_takes_memory_linear_in_the_lines(self):
+        # an N x N cosine matrix would take 74.5 GiB here
+        ToyConfig(10**5, 1.0).directions()
+
 
 class TestMemoryEqualsCyclicWithTrivialBand:
     def test_iterates_match_bitwise(self):
