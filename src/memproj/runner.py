@@ -12,15 +12,11 @@ metric projections satisfy, and the run aborts with a diagnostic when a
 violation exceeds the floating-point slack, which is relative to the
 magnitudes of the iterates and the point.
 
-A plain ``Cyclic`` or ``RandomizedCycles`` (not a subclass) never reads the
-steps: without a residual tolerance or ``debug_asserts``, ``run`` projects it
-in stretches up to the first projection the step rule could stop at (at most
-1024) and records each stretch in one array pass, with the same bits.  Such a
-chooser has moved past a non-finite iterate when ``NumericError`` is raised:
-the rest of its stretch was computed, then discarded.  Likewise, with a known
-point but no residual tolerance or ``debug_asserts``, no residual is read
-during the run: ``run`` measures them in array passes over at most 1024
-iterates each, with the bits of one distance per projection.
+``run`` projects in stretches of at most 1024 projections and measures in
+one array pass per stretch what no chooser or stop rule read during it, with
+the bits of one distance per step and per residual; the checks then run in
+projection order, so the chooser may have moved past the projection that
+raises ``NumericError`` or ``FejerViolation``.
 
 ``run_lockstep`` drives several strategies of one class (and, for
 ``Memory``, one policy) over the same lines through the origin at once, one
@@ -237,113 +233,86 @@ def run(
     step_tolerance = stop.step_tolerance
     residual_tolerance = stop.residual_tolerance if z is not None else None
     snapshot_interval = matrix_snapshot_interval if memory_matrix is not None else None
+    # projection 0 goes onto the current set of a chooser that needs it, unpicked
+    start = (int(getattr(strategy, "current_index", 0))
+             if strategy.needs_start_projection else None)
+    # a chooser that reads the steps, or a residual stop, sees each projection:
+    # its step (and residual) is measured as it is made, and both rules are
+    # checked there; any other run projects up to the first projection the
+    # step rule could stop at
+    sees_each = (type(strategy) not in (Cyclic, RandomizedCycles)
+                 or residual_tolerance is not None)
     # the step rule fires once the last ``window`` steps are all below the
     # tolerance, i.e. once the latest step at or above it is ``window``
     # projections back; -1 stands for "before the first projection"
     last_big = -1
-    # iterates whose residuals nothing reads during the run, measured in array
-    # passes; None: each residual is measured at its projection
-    deferred = z is not None and residual_tolerance is None and not check_fejer
-    unmeasured = [] if deferred else None
-
-    def measure():
-        residuals.extend(_row_lengths(np.array(unmeasured) - z).tolist())
-        unmeasured.clear()
-
-    def record(j: int, x_prev: np.ndarray, x_next: np.ndarray) -> tuple[float, str | None]:
-        """Append projection ``len(indices)``; return its step and the stop verdict."""
-        nonlocal last_big
-        k = len(indices)
-        step = _distance(x_next, x_prev)
-        # a finite step from a finite iterate implies a finite next iterate
-        if not step < math.inf and not np.all(np.isfinite(x_next)):
-            raise NumericError(f"non-finite iterate after projection {k}")
-        if check_fejer:
-            _check_fejer(x_prev, x_next, z, step, k)
-        indices.append(j)
-        steps.append(step)
-        if not step < step_tolerance:
-            last_big = k
-        verdict = None
-        if unmeasured is not None:
-            unmeasured.append(x_next)
-            if len(unmeasured) == _STRETCH:
-                measure()
-        elif z is not None:
-            res = _distance(x_next, z)
-            residuals.append(res)
-            if residual_tolerance is not None and res < residual_tolerance:
-                verdict = STATUS_RESIDUAL
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        if verdict is None and k - last_big >= window:
-            verdict = STATUS_STEP
-        return step, verdict
-
-    if strategy.needs_start_projection:
-        j0 = int(getattr(strategy, "current_index", 0))
-        x_next = sets[j0].project(x)
-        _, verdict = record(j0, x, x_next)
-        x = x_next
-        if verdict is not None:
-            status = verdict
-
     last_step = None
     next_index = strategy.next_index
     max_iterations = stop.max_iterations
-    # a chooser blind to the steps, stopped by the step rule alone: project up to
-    # the first projection that rule could stop at, then record the whole stretch
-    stretched = (type(strategy) in (Cyclic, RandomizedCycles)
-                 and residual_tolerance is None and not debug_asserts)
-    while stretched and status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
-        k = len(indices)
-        js, xs, error = [], [x], None
+    while status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
+        k0 = len(indices)
+        size = min(max_iterations - k0, _STRETCH)
+        if not sees_each:
+            size = min(size, last_big + window + 1 - k0)
+        js, xs, seen, seen_residuals, error = [], [x], [], [], None
         try:
-            for _ in range(min(last_big + window + 1 - k, max_iterations - k, _STRETCH)):
-                js.append(j := next_index())
+            for k in range(k0, k0 + size):
+                js.append(j := next_index(last_step) if k or start is None else start)
                 xs.append(x := sets[j].project(x))
-        except Exception as exc:  # raised below, unless an earlier iterate is non-finite
+                if not sees_each:
+                    continue
+                seen.append(step := _distance(x, xs[-2]))
+                # a finite step from a finite iterate implies a finite next iterate
+                if not step < math.inf and not np.all(np.isfinite(x)):
+                    break  # NumericError, raised below
+                if not step < step_tolerance:
+                    last_big = k
+                if residual_tolerance is not None:
+                    seen_residuals.append(res := _distance(x, z))
+                    if res < residual_tolerance:
+                        status = STATUS_RESIDUAL
+                if k or start is None:
+                    last_step = step
+                    if snapshot_interval is not None and (k + 1) % snapshot_interval == 0:
+                        snapshots.append((k + 1, strategy.matrix.to_array()))
+                if status != STATUS_MAX_ITERATIONS or k - last_big >= window:
+                    break
+        except Exception as exc:  # raised below, unless an earlier projection fails a check
+            if len(xs) == 1:
+                raise
             error = exc
-        if len(xs) > 1:
-            X = np.array(xs)
-            diffs = [X[1:] - X[:-1]] if z is None else [X[1:] - X[:-1], X[1:] - z]
-            lengths = _row_lengths(np.concatenate(diffs))  # the steps, then the residuals
-            new_steps = lengths[:len(X) - 1]
-            for p in np.flatnonzero(~(new_steps < math.inf)).tolist():
-                if not np.all(np.isfinite(X[p + 1])):
-                    raise NumericError(f"non-finite iterate after projection {k + p}")
+
+        # one array pass measures what the loop did not; the checks then run
+        # in projection order
+        X = np.array(xs)
+        parts = [] if sees_each else [X[1:] - X[:-1]]
+        if z is not None and residual_tolerance is None:
+            parts.append(X[1:] - z)
+        lengths = _row_lengths(np.concatenate(parts)) if parts else None
+        new_steps = np.array(seen) if sees_each else lengths[:len(X) - 1]
+        m = len(new_steps)
+        bad = next((p for p in np.flatnonzero(~(new_steps < math.inf)).tolist()
+                    if not np.all(np.isfinite(X[p + 1]))), m)
+        for p in range(bad) if check_fejer else ():
+            _check_fejer(X[p], X[p + 1], z, float(new_steps[p]), k0 + p)
+        if bad < m:
+            raise NumericError(f"non-finite iterate after projection {k0 + bad}")
         if error is not None:
             raise error
         indices.extend(js)
         steps.extend(new_steps.tolist())
-        if z is not None:
-            residuals.extend(lengths[len(new_steps):].tolist())
+        if residuals is not None:
+            residuals.extend(seen_residuals if residual_tolerance is not None
+                             else lengths[-m:].tolist())
         if iterates is not None:
             iterates.extend(X[1:])
-        last_step = steps[-1]
         big = np.flatnonzero(~(new_steps < step_tolerance))
         if big.size:
-            last_big = k + int(big[-1])
-        if len(indices) - 1 - last_big >= window:
+            last_big = k0 + int(big[-1])
+        if status == STATUS_MAX_ITERATIONS and len(indices) - 1 - last_big >= window:
             status = STATUS_STEP
 
-    while status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
-        j = next_index(last_step)
-        x_next = sets[j].project(x)
-        last_step, verdict = record(j, x, x_next)
-        x = x_next
-        if snapshot_interval is not None and len(indices) % snapshot_interval == 0:
-            snapshots.append((len(indices), strategy.matrix.to_array()))
-        if verdict is not None:
-            status = verdict
-    if unmeasured:
-        measure()
-
     strategy.finish(last_step)
-    final_matrix = None
-    if memory_matrix is not None:
-        final_matrix = strategy.matrix.to_array()
-
     return RunTrace(
         set_indices=np.asarray(indices, dtype=int),
         step_lengths=np.asarray(steps, dtype=float),
@@ -354,7 +323,7 @@ def run(
         residuals=None if residuals is None else np.asarray(residuals, dtype=float),
         known_point=z,
         iterates=None if iterates is None else np.asarray(iterates, dtype=float),
-        final_matrix=final_matrix,
+        final_matrix=None if memory_matrix is None else strategy.matrix.to_array(),
         matrix_snapshots=snapshots,
     )
 

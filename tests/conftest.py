@@ -1,16 +1,24 @@
-"""Shared helpers: random set/point samplers used across test modules."""
+"""Shared helpers: random set/point samplers used across test modules, and
+a textbook per-projection run that ``run`` must equal bit for bit."""
 from __future__ import annotations
 
 import numpy as np
 
 from memproj import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_RESIDUAL,
+    STATUS_STEP,
     AffineSubspace,
     Ball,
     Box,
+    Cyclic,
     Halfspace,
     Hyperplane,
     LineThroughOrigin,
+    NumericError,
+    RunTrace,
 )
+from memproj.runner import _check_fejer, _distance
 
 SET_FAMILIES = ("hyperplane", "halfspace", "ball", "box", "line", "affine")
 
@@ -134,6 +142,10 @@ def assert_same_trace(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert len(got.matrix_snapshots) == len(expected.matrix_snapshots)
+    for (count, a), (expected_count, b) in zip(got.matrix_snapshots,
+                                               expected.matrix_snapshots):
+        assert count == expected_count
+        assert a.tobytes() == b.tobytes(), f"snapshot at {count}"
 
 
 def memory_state(strategy):
@@ -141,3 +153,68 @@ def memory_state(strategy):
     m = strategy.matrix
     return (m._a.tobytes(), m._count, m._sum, m._minpos, strategy.current_index,
             strategy._pending, strategy.rng.bit_generator.state)
+
+
+class SubCyclic(Cyclic):
+    """A ``Cyclic`` subclass: ``run`` cannot know that it ignores the steps."""
+
+
+def reference_run(sets, strategy, x0, stop, known_point=None, *, debug_asserts=False,
+                  store_iterates=False, matrix_snapshot_interval=None):
+    """``run`` as the textbook states it, one projection at a time.
+
+    Projection 0 of a chooser that needs a start projection goes onto its
+    current set, unpicked; every other projection goes where ``next_index``
+    says, given the previous picked projection's step.  Each step and each
+    residual is one ``_distance``.  The run stops at the first projection
+    whose residual is below the residual tolerance, or else whose last
+    ``window`` steps are all below the step tolerance.  A memory is
+    snapshotted after every ``matrix_snapshot_interval``-th projection but
+    the start projection.  Inputs are taken as valid.
+    """
+    x = np.array(x0, dtype=float)
+    z = None if known_point is None else np.array(known_point, dtype=float)
+    window = stop.step_window or 2 * len(sets)
+    memory = getattr(strategy, "matrix", None)
+    indices, steps, residuals, iterates, snapshots = [], [], [], [x.copy()], []
+    status, last_step = STATUS_MAX_ITERATIONS, None
+    while status == STATUS_MAX_ITERATIONS and len(indices) < stop.max_iterations:
+        k = len(indices)
+        start = k == 0 and strategy.needs_start_projection
+        j = strategy.current_index if start else strategy.next_index(last_step)
+        x_next = sets[j].project(x)
+        step = _distance(x_next, x)
+        if not np.all(np.isfinite(x_next)):
+            raise NumericError(f"non-finite iterate after projection {k}")
+        if debug_asserts and z is not None:
+            _check_fejer(x, x_next, z, step, k)
+        indices.append(j)
+        steps.append(step)
+        iterates.append(x_next.copy())
+        if z is not None:
+            residuals.append(_distance(x_next, z))
+            if stop.residual_tolerance is not None and residuals[-1] < stop.residual_tolerance:
+                status = STATUS_RESIDUAL
+        if (status == STATUS_MAX_ITERATIONS and k + 1 >= window
+                and max(steps[-window:]) < stop.step_tolerance):
+            status = STATUS_STEP
+        if not start:
+            last_step = step
+            if (memory is not None and matrix_snapshot_interval
+                    and (k + 1) % matrix_snapshot_interval == 0):
+                snapshots.append((k + 1, strategy.matrix.to_array()))
+        x = x_next
+    strategy.finish(last_step)
+    return RunTrace(
+        set_indices=np.array(indices, dtype=int),
+        step_lengths=np.array(steps, dtype=float),
+        status=status,
+        n_sets=len(sets),
+        x0=np.array(x0, dtype=float),
+        x_final=x,
+        residuals=None if z is None else np.array(residuals, dtype=float),
+        known_point=z,
+        iterates=np.array(iterates) if store_iterates else None,
+        final_matrix=None if memory is None else strategy.matrix.to_array(),
+        matrix_snapshots=snapshots,
+    )

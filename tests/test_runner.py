@@ -40,8 +40,8 @@ from memproj.memory import (
 )
 from memproj.runner import _distance, _row_lengths, run_lockstep
 
-from conftest import (SET_FAMILIES, assert_same_trace, memory_state, sample_set,
-                      sets_through_origin)
+from conftest import (SET_FAMILIES, SubCyclic, assert_same_trace, memory_state,
+                      reference_run, sample_set, sets_through_origin)
 
 TOY = ToyConfig(9, 0.05)
 
@@ -408,14 +408,6 @@ class TestLeanLoopEquivalence:
         assert trace.step_lengths.tolist() == [2e200, 2e200]
 
 
-class _OneByOneCyclic(Cyclic):
-    """A subclass, which run() records one projection at a time."""
-
-
-class _OneByOneRandomizedCycles(RandomizedCycles):
-    """A subclass, which run() records one projection at a time."""
-
-
 class _FailingOnCall:
     """Fake set that moves along the first axis and raises on call ``at``."""
 
@@ -433,7 +425,7 @@ class _FailingOnCall:
 
 class TestStretchedRecording:
     """run() records plain Cyclic and RandomizedCycles runs stretch by stretch,
-    with the bits of the per-projection loop their subclasses take."""
+    with the bits of the textbook per-projection loop."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -473,16 +465,15 @@ class TestStretchedRecording:
             residual_tolerance=rtol,
         )
         if shuffled:
-            plain = RandomizedCycles(n, seed=seed)
-            one_by_one = _OneByOneRandomizedCycles(n, seed=seed)
+            plain, one_by_one = (RandomizedCycles(n, seed=seed) for _ in range(2))
         else:
-            plain, one_by_one = Cyclic(n), _OneByOneCyclic(n)
+            plain, one_by_one = Cyclic(n), Cyclic(n)
         got = run(sets, plain, x0, stop, z, store_iterates=store_iterates)
-        expected = run(sets, one_by_one, x0, stop, z, store_iterates=store_iterates)
+        expected = reference_run(sets, one_by_one, x0, stop, z, store_iterates=store_iterates)
         assert_same_trace(got, expected)
         assert plain.next_index() == one_by_one.next_index()
 
-    @pytest.mark.parametrize("kind", [Cyclic, _OneByOneCyclic])
+    @pytest.mark.parametrize("kind", [Cyclic, SubCyclic])
     @pytest.mark.parametrize("at", [0, 1, 5])
     def test_error_inside_a_stretch_is_raised(self, kind, at):
         sets = [_FailingOnCall(at), _FailingOnCall(at)]
@@ -490,7 +481,7 @@ class TestStretchedRecording:
             run(sets, kind(2), np.zeros(2), StoppingRule.exact_budget(20))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kind", [Cyclic, _OneByOneCyclic])
+    @pytest.mark.parametrize("kind", [Cyclic, SubCyclic])
     def test_overflow_between_two_hyperplanes_raises_numeric_error(self, kind):
         # 1.7e308 - -1.7e308 overflows, so the second projection gives
         # inf * 0 = nan: no warning escapes before the NumericError
@@ -499,7 +490,7 @@ class TestStretchedRecording:
             run(sets, kind(2), np.zeros(2), StoppingRule.exact_budget(10))
 
 
-def _origin_run(seed, dim, kind, budget, tol, store_iterates, debug_asserts):
+def _origin_run(seed, dim, kind, budget, tol, store_iterates, debug_asserts, engine=run):
     """A run over sets through the origin, with the origin as its known point."""
     rng = np.random.default_rng(seed)
     sets = sets_through_origin(rng, dim)
@@ -512,13 +503,13 @@ def _origin_run(seed, dim, kind, budget, tol, store_iterates, debug_asserts):
     else:
         strategy = Memory(build_dense(n), Policy(kind, 0.01), seed=seed)
     stop = StoppingRule(max_iterations=budget, step_tolerance=tol)
-    return run(sets, strategy, x0, stop, np.zeros(dim), store_iterates=store_iterates,
-               debug_asserts=debug_asserts)
+    return engine(sets, strategy, x0, stop, np.zeros(dim), store_iterates=store_iterates,
+                  debug_asserts=debug_asserts)
 
 
 class TestDeferredResiduals:
     """With a known point and no residual stop, run() measures the residuals
-    in array passes; debug_asserts measures each at its projection."""
+    in array passes, with the bits of one distance per projection."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -531,9 +522,11 @@ class TestDeferredResiduals:
     @settings(max_examples=150, deadline=None)
     def test_equals_per_projection_residuals(self, seed, dim, kind, budget, tol,
                                              store_iterates):
-        got, expected = (_origin_run(seed, dim, kind, budget, tol, store_iterates, debug)
-                         for debug in (False, True))
-        assert_same_trace(got, expected)
+        expected = _origin_run(seed, dim, kind, budget, tol, store_iterates, False,
+                               reference_run)
+        for debug in (False, True):
+            got = _origin_run(seed, dim, kind, budget, tol, store_iterates, debug)
+            assert_same_trace(got, expected)
 
     @pytest.mark.parametrize("seed,dim,kind,tol,stops_at", [
         (0, 3, "min", 1e-9, 1060),
@@ -543,10 +536,90 @@ class TestDeferredResiduals:
         (6, 8, "mrp", 1e-9, 1140),
     ])
     def test_step_stop_inside_a_chunk(self, seed, dim, kind, tol, stops_at):
-        got, expected = (_origin_run(seed, dim, kind, 2049, tol, False, debug)
-                         for debug in (False, True))
-        assert got.status == STATUS_STEP and got.n_projections == stops_at
+        expected = _origin_run(seed, dim, kind, 2049, tol, False, False, reference_run)
+        assert expected.status == STATUS_STEP and expected.n_projections == stops_at
+        for debug in (False, True):
+            assert_same_trace(_origin_run(seed, dim, kind, 2049, tol, False, debug), expected)
+
+
+def _chooser(kind, n, seed):
+    """mcp, a Cyclic subclass, mrp, or pam with either policy over a dense memory."""
+    if kind == "mcp":
+        return Cyclic(n)
+    if kind == "subclass":
+        return SubCyclic(n)
+    if kind == "mrp":
+        return RandomizedCycles(n, seed=seed)
+    return Memory(build_dense(n), Policy(kind, 0.01 if kind == "min" else 0.5), seed=seed)
+
+
+def _trace_or_raised(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the test compares whatever is raised
+        return type(exc), str(exc)
+
+
+class TestReferenceLoop:
+    """run() equals the textbook per-projection loop of ``reference_run`` bit
+    for bit: trace, snapshots, the error raised and the chooser's state."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["mcp", "subclass", "mrp", "min", "average"]),
+        through_origin=st.booleans(),
+        dim=st.sampled_from([2, 3, 60]),
+        budget=st.sampled_from([1, 2, 1023, 1024, 1025]),
+        window_extra=st.one_of(st.none(), st.integers(0, 1100)),
+        tol=st.sampled_from([5e-324, 1e-9, 1e-3]),
+        rtol=st.sampled_from([None, None, 1e-6, 1.0, 3.0]),
+        with_point=st.booleans(),
+        debug_asserts=st.booleans(),
+        store_iterates=st.booleans(),
+        interval=st.sampled_from([None, 1, 7, 1024]),
+    )
+    # pam stopped by its residual at projection 1022 = 7 * 146, where a
+    # snapshot is due, two projections before the first stretch ends
+    @example(seed=2, kind="min", through_origin=True, dim=3, budget=1025,
+             window_extra=None, tol=5e-324, rtol=0.9020989290519642, with_point=True,
+             debug_asserts=True, store_iterates=True, interval=7)
+    @settings(max_examples=150, deadline=None)
+    def test_run_equals_the_reference(self, seed, kind, through_origin, dim, budget,
+                                      window_extra, tol, rtol, with_point, debug_asserts,
+                                      store_iterates, interval):
+        # sets through the origin make it a feasible known point; otherwise the
+        # point is arbitrary and the debug check may fire
+        rng = np.random.default_rng(seed)
+        if through_origin:
+            sets, z = sets_through_origin(rng, dim), np.zeros(dim)
+        else:
+            families = rng.choice(SET_FAMILIES, int(rng.integers(2, 7)))
+            sets = [sample_set(rng, family, dim) for family in families]
+            z = rng.uniform(-3.0, 3.0, dim)
+        n = len(sets)
+        x0 = rng.uniform(-10.0, 10.0, dim)
+        stop = StoppingRule(
+            max_iterations=budget,
+            step_window=None if window_extra is None else n + window_extra,
+            step_tolerance=tol,
+            residual_tolerance=rtol,
+        )
+        options = dict(debug_asserts=debug_asserts, store_iterates=store_iterates,
+                       matrix_snapshot_interval=interval)
+        ours, theirs = _chooser(kind, n, seed), _chooser(kind, n, seed)
+        point = z if with_point else None
+        got = _trace_or_raised(lambda: run(sets, ours, x0, stop, point, **options))
+        expected = _trace_or_raised(
+            lambda: reference_run(sets, theirs, x0, stop, point, **options))
+        if isinstance(expected, tuple):
+            # the chooser may have moved on past the failing projection
+            assert got == expected
+            return
         assert_same_trace(got, expected)
+        if isinstance(ours, Memory):
+            assert memory_state(ours) == memory_state(theirs)
+        else:
+            assert ours.next_index() == theirs.next_index()
 
 
 def _toy_strategy(kind, k):
