@@ -60,7 +60,7 @@ _EPS = float(np.finfo(float).eps)
 # machine epsilon times the magnitudes of the two iterates and the point
 _FEJER_ULPS = 1024
 
-_STRETCH = 1024  # most projections in one stretch: bounds memory under a huge window
+_STRETCH = 1024  # most projections in one stretch: bounds its memory under a huge window
 
 
 class NumericError(RuntimeError):
