@@ -232,6 +232,7 @@ def run(
     check_fejer = debug_asserts and z is not None
     step_tolerance = stop.step_tolerance
     residual_tolerance = stop.residual_tolerance if z is not None else None
+    deferred = z is not None and residual_tolerance is None  # residuals no rule reads
     snapshot_interval = matrix_snapshot_interval if memory_matrix is not None else None
     # projection 0 goes onto the current set of a chooser that needs it, unpicked
     start = (int(getattr(strategy, "current_index", 0))
@@ -248,10 +249,9 @@ def run(
     last_big = -1
     last_step = None
     next_index = strategy.next_index
-    max_iterations = stop.max_iterations
-    while status == STATUS_MAX_ITERATIONS and len(indices) < max_iterations:
+    while status == STATUS_MAX_ITERATIONS and len(indices) < stop.max_iterations:
         k0 = len(indices)
-        size = min(max_iterations - k0, _STRETCH)
+        size = min(stop.max_iterations - k0, _STRETCH)
         if not sees_each:
             size = min(size, last_big + window + 1 - k0)
         js, xs, seen, seen_residuals, error = [], [x], [], [], None
@@ -284,17 +284,18 @@ def run(
 
         # one array pass measures what the loop did not; the checks then run
         # in projection order
-        X = np.array(xs)
-        parts = [] if sees_each else [X[1:] - X[:-1]]
-        if z is not None and residual_tolerance is None:
-            parts.append(X[1:] - z)
-        lengths = _row_lengths(np.concatenate(parts)) if parts else None
-        new_steps = np.array(seen) if sees_each else lengths[:len(X) - 1]
+        if deferred or not sees_each:
+            X = np.array(xs)
+            parts = [] if sees_each else [X[1:] - X[:-1]]
+            if deferred:
+                parts.append(X[1:] - z)
+            lengths = _row_lengths(np.concatenate(parts))
+        new_steps = np.array(seen) if sees_each else lengths[:len(xs) - 1]
         m = len(new_steps)
         bad = next((p for p in np.flatnonzero(~(new_steps < math.inf)).tolist()
-                    if not np.all(np.isfinite(X[p + 1]))), m)
+                    if not np.all(np.isfinite(xs[p + 1]))), m)
         for p in range(bad) if check_fejer else ():
-            _check_fejer(X[p], X[p + 1], z, float(new_steps[p]), k0 + p)
+            _check_fejer(xs[p], xs[p + 1], z, float(new_steps[p]), k0 + p)
         if bad < m:
             raise NumericError(f"non-finite iterate after projection {k0 + bad}")
         if error is not None:
@@ -302,10 +303,9 @@ def run(
         indices.extend(js)
         steps.extend(new_steps.tolist())
         if residuals is not None:
-            residuals.extend(seen_residuals if residual_tolerance is not None
-                             else lengths[-m:].tolist())
+            residuals.extend(lengths[-m:].tolist() if deferred else seen_residuals)
         if iterates is not None:
-            iterates.extend(X[1:])
+            iterates.extend(xs[1:])
         big = np.flatnonzero(~(new_steps < step_tolerance))
         if big.size:
             last_big = k0 + int(big[-1])
