@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error, 2 numeric error.  Diagnostics go
 to standard error.  The default output directory can be set with the
-MEMPROJ_OUTPUT_DIR environment variable.
+MEMPROJ_OUTPUT_DIR environment variable.  ``run`` runs the seeds in forked
+worker processes, one per CPU of the affinity mask (``taskset`` limits it)
+and at most one per seed, so a profiler in this process does not see them.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import argparse
 import contextlib
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -40,45 +43,72 @@ def _default_out() -> str:
     return os.environ.get(_ENV_OUT, "memproj_out")
 
 
+def _workers(n_seeds: int) -> int:
+    """Processes for ``n_seeds`` seeds; 1 (inline) without fork or an affinity
+    mask, or beside another thread, which could hold a lock a fork copies."""
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return min(len(os.sched_getaffinity(0)), n_seeds)
+    return 1
+
+
+_worker_job = None  # the job a pool worker inherited when it was forked
+
+
+def _adopt(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_seed(i: int, job=None) -> None:
+    """Run the ``i``-th seed of ``job`` (in a pool worker, its inherited
+    job) and write that seed's trace CSV, trace JSON and frequency CSV."""
+    config, (sets, x0, known_point), echo_text, build, seeds, paths = job or _worker_job
+    trace = run(sets, build(seeds[i]), x0, config.stop, known_point=known_point,
+                debug_asserts=config.debug_asserts, store_iterates=config.store_iterates,
+                matrix_snapshot_interval=config.matrix_snapshot_interval)
+    csv_path, json_path, frequency_path = paths[i]
+    write_trace_csv(trace, csv_path)
+    write_trace_json(trace, json_path, config_echo=echo_text)
+    write_matrix_csv(trace.transition_counts(), frequency_path)
+
+
 def execute_config(config: ExperimentConfig, outdir) -> Path:
     """Run a config over its seeds and write one CSV/JSON pair per run.
 
-    If anything raises, the files written so far are deleted, and so are
-    the directories this call created, before the error propagates: a
-    failed run leaves no partial output behind.
+    Worker processes write the bytes an inline run would.  If anything
+    raises, the workers are stopped, every file of every seed is deleted,
+    and so are the directories this call created, before the error of the
+    lowest-positioned failing seed propagates: a failed run leaves no
+    partial output behind.
     """
     outdir = Path(outdir)
     created = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def target(name: str) -> Path:
-        path = outdir / name
-        written.append(path)
-        return path
-
+    seeds = tuple(dict.fromkeys(config.effective_seeds()))  # no two workers on one file
+    paths = [(outdir / f"trace_seed{s}.csv", outdir / f"trace_seed{s}.json",
+              outdir / f"frequency_seed{s}.csv") for s in seeds]
     try:
-        sets, x0, known_point = config.build_problem()
+        problem = config.build_problem()
         echo_text = emit_config(config)
-        target("config.json").write_text(echo_text)
-        seeds = config.effective_seeds()
-        for seed, strategy in zip(seeds, config.build_strategies(seeds)):
-            trace = run(
-                sets,
-                strategy,
-                x0,
-                config.stop,
-                known_point=known_point,
-                debug_asserts=config.debug_asserts,
-                store_iterates=config.store_iterates,
-                matrix_snapshot_interval=config.matrix_snapshot_interval,
-            )
-            stem = f"trace_seed{seed}"
-            write_trace_csv(trace, target(f"{stem}.csv"))
-            write_trace_json(trace, target(f"{stem}.json"), config_echo=echo_text)
-            write_matrix_csv(trace.transition_counts(), target(f"frequency_seed{seed}.csv"))
+        (outdir / "config.json").write_text(echo_text)
+        job = (config, problem, echo_text, config.strategy_builder(), seeds, paths)
+        if (workers := _workers(len(seeds))) < 2:
+            for i in range(len(seeds)):
+                _run_seed(i, job)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            pool = ProcessPoolExecutor(workers, get_context("fork"),
+                                       initializer=_adopt, initargs=(job,))
+            try:
+                for future in [pool.submit(_run_seed, i) for i in range(len(seeds))]:
+                    future.result()  # in seed order, so the first raise is the lowest
+            finally:
+                pool.shutdown(cancel_futures=True)
     except BaseException:
-        for path in written:
+        for path in (outdir / "config.json", *sum(paths, ())):
             path.unlink(missing_ok=True)
         for path in created:  # innermost first
             with contextlib.suppress(OSError):

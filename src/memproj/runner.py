@@ -221,6 +221,8 @@ def run(
     sets = list(sets)
     n = len(sets)
     x, z, memory_matrix, window = _checked_inputs(sets, strategy, x0, stop, known_point)
+    if matrix_snapshot_interval is not None and matrix_snapshot_interval < 1:
+        raise ValueError("matrix_snapshot_interval must be at least 1")
 
     indices: list[int] = []
     steps: list[float] = []
@@ -243,6 +245,8 @@ def run(
     # step rule could stop at
     sees_each = (type(strategy) not in (Cyclic, RandomizedCycles)
                  or residual_tolerance is not None)
+    # a stretch keeps its iterates for an array pass, a Fejer check or the store only
+    lean = sees_each and not (deferred or check_fejer or store_iterates)
     # the step rule fires once the last ``window`` steps are all below the
     # tolerance, i.e. once the latest step at or above it is ``window``
     # projections back; -1 stands for "before the first projection"
@@ -261,10 +265,13 @@ def run(
                 xs.append(x := sets[j].project(x))
                 if not sees_each:
                     continue
-                seen.append(step := _distance(x, xs[-2]))
+                step = _distance(x, xs[-2])
                 # a finite step from a finite iterate implies a finite next iterate
                 if not step < math.inf and not np.all(np.isfinite(x)):
-                    break  # NumericError, raised below
+                    raise NumericError(f"non-finite iterate after projection {k}")
+                seen.append(step)
+                if lean:
+                    del xs[0]
                 if not step < step_tolerance:
                     last_big = k
                 if residual_tolerance is not None:
@@ -292,8 +299,9 @@ def run(
             lengths = _row_lengths(np.concatenate(parts))
         new_steps = np.array(seen) if sees_each else lengths[:len(xs) - 1]
         m = len(new_steps)
-        bad = next((p for p in np.flatnonzero(~(new_steps < math.inf)).tolist()
-                    if not np.all(np.isfinite(xs[p + 1]))), m)
+        bad = m if sees_each else next(  # a loop that sees each step raises itself
+            (p for p in np.flatnonzero(~(new_steps < math.inf)).tolist()
+             if not np.all(np.isfinite(xs[p + 1]))), m)
         for p in range(bad) if check_fejer else ():
             _check_fejer(xs[p], xs[p + 1], z, float(new_steps[p]), k0 + p)
         if bad < m:

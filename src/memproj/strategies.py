@@ -4,7 +4,8 @@ All three strategies share one interface: ``next_index(last_step_length)``
 returns the 0-based index of the set for the upcoming projection, given the
 length of the step the previous projection produced (``None`` on the first
 call).  A strategy instance is advanced sequentially by a single owner;
-independent instances can run in parallel across seeds.
+independent instances can run in parallel across seeds, as ``memproj run``
+runs its seeds in worker processes, one per CPU of the affinity mask.
 """
 from __future__ import annotations
 

@@ -1,14 +1,22 @@
 """Command-line interface: subcommands, exit codes, output files."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from memproj import LineThroughOrigin, __version__, toylab
 from memproj.cli import main
+from memproj.config import ExperimentConfig
+
+from test_golden import _run_configs
 
 
 @pytest.fixture()
@@ -60,7 +68,31 @@ class TestCheckMatrix:
         assert main(["check-matrix", str(tmp_path / "none.csv")]) == 1
 
 
+def _cpus(monkeypatch, count):
+    """Let ``memproj run`` see ``count`` CPUs in its affinity mask, and
+    return the list of the worker counts of the pools it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        pools.append(workers)
+        return pool(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return pools
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestRun:
+    @pytest.fixture(autouse=True)
+    def no_worker_outlives_the_run(self):
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 1
         assert capsys.readouterr().err != ""
@@ -251,6 +283,93 @@ class TestRun:
         assert main(["run", str(self._failing_config(tmp_path)), "--out", str(out)]) == 2
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "keep me"
+
+    def test_workers_write_the_bytes_of_one_worker(self, tmp_path, monkeypatch):
+        configs = _run_configs(tmp_path)
+        configs["pam_prior_average_custom"]["seeds"] = [3, 11, 0, 5]
+        configs["mcp_toy_fan_no_known_point"]["seeds"] = [0, 1, 2]
+        for name, doc in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        outputs = {}
+        for cpus in (3, 1):
+            pools = _cpus(monkeypatch, cpus)
+            for name in configs:
+                out = tmp_path / f"{name}-{cpus}"
+                assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+                outputs[name, cpus] = _tree(out)
+            assert pools == ([3, 3] if cpus == 3 else [])
+        for name in configs:
+            assert len(outputs[name, 3]) == 1 + 3 * len(configs[name]["seeds"])
+            assert outputs[name, 3] == outputs[name, 1]
+
+    def test_workers_raise_the_error_of_the_first_failing_seed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the shuffles of seeds 6 and 0 trip the check at projections 1 and 0;
+        # seed 1's would at projection 2, past the budget, so it writes files
+        doc = {
+            "problem": {
+                "kind": "custom",
+                "sets": [{"kind": "hyperplane", "normal": n, "offset": 0.0}
+                         for n in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                   [1.0, 1.0, 1.0])],
+                "x0": [3.0, 4.0, 5.0],
+                "known_point": [0.0, 0.0, 0.25],
+            },
+            "strategy": {"kind": "mrp"},
+            "stop": {"max_iterations": 2},
+            "seeds": [6, 1, 0],
+            "flags": {"debug_asserts": True},
+        }
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(doc))
+        build = ExperimentConfig.build_strategy
+
+        def slow_first_seed(self, seed=None):
+            if seed == 6:  # the seeds after it finish first
+                time.sleep(0.3)
+            return build(self, seed)
+
+        monkeypatch.setattr(ExperimentConfig, "build_strategy", slow_first_seed)
+        errors = []
+        for cpus in (3, 1):
+            pools = _cpus(monkeypatch, cpus)
+            out = tmp_path / f"runs{cpus}" / "o"
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            assert not out.parent.exists()
+            errors.append(capsys.readouterr().err)
+            assert pools == ([3] if cpus == 3 else [])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numeric error: projection 1: ")
+
+    def test_without_an_affinity_mask_the_seeds_run_inline(
+        self, toy_pam_config, tmp_path, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 0
+        assert len(_tree(out)) == 7
+
+    def test_beside_another_thread_the_seeds_run_inline(
+        self, toy_pam_config, tmp_path, monkeypatch
+    ):
+        pools = _cpus(monkeypatch, 3)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        out = tmp_path / "results"
+        try:
+            assert main(["run", str(toy_pam_config), "--out", str(out)]) == 0
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pools == []
+        assert len(_tree(out)) == 7
 
 
 class TestPreset:

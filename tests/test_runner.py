@@ -160,6 +160,16 @@ class TestBasicRuns:
         mcp = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(10))
         assert mcp.final_matrix is None
 
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_snapshot_interval_below_one_is_rejected_before_any_projection(self, interval):
+        sets, x0, sol = toy()
+        strategy = pam_strategy(seed=1)
+        before = memory_state(strategy)
+        with pytest.raises(ValueError, match="^matrix_snapshot_interval must be at least 1$"):
+            run(sets, strategy, x0, StoppingRule.exact_budget(10), known_point=sol,
+                matrix_snapshot_interval=interval)
+        assert memory_state(strategy) == before
+
 
 class TestErrorReduction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
