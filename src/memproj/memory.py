@@ -8,7 +8,8 @@ usable only when its positive entries form a strongly connected digraph
 ``strategies.Memory`` checks that once, and no update changes the pattern.
 Policies rewrite recorded values so that every stored number keeps
 decaying, which is what forces the method to revisit every set.
-``pam_select(memory)`` and ``pam_update(memory, step)`` advance a ``Memory``.
+A step of the method (record, then pick) has one owner, ``Memory.next_index``;
+``pam_select``, ``pam_update`` and ``evaluate_policy`` delegate to it.
 
 Set indices everywhere in this package are 0-based.
 """
@@ -45,9 +46,9 @@ class DistanceMatrix:
 
     The aggregates (count / sum / min of the strictly positive entries of
     each row, held as plain Python numbers) make the "min" policy O(1) and
-    the "average" policy one row argmax; single-entry overwrites keep them
-    current in O(1) except when the row minimum is overwritten, which costs
-    one row rescan.
+    the "average" policy one row argmax; ``Memory.next_index`` keeps them
+    current in O(1) per overwrite except when the row minimum is overwritten,
+    which costs one row rescan.
     """
 
     __slots__ = ("_a", "_count", "_sum", "_minpos")
@@ -100,19 +101,6 @@ class DistanceMatrix:
         dup._sum = self._sum.copy()
         dup._minpos = self._minpos.copy()
         return dup
-
-    def _overwrite(self, m: int, col: int, value: float) -> None:
-        # caller guarantees old > 0 and value > 0, so the positive count
-        # of row m cannot change
-        a = self._a
-        old = a.item(m, col)
-        a[m, col] = value
-        self._sum[m] += value - old
-        if value <= self._minpos[m]:
-            self._minpos[m] = value
-        elif old == self._minpos[m]:
-            row = a[m]
-            self._minpos[m] = row[row > 0.0].min().item()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -262,78 +250,35 @@ class Policy:
 _TINY = 5e-324
 
 
-def _floor(policy: Policy, matrix: DistanceMatrix, m: int, top: int) -> float:
-    """Floor value for row ``m``, whose largest entry is in column ``top``."""
-    count = matrix._count[m]
-    if count == 0:
-        return 0.0
-    if policy.kind == "min":
-        return policy.beta * matrix._minpos[m]
-    # the incrementally maintained sum can nudge the average a hair above
-    # the row max; clamping to the exact row max keeps the decay bound exact
-    # in floats
-    return min(policy.beta * (matrix._sum[m] / count), policy.beta * matrix._a.item(m, top))
-
-
 def evaluate_policy(policy: Policy, m: int, matrix: DistanceMatrix) -> float:
     """Floor value for row ``m``: 0 on an all-zero row or on underflow.
 
     The result never exceeds beta times the row maximum, which is the decay
-    property convergence rests on.
+    property convergence rests on.  It is the floor ``Memory.next_index``
+    would apply on a transition out of row ``m``, taken on a copy.
     """
     if not 0 <= m < matrix.n:
         raise IndexError(f"row index {m} out of range 0..{matrix.n - 1}")
-    return _floor(policy, matrix, m, int(matrix._a[m].argmax()))
+    if not matrix._count[m]:
+        return 0.0
+    from .strategies import Memory  # which imports this module
+    probe = object.__new__(Memory)
+    probe.matrix, probe.policy = matrix.copy(), policy
+    probe.current_index, probe._pending = m, int(matrix._a[m].argmax())
+    return probe.next_index(0.0, pick=False)
 
 
 def pam_select(memory) -> int:
-    """Pick the next set of a ``Memory``: argmax of its current row.
-
-    Ties under exact float equality are resolved uniformly at random with
-    its generator; the current index is never returned.  The pick becomes
-    the pending transition that ``pam_update`` records.
-    """
-    j = memory.current_index
-    # a view suffices: the diagonal is 0 and no entry is negative, so once
-    # the maximum is positive the current index cannot be among the ties
-    row = memory.matrix._a[j]
-    k = int(row.argmax())
-    best = row.item(k)
-    if not best > 0.0:
-        raise InvariantViolation(
-            f"row {j} has no positive entry besides the diagonal; "
-            "the matrix was not admissible"
-        )
-    # argmax returns the first maximum, so the maximum is unique iff the
-    # first one found from the end is the same entry; two argmax calls cost
-    # less than one max reduction
-    if k != row.size - 1 - int(row[::-1].argmax()):
-        ties = (row == best).nonzero()[0]
-        k = int(ties[memory.rng.integers(ties.size)])
-    memory._pending = k
-    return k
+    """Pick the next set of a ``Memory`` as ``Memory.next_index`` does, and
+    keep it as the pending transition that ``pam_update`` records."""
+    memory._pending = None
+    return memory.next_index()
 
 
 def pam_update(memory, step_length: float) -> None:
-    """Record the step of the pending transition and advance the current index.
-
-    The entry (current, pending) becomes max(step_length, floor), where the
-    floor is the policy value of the current row evaluated on the matrix
-    *before* the write, and never less than the smallest positive double.
-    ``pam_select`` picked a positive entry, so the positivity pattern stays.
-    """
-    j, col, matrix = memory.current_index, memory._pending, memory.matrix
-    if col is None:
-        raise InvariantViolation("pam_update needs a pending pick: call pam_select first")
-    step = float(step_length)
-    # an overflowing difference between finite iterates is an infinite step
-    if not (math.isfinite(step) and step >= 0.0):
-        raise ValueError("step_length must be finite and >= 0")
-    # the pending entry is a maximum of row j: pam_select picked it, and
-    # nothing has written row j since
-    matrix._overwrite(j, col, max(step, _floor(memory.policy, matrix, j, col), _TINY))
-    memory.current_index = col
-    memory._pending = None
+    """Record the step of the pending transition and advance the current
+    index, as ``Memory.next_index`` does before it picks."""
+    memory.next_index(step_length, pick=False)
 
 
 class MemoryStack:
@@ -343,8 +288,8 @@ class MemoryStack:
     the row aggregates, its current row, its pending column (-1: none) and
     its generator; the strategies share one policy and start with no
     pending pick, or ``ValueError`` names the first that does not.
-    ``next_indices`` does per entry the float operations of ``pam_update``
-    and ``pam_select``, drawing each tie-break from the strategy's own
+    ``next_indices`` does per entry the float operations of
+    ``Memory.next_index``, drawing each tie-break from the strategy's own
     generator, so each strategy picks what it would alone, and
     ``write_back`` leaves it in the state it would reach alone.  The
     matrices must be admissible: as no update stores less than ``_TINY``,
@@ -389,7 +334,7 @@ class MemoryStack:
             draws = np.zeros(len(slots), dtype=int)
             draws[tied] = [self.draw[s](c) for s, c in
                            zip(slots[tied].tolist(), counts[tied].tolist())]
-            # the draws-th maximum from the left, as pam_select takes it
+            # the draws-th maximum from the left, as Memory.next_index takes it
             picks = ties.ravel().nonzero()[0][counts.cumsum() - counts + draws] % self.n
         self.pending[slots] = picks
         return picks
@@ -397,14 +342,14 @@ class MemoryStack:
     def _record(self, slots: np.ndarray, steps: np.ndarray) -> None:
         r, col = self.row[slots], self.pending[slots]
         cell = r * self.n + col
-        old = self.cells[cell]  # each a maximum of its row, as in pam_update
+        old = self.cells[cell]  # each a maximum of its row, as in next_index
         low = self.minpos[r]
-        # read before the write, as in pam_update
+        # read before the write, as in next_index
         if self.average:
             floor = np.minimum(self.beta * (self.sum[r] / self.count[r]), self.beta * old)
         else:
             floor = self.beta * low
-        value = np.maximum(np.maximum(steps, floor), _TINY)  # pam_update's max, same bits
+        value = np.maximum(np.maximum(steps, floor), _TINY)  # next_index's max, same bits
         self.cells[cell] = value
         self.sum[r] += value - old
         self.minpos[r] = np.minimum(value, low)

@@ -16,7 +16,10 @@ magnitudes of the iterates and the point.
 one array pass per stretch what no chooser or stop rule read during it, with
 the bits of one distance per step and per residual; the checks then run in
 projection order, so the chooser may have moved past the projection that
-raises ``NumericError`` or ``FejerViolation``.
+raises ``NumericError`` or ``FejerViolation``.  A chooser blind to the steps
+(exactly ``Cyclic`` or ``RandomizedCycles``, no residual stop) runs stretches
+at least as long as the run before them; where the step rule fired inside
+one, the stretch is cut there and the chooser rewound to that projection.
 
 ``run_lockstep`` drives several strategies of one class (and, for
 ``Memory``, one policy) over the same lines through the origin at once, one
@@ -89,6 +92,10 @@ class StoppingRule:
     residual_tolerance: float | None = None
 
     def __post_init__(self):
+        for name in ("max_iterations", "step_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.step_window is not None and self.step_window < 1:
@@ -182,14 +189,14 @@ def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, know
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must have finite entries")
     if strategy.n_sets != n:
-        raise ValueError(
-            f"strategy was built for {strategy.n_sets} sets, got {n}"
-        )
+        raise ValueError(f"strategy was built for {strategy.n_sets} sets, got {n}")
     z = None
     if known_point is not None:
         z = np.array(known_point, dtype=float)
         if z.shape != (d,):
             raise ValueError("known_point dimension mismatch")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("known_point must have finite entries")
     # a Memory checked its matrix when it was built, and n_sets is its size
     memory_matrix = getattr(strategy, "matrix", None)
     window = stop.step_window if stop.step_window is not None else 2 * n
@@ -224,11 +231,9 @@ def run(
     if matrix_snapshot_interval is not None and matrix_snapshot_interval < 1:
         raise ValueError("matrix_snapshot_interval must be at least 1")
 
-    indices: list[int] = []
-    steps: list[float] = []
-    residuals: list[float] | None = [] if z is not None else None
+    indices, steps, snapshots = [], [], []
+    residuals = [] if z is not None else None
     iterates = [x.copy()] if store_iterates else None
-    snapshots: list = []
     x_start = x.copy()
     status = STATUS_MAX_ITERATIONS
     check_fejer = debug_asserts and z is not None
@@ -240,9 +245,7 @@ def run(
     start = (int(getattr(strategy, "current_index", 0))
              if strategy.needs_start_projection else None)
     # a chooser that reads the steps, or a residual stop, sees each projection:
-    # its step (and residual) is measured as it is made, and both rules are
-    # checked there; any other run projects up to the first projection the
-    # step rule could stop at
+    # it is measured and checked as it is made; any other run is blind
     sees_each = (type(strategy) not in (Cyclic, RandomizedCycles)
                  or residual_tolerance is not None)
     # a stretch keeps its iterates for an array pass, a Fejer check or the store only
@@ -257,7 +260,9 @@ def run(
         k0 = len(indices)
         size = min(stop.max_iterations - k0, _STRETCH)
         if not sees_each:
-            size = min(size, last_big + window + 1 - k0)
+            # to where the step rule could first fire, or as long as the run so far
+            size = min(size, max(k0, last_big + window + 1 - k0))
+            saved = strategy._state()
         js, xs, seen, seen_residuals, error = [], [x], [], [], None
         try:
             for k in range(k0, k0 + size):
@@ -299,6 +304,18 @@ def run(
             lengths = _row_lengths(np.concatenate(parts))
         new_steps = np.array(seen) if sees_each else lengths[:len(xs) - 1]
         m = len(new_steps)
+        new_residuals = lengths[-m:].tolist() if deferred else seen_residuals
+        if not sees_each:
+            # the rule fires ``window`` projections after a big step with none between
+            big = np.r_[last_big, k0 + np.flatnonzero(~(new_steps < step_tolerance))]
+            fired = np.flatnonzero(np.diff(big, append=k0 + m) > window)
+            last_big = int(big[fired[0] if fired.size else -1])
+            if fired.size:  # rewind the chooser; what came later never happened
+                m = last_big + window + 1 - k0
+                strategy._restore(saved, m)
+                del js[m:], xs[m + 1:]
+                new_steps, new_residuals, error = new_steps[:m], new_residuals[:m], None
+                x = xs[-1]
         bad = m if sees_each else next(  # a loop that sees each step raises itself
             (p for p in np.flatnonzero(~(new_steps < math.inf)).tolist()
              if not np.all(np.isfinite(xs[p + 1]))), m)
@@ -311,12 +328,9 @@ def run(
         indices.extend(js)
         steps.extend(new_steps.tolist())
         if residuals is not None:
-            residuals.extend(lengths[-m:].tolist() if deferred else seen_residuals)
+            residuals.extend(new_residuals)
         if iterates is not None:
             iterates.extend(xs[1:])
-        big = np.flatnonzero(~(new_steps < step_tolerance))
-        if big.size:
-            last_big = k0 + int(big[-1])
         if status == STATUS_MAX_ITERATIONS and len(indices) - 1 - last_big >= window:
             status = STATUS_STEP
 

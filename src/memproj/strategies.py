@@ -9,9 +9,11 @@ runs its seeds in worker processes, one per CPU of the affinity mask.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .memory import (DistanceMatrix, Policy, is_admissible, pam_select, pam_update,
+from .memory import (_TINY, DistanceMatrix, InvariantViolation, Policy, is_admissible,
                      unreachable_pair)
 
 __all__ = ["Strategy", "Cyclic", "RandomizedCycles", "Memory", "transition_counts"]
@@ -51,6 +53,12 @@ class Cyclic(Strategy):
         self._k += 1
         return j
 
+    def _state(self):  # run() rewinds a blind stretch with _state and _restore
+        return self._k
+
+    def _restore(self, state, picks: int) -> None:  # back to state, then ``picks`` picks
+        self._k = state + picks
+
 
 class RandomizedCycles(Strategy):
     """A fresh uniformly random permutation of all sets for every cycle.
@@ -75,6 +83,14 @@ class RandomizedCycles(Strategy):
         self._pos += 1
         return j
 
+    def _state(self):
+        return self._rng.bit_generator.state, self._perm, self._pos
+
+    def _restore(self, state, picks: int) -> None:
+        self._rng.bit_generator.state, self._perm, self._pos = state
+        for _ in range(picks):
+            self.next_index()
+
 
 class Memory(Strategy):
     """Learning chooser: argmax over a row of the step-length memory.
@@ -86,12 +102,12 @@ class Memory(Strategy):
     ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it; the
     latter takes unpicked ones of one policy, advanced in a ``MemoryStack``.
 
-    The first call only selects (there is no step to record yet).  Every
-    later call first records the reported step for the transition chosen
-    last time, then selects from the updated matrix.  Because the update of
-    a pending transition happens on the next call, drivers should call
-    ``finish`` with the final step length when a run stops, so the matrix
-    reflects every projection performed.
+    ``next_index`` is the one owner of a step of the method.  The first call
+    only selects (there is no step to record yet).  Every later call first
+    records the reported step for the transition chosen last time, then
+    selects from the updated matrix.  Because the update of a pending
+    transition happens on the next call, drivers should call ``finish``
+    with the final step length when a run stops.
     """
 
     needs_start_projection = True
@@ -120,18 +136,58 @@ class Memory(Strategy):
             )
         return matrix
 
-    def next_index(self, last_step_length=None) -> int:
-        if self._pending is not None:
+    def next_index(self, last_step_length=None, *, pick=True):
+        """Entry (current, pending) becomes max(step, floor read before the write,
+        5e-324); then the new row's argmax is picked, a tie drawn from ``rng``.
+        ``pick=False`` records only, and returns the floor."""
+        matrix, j, col = self.matrix, self.current_index, self._pending
+        a = matrix._a
+        if col is not None:
             if last_step_length is None:
-                raise ValueError(
-                    "last_step_length is required on every call after the first"
-                )
-            pam_update(self, last_step_length)
-        return pam_select(self)
+                raise ValueError("last_step_length is required on every call after the first")
+            step = float(last_step_length)
+            # an overflowing difference between finite iterates is an infinite step
+            if not (step >= 0.0 and step < math.inf):
+                raise ValueError("step_length must be finite and >= 0")
+            # the pending entry is a maximum of row j: picked, and not written since
+            old, low, beta = a.item(j, col), matrix._minpos[j], self.policy.beta
+            if self.policy.kind == "min":
+                floor = beta * low
+            else:
+                # the incremental sum can nudge the average a hair above the row
+                # max; clamping to the exact row max keeps the decay bound exact
+                floor = min(beta * (matrix._sum[j] / matrix._count[j]), beta * old)
+            value = max(step, floor, _TINY)
+            a[j, col] = value
+            # old > 0 and value > 0, so the positive count of row j stays
+            matrix._sum[j] += value - old
+            if value <= low:
+                matrix._minpos[j] = value
+            elif old == low:
+                matrix._minpos[j] = a[j][a[j] > 0.0].min().item()
+            j = self.current_index = col
+            self._pending = None
+            if not pick:
+                return floor
+        elif not pick:
+            raise InvariantViolation("no pending pick to record: call pam_select first")
+        # a view suffices: the diagonal is 0 and no entry is negative, so once
+        # the maximum is positive the current index cannot be among the ties
+        row = a[j]
+        k = int(row.argmax())
+        best = row.item(k)
+        if not best > 0.0:
+            raise InvariantViolation(f"row {j} has no positive entry besides the diagonal; "
+                                     "the matrix was not admissible")
+        ties = (row == best).nonzero()[0]
+        if ties.size > 1:
+            k = int(ties[self.rng.integers(ties.size)])
+        self._pending = k
+        return k
 
     def finish(self, last_step_length=None) -> None:
         if self._pending is not None and last_step_length is not None:
-            pam_update(self, last_step_length)
+            self.next_index(last_step_length, pick=False)
 
 
 def transition_counts(indices, n_sets: int) -> np.ndarray:

@@ -53,14 +53,23 @@ def test_every_boundary_is_traced_and_restored(tracing):
         sets, x0, z = make_toy_problem()
         memory = Memory(build_dense(9), Policy("min", 0.01), seed=0)
         trace = memproj.run(sets, memory, x0, StoppingRule.exact_budget(300), known_point=z)
+        # run() steps a Memory through next_index alone; pam_select and
+        # pam_update are the boundaries of a hand-driven step, looked up
+        # where the tracer patched them
+        hand = Memory(build_dense(9), Policy("min", 0.01), seed=0)
+        for _ in range(50):
+            memproj.pam_select(hand)
+            memproj.pam_update(hand, 0.0)
     finally:
         tracer.uninstall()
     assert trace.n_projections == 300
     metrics, absent = tracer.layer_metrics(cycles=1, overhead_frac=0.0)
     assert absent == []
     value = {name: m["value"] for name, m in metrics.items()}
-    assert value["memory.selections"] == value["strategies.next_index.calls"] == 299
-    assert value["memory.ties"] > 0
+    # 299 picks and finish's record in the run, then 50 picks and 50 records
+    assert value["strategies.next_index.calls"] == 300 + 2 * 50
+    assert value["memory.selections"] == 50
+    assert 0 < value["memory.ties"] <= 50
     assert value["runner.projections"] == 300
     after = _bindings()
     assert after.keys() == before.keys()
@@ -105,8 +114,8 @@ def test_counts_through_every_projection_path(tracing):
     value = {name: m["value"] for name, m in metrics.items()}
     assert value["sets.project.calls"] == value["runner.projections"] == sum(
         t.n_projections for t in traces)
-    assert value["memory.selections"] == value["strategies.next_index.calls"] == sum(
-        t.n_projections - 1 for t in traces)
+    # a pick for every projection but the start one, and finish's record
+    assert value["strategies.next_index.calls"] == sum(t.n_projections for t in traces)
     assert value["sets.noop.count"] == sum(_unchanged(t) for t in traces)
 
 
@@ -114,7 +123,8 @@ def test_traced_preset_seeds_count_the_cyclic_picks(tracing):
     # the preset-seeds workload's traced view: mcp picks the same sets for
     # every seed, so it is one run(), one next_index call a projection;
     # run_lockstep's mrp rows call their own next_index, one call a row a
-    # projection, and its pam rows pick through the MemoryStack
+    # projection, and its pam rows pick through the MemoryStack, and record
+    # their last step through their own next_index when they finish
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -124,5 +134,5 @@ def test_traced_preset_seeds_count_the_cyclic_picks(tracing):
     assert [len(m.traces) for m in report.methods] == [3, 3, 3]
     metrics, absent = tracer.layer_metrics(cycles=1, overhead_frac=0.0)
     assert absent == []
-    assert metrics["strategies.next_index.calls"]["value"] == (1 + 3) * 315
+    assert metrics["strategies.next_index.calls"]["value"] == (1 + 3) * 315 + 3
     assert metrics["runner.runs"]["value"] == 1

@@ -580,7 +580,8 @@ class TestLeanMemoryEquivalence:
                 pam_update(memory, step)
             else:  # any positive entry, not only the row argmax pam writes
                 e = int(rng.integers(rows.size))
-                matrix._overwrite(int(rows[e]), int(cols[e]), step + 0.125)
+                memory.current_index = int(rows[e])
+                _record(memory, int(cols[e]), step + 0.125)
             fresh = matrix.copy()
             fresh._rebuild_row_stats()
             assert list(matrix._count) == list(fresh._count)

@@ -281,6 +281,32 @@ class TestGuards:
         with pytest.raises(ValueError):
             StoppingRule(max_iterations=10, residual_tolerance=-1.0)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "step_window"])
+    @pytest.mark.parametrize("value", [100.0, 18.5, True, False, "20", np.float64(30.0)])
+    def test_stopping_rule_counts_must_be_integers(self, field, value):
+        # a float once built and then failed inside range(); True ran one projection
+        fields = {"max_iterations": 100, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            StoppingRule(**fields)
+
+    def test_stopping_rule_takes_numpy_integers(self):
+        stop = StoppingRule(max_iterations=np.int64(50), step_window=np.int32(18))
+        sets, x0, _ = toy()
+        assert run(sets, Cyclic(9), x0, stop).n_projections <= 50
+
+    @pytest.mark.parametrize("engine", ["run", "run_lockstep"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_known_point_is_rejected(self, engine, bad):
+        # it once gave NaN residuals and a max_iterations status
+        sets, x0, _ = toy()
+        stop = StoppingRule(50, residual_tolerance=1e-3)
+        point = [0.0, bad, 0.0]
+        with pytest.raises(ValueError, match="known_point must have finite entries"):
+            if engine == "run":
+                run(sets, Cyclic(9), x0, stop, known_point=point)
+            else:
+                run_lockstep(sets, [Cyclic(9)], x0, stop, known_point=point)
+
 
 class TestResidualSeries:
     def test_constant_trace_at_solution_gives_zeros(self):
@@ -593,6 +619,15 @@ class TestReferenceLoop:
     @example(seed=2, kind="min", through_origin=True, dim=3, budget=1025,
              window_extra=None, tol=5e-324, rtol=0.9020989290519642, with_point=True,
              debug_asserts=True, store_iterates=True, interval=7)
+    # blind runs whose step rule fires inside a grown stretch: mcp at projection
+    # 70 of the stretch 48..95 (window 12), with deferred residuals and a Fejer
+    # check; mrp at 1002 of the stretch 576..1024, the budget's last (window 9)
+    @example(seed=0, kind="mcp", through_origin=True, dim=2, budget=1025,
+             window_extra=None, tol=1e-3, rtol=None, with_point=True,
+             debug_asserts=True, store_iterates=True, interval=7)
+    @example(seed=0, kind="mrp", through_origin=True, dim=3, budget=1025,
+             window_extra=3, tol=1e-3, rtol=None, with_point=False,
+             debug_asserts=False, store_iterates=False, interval=None)
     @settings(max_examples=150, deadline=None)
     def test_run_equals_the_reference(self, seed, kind, through_origin, dim, budget,
                                       window_extra, tol, rtol, with_point, debug_asserts,
@@ -630,6 +665,77 @@ class TestReferenceLoop:
             assert memory_state(ours) == memory_state(theirs)
         else:
             assert ours.next_index() == theirs.next_index()
+
+
+class _Counted:
+    """A set that counts its projections on a shared counter and, once the
+    counter passes ``limit``, raises or returns NaN instead."""
+
+    def __init__(self, inner, counter, limit=math.inf, fault=None):
+        self.inner, self.counter, self.limit, self.fault = inner, counter, limit, fault
+        self.dim = inner.dim
+
+    def project(self, x):
+        self.counter[0] += 1
+        if self.counter[0] > self.limit:
+            if self.fault == "raise":
+                raise RuntimeError("projection failed")
+            return np.full(self.dim, np.nan)
+        return self.inner.project(x)
+
+
+def _blind_origin_run(seed, kind, window_extra, tol, budget=1025, limit=math.inf, fault=None):
+    """A blind run over sets through the origin that counts its projections."""
+    rng = np.random.default_rng(seed)
+    counter = [0]
+    sets = [_Counted(s, counter, limit, fault) for s in sets_through_origin(rng, 3)]
+    x0 = rng.uniform(-10.0, 10.0, 3)
+    n = len(sets)
+    stop = StoppingRule(max_iterations=budget, step_tolerance=tol,
+                        step_window=None if window_extra is None else n + window_extra)
+    return sets, x0, stop, counter
+
+
+class TestGrownStretches:
+    """A blind run's stretches outgrow the step window; where the step rule
+    fires inside one, the run is cut there as if it had stopped there."""
+
+    @pytest.mark.parametrize("fault", ["raise", "nan"])
+    @pytest.mark.parametrize("kind", ["mcp", "mrp"])
+    def test_a_fault_after_the_stop_is_never_seen(self, kind, fault):
+        def once(engine, limit=math.inf, **options):
+            sets, x0, stop, counter = _blind_origin_run(0, kind, None, 1e-3,
+                                                        limit=limit, fault=fault)
+            chooser = _chooser(kind, 6, 0)
+            trace = engine(sets, chooser, x0, stop, np.zeros(3), store_iterates=True,
+                           **options)
+            return trace, chooser, counter[0]
+
+        expected, theirs, made = once(reference_run)
+        assert expected.status == STATUS_STEP and made == expected.n_projections
+        # every projection after the stop fails, and run() makes some of them
+        got, ours, made = once(run, limit=expected.n_projections, debug_asserts=True)
+        assert made > expected.n_projections
+        assert_same_trace(got, expected)
+        assert [ours.next_index() for _ in range(20)] == [theirs.next_index() for _ in range(20)]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["mcp", "mrp"]),
+        window_extra=st.one_of(st.none(), st.integers(0, 1100)),
+        tol=st.sampled_from([1e-9, 1e-3, 0.5]),
+        budget=st.sampled_from([100, 3000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_stopped_run_projects_at_most_twice_its_length_and_a_window(
+            self, seed, kind, window_extra, tol, budget):
+        sets, x0, stop, counter = _blind_origin_run(seed, kind, window_extra, tol, budget)
+        trace = run(sets, _chooser(kind, 6, seed), x0, stop)
+        window = stop.step_window or 12
+        if trace.status == STATUS_STEP:
+            assert counter[0] <= 2 * trace.n_projections + window
+        else:
+            assert counter[0] == trace.n_projections == budget
 
 
 def _toy_strategy(kind, k):
