@@ -15,7 +15,6 @@ Set indices everywhere in this package are 0-based.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "InvariantViolation",
     "DistanceMatrix",
     "Policy",
-    "MemoryStack",
     "is_admissible",
     "unreachable_pair",
     "build_banded_bidirectional",
@@ -279,91 +277,3 @@ def pam_update(memory, step_length: float) -> None:
     """Record the step of the pending transition and advance the current
     index, as ``Memory.next_index`` does before it picks."""
     memory.next_index(step_length, pick=False)
-
-
-class MemoryStack:
-    """The memory of several ``Memory`` strategies, advanced together.
-
-    Strategy s owns rows s*N .. s*N + N - 1 of one (S*N, N) matrix and of
-    the row aggregates, its current row, its pending column (-1: none) and
-    its generator; the strategies share one policy and start with no
-    pending pick, or ``ValueError`` names the first that does not.
-    ``next_indices`` does per entry the float operations of
-    ``Memory.next_index``, drawing each tie-break from the strategy's own
-    generator, so each strategy picks what it would alone, and
-    ``write_back`` leaves it in the state it would reach alone.  The
-    matrices must be admissible: as no update stores less than ``_TINY``,
-    every row then keeps a positive entry to select.
-    """
-
-    def __init__(self, strategies):
-        policy = strategies[0].policy
-        for i, s in enumerate(strategies):
-            if s._pending is not None:
-                raise ValueError(f"strategy {i} has a pending pick; a MemoryStack "
-                                 "starts every Memory at its current set")
-            if s.policy != policy:
-                raise ValueError(f"strategy {i} has {s.policy}, strategy 0 {policy}; "
-                                 "a MemoryStack advances Memory strategies of one policy")
-        self.strategies = strategies
-        mats = [s.matrix for s in strategies]
-        self.n = mats[0].n
-        self.rows = np.concatenate([m._a for m in mats])
-        self.cells = self.rows.reshape(-1)  # a view: entry (row, col) is cell row * N + col
-        self.count = np.concatenate([m._count for m in mats])
-        self.sum = np.concatenate([m._sum for m in mats]).astype(float)
-        self.minpos = np.concatenate([m._minpos for m in mats]).astype(float)
-        self.offset = np.arange(len(strategies)) * self.n
-        self.row = self.offset + [s.current_index for s in strategies]
-        self.pending = np.full(len(strategies), -1)
-        self.beta = policy.beta
-        self.average = policy.kind == "average"
-        self.draw = [s.rng.integers for s in strategies]
-
-    def next_indices(self, slots: np.ndarray, steps: np.ndarray | None) -> np.ndarray:
-        """Record the finite ``steps`` of strategies ``slots`` (None on a
-        first call), then pick their next indices."""
-        if steps is not None:
-            self._record(slots, steps)
-        rows = self.rows[self.row[slots]]
-        picks = rows.argmax(1)
-        ties = rows == rows[np.arange(len(slots)), picks][:, None]
-        counts = np.add.reduce(ties, 1)
-        tied = (counts > 1).nonzero()[0]
-        if tied.size:
-            draws = np.zeros(len(slots), dtype=int)
-            draws[tied] = [self.draw[s](c) for s, c in
-                           zip(slots[tied].tolist(), counts[tied].tolist())]
-            # the draws-th maximum from the left, as Memory.next_index takes it
-            picks = ties.ravel().nonzero()[0][counts.cumsum() - counts + draws] % self.n
-        self.pending[slots] = picks
-        return picks
-
-    def _record(self, slots: np.ndarray, steps: np.ndarray) -> None:
-        r, col = self.row[slots], self.pending[slots]
-        cell = r * self.n + col
-        old = self.cells[cell]  # each a maximum of its row, as in next_index
-        low = self.minpos[r]
-        # read before the write, as in next_index
-        if self.average:
-            floor = np.minimum(self.beta * (self.sum[r] / self.count[r]), self.beta * old)
-        else:
-            floor = self.beta * low
-        value = np.maximum(np.maximum(steps, floor), _TINY)  # next_index's max, same bits
-        self.cells[cell] = value
-        self.sum[r] += value - old
-        self.minpos[r] = np.minimum(value, low)
-        rescan = r[(value > low) & (old == low)]  # a minimum overwritten by more
-        if rescan.size:
-            rows = self.rows[rescan]
-            self.minpos[rescan] = np.where(rows > 0.0, rows, math.inf).min(1)
-        self.row[slots] = self.offset[slots] + col
-        self.pending[slots] = -1
-
-    def write_back(self, slot: int) -> None:
-        """Hand strategy ``slot``'s matrix, aggregates and indices back to it."""
-        s, own = self.strategies[slot], slice(self.offset[slot], self.offset[slot] + self.n)
-        s.matrix._a[...] = self.rows[own]  # an update never changes _count
-        s.matrix._sum, s.matrix._minpos = self.sum[own].tolist(), self.minpos[own].tolist()
-        s.current_index = int(self.row[slot] - self.offset[slot])
-        s._pending = None if self.pending[slot] < 0 else int(self.pending[slot])

@@ -21,10 +21,10 @@ raises ``NumericError`` or ``FejerViolation``.  A chooser blind to the steps
 at least as long as the run before them; where the step rule fired inside
 one, the stretch is cut there and the chooser rewound to that projection.
 
-``run_lockstep`` drives several strategies of one class (and, for
-``Memory``, one policy) over the same lines through the origin at once, one
-row of a stacked iterate array per run, and returns the traces ``run`` would
-give each of them; ``Memory`` rows pick together through a ``MemoryStack``.
+``run_lockstep`` drives several strategies of one class over the same lines
+through the origin at once, one row of a stacked iterate array per run, and
+returns the traces ``run`` would give each of them; each row picks through
+its own strategy's ``next_index``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import MemoryStack
 from .sets import _LARGEST, _SMALLEST_NORMAL, LineThroughOrigin, _distance
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
@@ -80,8 +79,11 @@ class StoppingRule:
 
     ``step_window`` is the number of trailing projections whose steps must
     all be shorter than ``step_tolerance`` for the step criterion to fire;
-    ``None`` means twice the number of sets, a full-recurrence window, so a
-    run cannot stop merely because one transition stalled.  The residual
+    ``None`` means twice the number of sets.  Under ``Cyclic`` and
+    ``RandomizedCycles`` such a window holds a projection onto every set, so
+    their runs cannot stop merely because one transition stalled; a
+    ``Memory`` run may cycle among some of the sets for the whole window and
+    stop while another set is still far away.  The residual
     criterion needs a known feasible point and fires when the distance to
     it drops below ``residual_tolerance``.
     """
@@ -389,8 +391,8 @@ def run_lockstep(
     iterates of the runs form one (S, d) array, so one projection of all S
     runs costs the NumPy calls of one projection of one run.  Every set must
     be a ``LineThroughOrigin``, and the strategies distinct objects of one
-    class, ``Cyclic``, ``RandomizedCycles`` or ``Memory``; ``Memory`` ones
-    pick together in a ``MemoryStack``, each from its own random stream.
+    class, ``Cyclic``, ``RandomizedCycles`` or ``Memory``, the ``Memory``
+    ones with no pending pick; each picks through its own ``next_index``.
     Any other list raises an error naming the first strategy that does not fit.
     """
     sets = list(sets)
@@ -413,7 +415,11 @@ def run_lockstep(
                 f"strategy {i} is a {type(s).__name__}; run_lockstep takes all Cyclic, "
                 "all RandomizedCycles or all Memory strategies"
             )
-    stack = MemoryStack(strategies) if kind is Memory else None
+    memory = kind is Memory
+    for i, s in enumerate(strategies):
+        if memory and s._pending is not None:
+            raise ValueError(f"strategy {i} has a pending pick; run_lockstep starts "
+                             "every Memory at its current set")
 
     n = len(sets)
     x, z, _, window = inputs[0]
@@ -422,9 +428,10 @@ def run_lockstep(
     step_tolerance = stop.step_tolerance
     residual_tolerance = stop.residual_tolerance if z is not None else None
 
-    # row p of the stacked state belongs to run rows[p], which is also its
-    # slot in the stack; a run leaves the rows when it stops or raises
+    # row p of the stacked state belongs to run rows[p], whose strategy is
+    # live[p]; a run leaves the rows when it stops or raises
     rows = np.arange(len(strategies))
+    live = strategies
     X = np.tile(x, (len(rows), 1))
     last_big = np.full(len(rows), -1)
     # per projection since the rows last changed: indices, steps,
@@ -467,12 +474,12 @@ def run_lockstep(
     for k in range(stop.max_iterations):
         # row -> stop status, or None for a run that raised
         leaving: dict[int, str | None] = {}
-        if stack is None:
-            ja = np.array([strategies[i].next_index() for i in rows.tolist()])
-        elif k == 0:  # the start projections, onto each Memory's current set
-            ja = stack.row - stack.offset
-        else:  # as in run(), the start projection's step is not recorded
-            ja = stack.next_indices(rows, steps if k > 1 else None)
+        if memory and k == 0:  # the start projections, onto each Memory's current set
+            ja = np.array([s.current_index for s in live])
+        elif memory and k > 1:
+            ja = np.array([s.next_index(step) for s, step in zip(live, steps.tolist())])
+        else:  # as in run(), a Memory's start projection step is not recorded
+            ja = np.array([s.next_index() for s in live])
         d_rows = directions[ja]
         # the order of run(): ((d . x) / (d . d)) d, then the differences
         x_next = (_row_dots(d_rows, X) / vv[ja])[:, None] * d_rows
@@ -490,7 +497,7 @@ def run_lockstep(
                     errors[int(rows[p])] = NumericError(
                         f"non-finite iterate after projection {k}")
                     leaving[p] = None
-                elif stack and k:
+                elif memory and k:
                     # the run leaves now: its Memory's finish rejects the step, as in run()
                     leaving[p] = STATUS_MAX_ITERATIONS
         if last_big.min() <= k - window or (
@@ -518,14 +525,13 @@ def run_lockstep(
                     leaving.setdefault(p, None)
         close_segment()
         for p, status in leaving.items():
-            if stack:
-                stack.write_back(rows[p])
             if status is not None:
                 finish(p, int(rows[p]), status)
         keep = [p for p in range(len(rows)) if p not in leaving]
         if not keep:
             break
         rows, X, steps, last_big = rows[keep], X[keep], steps[keep], last_big[keep]
+        live = [live[p] for p in keep]
 
     if errors:
         raise errors[min(errors)]

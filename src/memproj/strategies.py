@@ -100,7 +100,7 @@ class Memory(Strategy):
     ``_pending``, the set chosen last whose step is not recorded yet.  Its
     ``admissible`` is the one admissibility check: ``__init__`` and
     ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it; the
-    latter takes unpicked ones of one policy, advanced in a ``MemoryStack``.
+    latter takes unpicked ones and steps each through its own ``next_index``.
 
     ``next_index`` is the one owner of a step of the method.  The first call
     only selects (there is no step to record yet).  Every later call first
@@ -181,7 +181,7 @@ class Memory(Strategy):
                                      "the matrix was not admissible")
         ties = (row == best).nonzero()[0]
         if ties.size > 1:
-            k = int(ties[self.rng.integers(ties.size)])
+            k = ties.item(self.rng.integers(ties.size))
         self._pending = k
         return k
 

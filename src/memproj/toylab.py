@@ -15,6 +15,8 @@ statistics.
 from __future__ import annotations
 
 import copy
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +48,18 @@ class ToyConfig:
     max_lines = 2_300_000
 
     def __post_init__(self):
+        if isinstance(self.n_sets, bool) or not isinstance(self.n_sets, (int, np.integer)):
+            raise ValueError(f"n_sets must be an integer, not {self.n_sets!r}")
         if self.n_sets < 2:
             raise ValueError("need at least 2 lines")
-        if not (np.isfinite(self.r) and self.r > 0.0):
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
+            raise ValueError(f"r must be a real number, not {self.r!r}")
+        # a NumPy scalar is kept as the Python number it holds, which a report can encode
+        for name in ("n_sets", "r"):
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
+        # compared, not converted: an integer beyond the float range is not finite
+        if not 0.0 < self.r <= sys.float_info.max:
             raise ValueError("r must be finite and > 0")
 
     def directions(self) -> np.ndarray:
@@ -198,14 +209,6 @@ def concentration_step(indices, n_sets: int, threshold: float = 0.75) -> int:
     return last_below + 1
 
 
-PRESETS = (
-    "benchmark",
-    "scaling_large",
-    "scaling_small",
-    "sparse_forward",
-    "bandwidth_sweep",
-)
-
 _DEFAULT_BUDGET = {
     "benchmark": 315,
     "scaling_large": 315,
@@ -213,42 +216,38 @@ _DEFAULT_BUDGET = {
     "sparse_forward": 432,
     "bandwidth_sweep": 315,
 }
+PRESETS = tuple(_DEFAULT_BUDGET)
 
 
 def _method_lineup(preset: str, n_sets: int, omega, beta: float):
-    """(label, strategy factory seed -> Strategy) pairs for a preset."""
+    """(label, strategy factory seed -> Strategy) pairs for a preset of
+    ``PRESETS``, which ``run_preset`` checks first."""
     policy = Policy("min", beta)
 
     # each Memory copies the matrix it is given, so one serves every seed
-    def pam_dense(scale):
-        matrix = build_dense(n_sets, scale)
-        return lambda seed: Memory(matrix, policy, seed=seed)
-
-    def pam_forward(w):
-        matrix = build_banded_forward(n_sets, w)
+    def pam(matrix):
         return lambda seed: Memory(matrix, policy, seed=seed)
 
     mcp = ("mcp", lambda seed: Cyclic(n_sets))
     mrp = ("mrp", lambda seed: RandomizedCycles(n_sets, seed=seed))
 
     if preset == "benchmark":
-        return [mcp, mrp, ("pam", pam_dense(1.0))]
+        return [mcp, mrp, ("pam", pam(build_dense(n_sets, 1.0)))]
     if preset == "scaling_large":
-        return [mrp, ("pam", pam_dense(1.0))]
+        return [mrp, ("pam", pam(build_dense(n_sets, 1.0)))]
     if preset == "scaling_small":
-        return [mrp, ("pam", pam_dense(0.01))]
+        return [mrp, ("pam", pam(build_dense(n_sets, 0.01)))]
     if preset == "sparse_forward":
         w = 2 if omega is None else int(omega)
-        return [mcp, (f"pam_omega{w}", pam_forward(w))]
-    if preset == "bandwidth_sweep":
-        quarter = max(1, round(n_sets / 4))
-        half = max(1, round(n_sets / 2))
-        full = n_sets - 1  # forward band of width N-1 admits every transition
-        lineup = [mcp, mrp]
-        for w in dict.fromkeys((quarter, half, full)):
-            lineup.append((f"pam_omega{w}", pam_forward(w)))
-        return lineup
-    raise ValueError(f"unknown preset {preset!r}; choose one of {PRESETS}")
+        return [mcp, (f"pam_omega{w}", pam(build_banded_forward(n_sets, w)))]
+    # bandwidth_sweep
+    quarter = max(1, round(n_sets / 4))
+    half = max(1, round(n_sets / 2))
+    full = n_sets - 1  # forward band of width N-1 admits every transition
+    lineup = [mcp, mrp]
+    for w in dict.fromkeys((quarter, half, full)):
+        lineup.append((f"pam_omega{w}", pam(build_banded_forward(n_sets, w))))
+    return lineup
 
 
 def run_preset(

@@ -192,7 +192,7 @@ def write_trace_json(trace: RunTrace, path, config_echo: dict | str | None = Non
     Path(path).write_text(text + "\n")
 
 
-def write_report(report, outdir, echo: dict | None = None) -> Path:
+def write_report(report, outdir) -> Path:
     """Write a preset report as a directory.
 
     Layout: config.json (byte-stable echo of what ran), summary.json
@@ -214,8 +214,6 @@ def write_report(report, outdir, echo: dict | None = None) -> Path:
         "params": dict(report.params),
         "methods": [m.label for m in report.methods],
     }
-    if echo is not None:
-        config_echo.update(echo)
     (outdir / "config.json").write_text(dumps_stable(config_echo))
 
     summary = report.summary()

@@ -2,8 +2,12 @@
 a textbook per-projection run that ``run`` must equal bit for bit."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import memproj
 from memproj import (
     STATUS_MAX_ITERATIONS,
     STATUS_RESIDUAL,
@@ -21,6 +25,12 @@ from memproj import (
 from memproj.runner import _check_fejer, _distance
 
 SET_FAMILIES = ("hyperplane", "halfspace", "ball", "box", "line", "affine")
+
+
+def subprocess_env() -> dict:
+    """This environment, with PYTHONPATH naming the memproj under test, so a
+    child Python imports it however pytest itself found it."""
+    return {**os.environ, "PYTHONPATH": str(Path(memproj.__file__).resolve().parents[1])}
 
 
 def reachable_by_path_enumeration(pattern: np.ndarray) -> np.ndarray:

@@ -123,8 +123,8 @@ def test_traced_preset_seeds_count_the_cyclic_picks(tracing):
     # the preset-seeds workload's traced view: mcp picks the same sets for
     # every seed, so it is one run(), one next_index call a projection;
     # run_lockstep's mrp rows call their own next_index, one call a row a
-    # projection, and its pam rows pick through the MemoryStack, and record
-    # their last step through their own next_index when they finish
+    # projection; its pam rows do too but for the start projection, and
+    # record their last step through their own next_index when they finish
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -134,5 +134,5 @@ def test_traced_preset_seeds_count_the_cyclic_picks(tracing):
     assert [len(m.traces) for m in report.methods] == [3, 3, 3]
     metrics, absent = tracer.layer_metrics(cycles=1, overhead_frac=0.0)
     assert absent == []
-    assert metrics["strategies.next_index.calls"]["value"] == (1 + 3) * 315 + 3
+    assert metrics["strategies.next_index.calls"]["value"] == (1 + 3) * 315 + 3 * 314 + 3
     assert metrics["runner.runs"]["value"] == 1

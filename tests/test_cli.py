@@ -16,6 +16,7 @@ from memproj import LineThroughOrigin, __version__, toylab
 from memproj.cli import main
 from memproj.config import ExperimentConfig
 
+from conftest import subprocess_env
 from test_golden import _run_configs
 
 
@@ -410,7 +411,7 @@ class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "memproj", "version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__

@@ -41,6 +41,8 @@ from memproj.config import (
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
 from memproj.traceio import write_matrix_csv, write_trace_csv
 
+from conftest import subprocess_env
+
 TOY_PAM = {
     "problem": {"kind": "toy", "n_sets": 9, "r": 0.05},
     "strategy": {
@@ -184,7 +186,7 @@ class TestParsing:
                 "memproj.parse_config(json.loads(sys.argv[1])); "
                 "print(loaded, 'numpy.random' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(TOY_PAM)],
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True, env=subprocess_env())
         loaded, after = proc.stdout.split()
         assert after == loaded
 

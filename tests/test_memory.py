@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_by_enumeration, memory_state
+from conftest import admissible_by_enumeration
 from memproj import (
     STATUS_MAX_ITERATIONS,
     STATUS_STEP,
@@ -30,7 +30,7 @@ from memproj import (
     toy_directions,
     unreachable_pair,
 )
-from memproj.memory import MemoryStack, _reachable_from
+from memproj.memory import _reachable_from
 from memproj.runner import run_lockstep
 
 
@@ -618,63 +618,3 @@ class TestLeanMemoryEquivalence:
                 for s in starts:
                     np.testing.assert_array_equal(
                         _reachable_from(q, s), _reachable_from_reference(q, s))
-
-
-_STACK_PRIORS = {
-    "dense": lambda n: build_dense(n),
-    "forward": lambda n: build_banded_forward(n, 2),
-    "forward_w1": lambda n: build_banded_forward(n, 1),
-    "bidirectional": lambda n: build_banded_bidirectional(n, 1, 0.5),
-}
-# exact zeros, subnormals and a few repeated values: floors that clamp,
-# ties, and writes that land on the row minimum (which forces a rescan)
-_STEPS = (0.0, 5e-324, 1e-310, 0.125, 0.25, 0.5, 1.0, 3.0)
-
-
-def _memories(prior, n, policy, count, seed):
-    return [Memory(_STACK_PRIORS[prior](n), policy, seed=seed + i, start_index=(3 * i) % n)
-            for i in range(count)]
-
-
-class TestMemoryStack:
-    """A MemoryStack makes the picks, and leaves the states, of one Memory each."""
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        prior=st.sampled_from(sorted(_STACK_PRIORS)),
-        n=st.integers(3, 7),
-        kind=st.sampled_from(["min", "average"]),
-        beta=st.sampled_from([0.01, 0.5]),
-        count=st.integers(1, 5),
-        n_steps=st.integers(0, 60),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_one_memory_each(self, seed, prior, n, kind, beta, count, n_steps):
-        rng = np.random.default_rng(seed)
-        batched = _memories(prior, n, Policy(kind, beta), count, seed)
-        single = _memories(prior, n, Policy(kind, beta), count, seed)
-        stack = MemoryStack(batched)
-        # each strategy leaves at a step of its own, as a run stops
-        leave = rng.integers(0, n_steps + 1, count)
-        steps = None
-        for k in range(n_steps + 1):
-            slots = np.flatnonzero(leave >= k)
-            for s in np.flatnonzero(leave == k - 1).tolist():
-                stack.write_back(s)
-                single[s].finish(float(steps[s]))
-                batched[s].finish(float(steps[s]))
-            if not slots.size:
-                break
-            last = None if steps is None else steps[slots]
-            picks = stack.next_indices(slots, last)
-            expected = [single[s].next_index(None if last is None else float(x))
-                        for s, x in zip(slots.tolist(), [None] * slots.size
-                                        if last is None else last.tolist())]
-            assert picks.tolist() == expected
-            steps = np.full(count, np.nan)
-            steps[slots] = rng.choice(_STEPS, slots.size) * rng.choice([1.0, 0.75], slots.size)
-        for s in range(count):
-            if leave[s] >= n_steps:
-                stack.write_back(s)
-        for b, s in zip(batched, single):
-            assert memory_state(b) == memory_state(s)

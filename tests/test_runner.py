@@ -974,6 +974,9 @@ class TestLockstepEngine:
             lambda: [Memory(build_dense(9), Policy("min", 0.5), seed=2, start_index=2),
                      Memory(_tie_prone_prior(9), Policy("min", 0.5), seed=9, start_index=5)],
             lambda: [Memory(build_banded_forward(9, 1), Policy("average", 0.5), seed=4)],
+            # each Memory steps by its own policy
+            lambda: [pam_strategy(0), pam_strategy(1, beta=0.5),
+                     Memory(_tie_prone_prior(9), Policy("average", 0.3), seed=5)],
         ]
         for stop in (StoppingRule.exact_budget(1), StoppingRule.exact_budget(2),
                      StoppingRule.exact_budget(250),
@@ -1136,7 +1139,7 @@ class TestLockstepEngine:
         with pytest.raises(ValueError, match="own strategy"):
             run_lockstep(sets, [shared, shared], x0, StoppingRule.exact_budget(5))
 
-    def test_lists_of_more_than_one_class_or_policy_rejected(self):
+    def test_lists_of_more_than_one_class_rejected(self):
         class Sub(Cyclic):
             pass
 
@@ -1152,12 +1155,8 @@ class TestLockstepEngine:
              "all RandomizedCycles or all Memory strategies"),
             ([Cyclic(9), Sub(9)], TypeError, "strategy 1 is a Sub; run_lockstep takes"),
             ([Sub(9), Sub(9)], TypeError, "strategy 0 is a Sub; run_lockstep takes"),
-            ([pam_strategy(0), pam_strategy(1, beta=0.5)], ValueError,
-             "strategy 1 has Policy(kind='min', beta=0.5), strategy 0 "
-             "Policy(kind='min', beta=0.01); a MemoryStack advances Memory strategies "
-             "of one policy"),
             ([pam_strategy(0), pam_strategy(1), used(2)], ValueError,
-             "strategy 2 has a pending pick; a MemoryStack starts every Memory "
+             "strategy 2 has a pending pick; run_lockstep starts every Memory "
              "at its current set"),
         ]
         for strategies, error, message in cases:

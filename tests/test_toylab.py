@@ -71,6 +71,26 @@ class TestProblemGeneration:
         with pytest.raises(ValueError):
             ToyConfig(9, -1.0)
 
+    def test_config_types_are_checked_at_construction(self):
+        # each is a ValueError naming its field, where NumPy raised a TypeError
+        # at construction or later, or 9.0 and 9.5 were accepted
+        for n in (9.0, 9.5, True, np.float64(9.0), "9"):
+            with pytest.raises(ValueError, match=r"^n_sets must be an integer, not "):
+                ToyConfig(n)
+        for r in ("0.05", None, True, [0.05], 0.05j):
+            with pytest.raises(ValueError, match=r"^r must be a real number, not "):
+                ToyConfig(9, r)
+        for r in (10**400, np.nan, np.inf, -0.0):
+            with pytest.raises(ValueError, match=r"^r must be finite and > 0$"):
+                ToyConfig(9, r)
+        # a NumPy scalar is taken as the Python number it holds, so a report can encode it
+        config = ToyConfig(np.int64(9), np.float64(0.05))
+        assert type(config.n_sets) is int and type(config.r) is float
+        assert config == ToyConfig(9, 0.05)
+        config = ToyConfig(np.int32(2), np.float32(0.5))
+        assert (type(config.n_sets), type(config.r)) == (int, float)
+        assert ToyConfig(9, 1).r == 1 and type(ToyConfig(9, 1).r) is int
+
     def test_numerically_parallel_lines_rejected(self):
         # at tiny r the lines cannot be told apart in double precision
         with pytest.raises(ValueError, match="parallel"):
