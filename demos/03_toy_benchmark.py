@@ -13,8 +13,7 @@ import numpy as np
 from memproj import residual_series, run_preset, transition_counts
 
 ITERS = 315
-report = run_preset("benchmark", seeds=range(10), iterations=ITERS,
-                    store_iterates=True)
+report = run_preset("benchmark", seeds=range(10), iterations=ITERS)
 
 print(f"fan of 9 lines, r=0.05, {ITERS} projections, 10 seeds\n")
 print("residual (distance to the origin) at the end of the budget:")

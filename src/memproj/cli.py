@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run a canned toy study")
     p_preset.add_argument("name", choices=PRESETS)
-    p_preset.add_argument("--N", type=int, default=9, help="number of lines")
-    p_preset.add_argument("--r", type=float, default=0.05, help="radius parameter")
+    p_preset.add_argument("--N", type=int, default=ToyConfig.n_sets, help="number of lines")
+    p_preset.add_argument("--r", type=float, default=ToyConfig.r, help="radius parameter")
     p_preset.add_argument("--iters", type=int, default=None, help="projection budget")
     p_preset.add_argument(
         "--seeds", type=int, default=20, help="number of seeds (0..count-1)"

@@ -270,7 +270,7 @@ def set_from_descriptor(d: dict) -> ProjectableSet:
         raise ValueError(f"unknown set kind {kind!r}; choose one of {tuple(_SET_KINDS)}")
     cls, depths = _SET_KINDS[kind]
     for name, depth in zip(cls.params, depths):
-        if not _is_numbers(d[name], depth):
+        if not _is_numbers(d.get(name), depth):
             raise ValueError(f"{name} must be {_NUMBERS[depth]}")
         if depth == 2 and len({len(row) for row in d[name]}) > 1:
             raise ValueError(f"{name} must be {_NUMBERS[depth]} of one length")
@@ -330,8 +330,8 @@ def _parse_problem(doc, col: _Collector):
         return None
     kind = doc.get("kind")
     if kind == "toy":
-        n = doc.get("n_sets", 9)
-        r = doc.get("r", 0.05)
+        n = doc.get("n_sets", ToyConfig.n_sets)
+        r = doc.get("r", ToyConfig.r)
         if not (_is_number(n, integer=True) and n >= 2):
             col.add("problem.n_sets", "must be an integer >= 2")
             return None
@@ -475,7 +475,8 @@ def _parse_stop(doc, col: _Collector):
         col.add("stop.step_window", "must be an integer >= 1 or null")
         return None
     kwargs["step_window"] = window
-    for key, default in (("step_tolerance", 1e-12), ("residual_tolerance", None)):
+    for key in ("step_tolerance", "residual_tolerance"):
+        default = getattr(StoppingRule, key)  # the rule's own defaults
         v = doc.get(key, default)
         # residual_tolerance alone may be null: no residual stop
         if (v is not None or default is not None) and not (_is_number(v) and v > 0):

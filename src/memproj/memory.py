@@ -162,7 +162,9 @@ def unreachable_pair(matrix):
     return None
 
 
-def _check_banded_args(n_sets: int, omega: int, scale: float) -> None:
+def _check_builder_args(n_sets: int, omega: int, scale: float) -> None:
+    if isinstance(n_sets, bool) or not isinstance(n_sets, (int, np.integer)):
+        raise ValueError(f"n_sets must be an integer, not {n_sets!r}")
     if n_sets < 2:
         raise ValueError("need at least 2 sets")
     if omega < 1:
@@ -173,18 +175,20 @@ def _check_banded_args(n_sets: int, omega: int, scale: float) -> None:
         raise ValueError("scale must be finite and > 0")
 
 
+def _cyclic_band(n_sets: int, omega: int, scale: float, both_ways: bool) -> DistanceMatrix:
+    _check_builder_args(n_sets, omega, scale)
+    ahead = (np.arange(n_sets) - np.arange(n_sets)[:, None]) % n_sets  # (n - m) mod N
+    reach = np.minimum(ahead, n_sets - ahead) if both_ways else ahead
+    return DistanceMatrix(np.where((0 < reach) & (reach <= omega), scale, 0.0))
+
+
 def build_banded_bidirectional(n_sets: int, omega: int, scale: float = 1.0) -> DistanceMatrix:
     """Cyclic band of half-width ``omega`` in both directions.
 
     Entry (m, n) is ``scale`` when n is within ``omega`` cyclic steps of m
     (either direction), else 0.
     """
-    _check_banded_args(n_sets, omega, scale)
-    idx = np.arange(n_sets)
-    diff = idx[None, :] - idx[:, None]  # n - m
-    band = (0 < np.abs(diff)) & (np.abs(diff) <= omega)
-    wrap = (n_sets - diff <= omega) | (n_sets + diff <= omega)
-    return DistanceMatrix(np.where(band | wrap, scale, 0.0))
+    return _cyclic_band(n_sets, omega, scale, both_ways=True)
 
 
 def build_banded_forward(n_sets: int, omega: int, scale: float = 1.0) -> DistanceMatrix:
@@ -194,19 +198,12 @@ def build_banded_forward(n_sets: int, omega: int, scale: float = 1.0) -> Distanc
     (m + 1) mod N, which forces the memory method into the plain cyclic
     order.
     """
-    _check_banded_args(n_sets, omega, scale)
-    idx = np.arange(n_sets)
-    diff = idx[None, :] - idx[:, None]  # n - m
-    mask = ((0 < diff) & (diff <= omega)) | (n_sets + diff <= omega)
-    return DistanceMatrix(np.where(mask, scale, 0.0))
+    return _cyclic_band(n_sets, omega, scale, both_ways=False)
 
 
 def build_dense(n_sets: int, scale: float = 1.0) -> DistanceMatrix:
     """All off-diagonal entries equal to ``scale``."""
-    if n_sets < 2:
-        raise ValueError("need at least 2 sets")
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError("scale must be finite and > 0")
+    _check_builder_args(n_sets, 1, scale)  # every n_sets >= 2 admits omega=1
     a = np.full((n_sets, n_sets), scale, dtype=float)
     np.fill_diagonal(a, 0.0)
     return DistanceMatrix(a)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import _LARGEST, _SMALLEST_NORMAL, LineThroughOrigin, _distance
+from .sets import _LARGEST, _SMALLEST_SUM, LineThroughOrigin, _distance
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
 __all__ = [
@@ -98,6 +98,9 @@ class StoppingRule:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("step_tolerance", "residual_tolerance"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.step_window is not None and self.step_window < 1:
@@ -367,8 +370,8 @@ def _row_lengths(v: np.ndarray) -> np.ndarray:
     """``_distance(v[i], 0.0)`` for every row of an (S, d) array, bit for bit."""
     d = _row_dots(v, v)
     out = np.sqrt(d)
-    if not (d.min() >= _SMALLEST_NORMAL and d.max() <= _LARGEST):
-        for p in np.flatnonzero(~((d >= _SMALLEST_NORMAL) & (d <= _LARGEST))):
+    if not (d.min() >= _SMALLEST_SUM and d.max() <= _LARGEST):
+        for p in np.flatnonzero(~((d >= _SMALLEST_SUM) & (d <= _LARGEST))):
             out[p] = _distance(v[p], 0.0)
     return out
 
@@ -380,20 +383,18 @@ def run_lockstep(
     x0,
     stop: StoppingRule,
     known_point=None,
-    *,
-    store_iterates: bool = False,
 ) -> list[RunTrace]:
     """Run every strategy over the same lines from ``x0``, all together.
 
-    Returns ``[run(sets, s, x0, stop, known_point,
-    store_iterates=store_iterates) for s in strategies]`` bit for bit, and
-    raises what that raises, for the lowest-numbered failing run.  The
-    iterates of the runs form one (S, d) array, so one projection of all S
-    runs costs the NumPy calls of one projection of one run.  Every set must
-    be a ``LineThroughOrigin``, and the strategies distinct objects of one
-    class, ``Cyclic``, ``RandomizedCycles`` or ``Memory``, the ``Memory``
-    ones with no pending pick; each picks through its own ``next_index``.
-    Any other list raises an error naming the first strategy that does not fit.
+    Returns ``[run(sets, s, x0, stop, known_point) for s in strategies]`` bit
+    for bit, and raises what that raises, for the lowest-numbered failing
+    run.  The iterates of the runs form one (S, d) array, so one projection
+    of all S runs costs the NumPy calls of one projection of one run.  Every
+    set must be a ``LineThroughOrigin``, and the strategies distinct objects
+    of one class, ``Cyclic``, ``RandomizedCycles`` or ``Memory``, the
+    ``Memory`` ones with no pending pick; each picks through its own
+    ``next_index``.  Any other list raises an error naming the first strategy
+    that does not fit.
     """
     sets = list(sets)
     strategies = list(strategies)
@@ -434,8 +435,8 @@ def run_lockstep(
     live = strategies
     X = np.tile(x, (len(rows), 1))
     last_big = np.full(len(rows), -1)
-    # per projection since the rows last changed: indices, steps,
-    # residuals and iterates, one entry per row
+    # per projection since the rows last changed: indices, steps and
+    # residuals, one entry per row
     segment: list[tuple] = []
     chunks: list[list[tuple]] = [[] for _ in strategies]
     traces: list[RunTrace | None] = [None] * len(strategies)
@@ -457,7 +458,7 @@ def run_lockstep(
             errors[i] = exc
             return
         x_i, z_i, matrix_i, _ = inputs[i]
-        j_parts, step_parts, res_parts, x_parts = zip(*chunks[i])
+        j_parts, step_parts, res_parts = zip(*chunks[i])
         traces[i] = RunTrace(
             set_indices=np.concatenate(j_parts),
             step_lengths=np.concatenate(step_parts),
@@ -467,7 +468,6 @@ def run_lockstep(
             x_final=X[p].copy(),
             residuals=None if z is None else np.concatenate(res_parts),
             known_point=z_i,
-            iterates=np.concatenate([x_i[None, :], *x_parts]) if store_iterates else None,
             final_matrix=None if matrix_i is None else strategy.matrix.to_array(),
         )
 
@@ -486,7 +486,7 @@ def run_lockstep(
         diffs = [x_next - X] if z is None else [x_next - X, x_next - z]
         lengths = _row_lengths(np.concatenate(diffs))  # the steps, then the residuals
         steps, res = lengths[:len(rows)], None if z is None else lengths[len(rows):]
-        segment.append((ja, steps, res, x_next if store_iterates else None))
+        segment.append((ja, steps, res))
         X = x_next
         last_big = np.where(steps < step_tolerance, last_big, k)
 

@@ -36,9 +36,9 @@ def as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-# a sum of squares from the smallest normal to the largest finite double
-# lost no more than rounding
-_SMALLEST_NORMAL, _LARGEST = 2.2250738585072014e-308, 1.7976931348623157e308
+# a sum of squares from 2^-960 to the largest finite double lost no more than
+# rounding (a subnormal square in it is under 2^-62 of it, far below its ulp)
+_SMALLEST_SUM, _LARGEST = 2.0**-960, 1.7976931348623157e308
 
 
 def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
@@ -50,11 +50,11 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     """
     v = a - b
     d = float(v.dot(v))  # Python floats compare faster than NumPy scalars
-    if _SMALLEST_NORMAL <= d <= _LARGEST:
+    if _SMALLEST_SUM <= d <= _LARGEST:
         return math.sqrt(d)
     if d == 0.0 and not np.count_nonzero(v):  # a projection left its point unchanged
         return 0.0
-    # the squares under- or overflowed: scale by the power of two that brings
+    # the sum is that small, or overflowed: scale by the power of two that brings
     # the largest entry into [0.5, 1), which is exact at every float scale
     e = math.frexp(np.abs(v).max())[1]
     w = np.ldexp(v, -e)

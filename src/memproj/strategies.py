@@ -117,6 +117,8 @@ class Memory(Strategy):
         matrix = self.admissible(matrix)
         if not 0 <= start_index < matrix.n:
             raise ValueError(f"start index {start_index} out of range")
+        if not isinstance(policy, Policy):
+            raise ValueError(f"policy must be a Policy, not {policy!r}")
         self.matrix = matrix.copy()
         self.current_index = int(start_index)
         self.rng = np.random.default_rng(seed)

@@ -52,6 +52,8 @@ class ToyConfig:
             raise ValueError(f"n_sets must be an integer, not {self.n_sets!r}")
         if self.n_sets < 2:
             raise ValueError("need at least 2 lines")
+        if self.n_sets > self.max_lines:
+            raise ValueError(f"need at most {self.max_lines} lines; more are parallel")
         if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
             raise ValueError(f"r must be a real number, not {self.r!r}")
         # a NumPy scalar is kept as the Python number it holds, which a report can encode
@@ -257,7 +259,6 @@ def run_preset(
     iterations: int | None = None,
     omega: int | None = None,
     beta: float = 0.01,
-    store_iterates: bool = False,
 ) -> PresetReport:
     """Run one canned study over all seeds and collect the results.
 
@@ -280,12 +281,10 @@ def run_preset(
     for label, factory in _method_lineup(preset, config.n_sets, omega, beta):
         strategies = [factory(seed) for seed in seeds]
         if strategies[0].deterministic:
-            trace = run(sets, strategies[0], x0, rule, known_point=solution,
-                        store_iterates=store_iterates)
+            trace = run(sets, strategies[0], x0, rule, known_point=solution)
             traces = [trace, *(copy.deepcopy(trace) for _ in seeds[1:])]
         else:
-            traces = run_lockstep(sets, strategies, x0, rule, known_point=solution,
-                                  store_iterates=store_iterates)
+            traces = run_lockstep(sets, strategies, x0, rule, known_point=solution)
         methods.append(MethodResult(label=label, traces=traces, seeds=list(seeds)))
     params = {"beta": beta}
     if omega is not None:

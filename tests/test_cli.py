@@ -395,6 +395,14 @@ class TestPreset:
         assert code == 0
         assert (out / "traces" / "pam_omega4_seed0.csv").exists()
 
+    def test_too_many_lines_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main(["preset", "benchmark", "--N", str(10**12), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at most 2300000 lines;") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_preset_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "nonsense"])

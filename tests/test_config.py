@@ -349,6 +349,31 @@ class TestNumbersAreNumbers:
             parse_config(doc)
         assert exc.value.errors == [f"problem.sets[0]: {message}"]
 
+    @pytest.mark.parametrize("descriptor,missing,message", [
+        ({"kind": "hyperplane", "normal": [1, 0], "offset": 0}, "normal", "a list of numbers"),
+        ({"kind": "hyperplane", "normal": [1, 0], "offset": 0}, "offset", "a number"),
+        ({"kind": "halfspace", "normal": [1, 0], "offset": 0}, "normal", "a list of numbers"),
+        ({"kind": "halfspace", "normal": [1, 0], "offset": 0}, "offset", "a number"),
+        ({"kind": "ball", "center": [0, 0], "radius": 1}, "center", "a list of numbers"),
+        ({"kind": "ball", "center": [0, 0], "radius": 1}, "radius", "a number"),
+        ({"kind": "box", "lower": [0, 0], "upper": [1, 1]}, "lower", "a list of numbers"),
+        ({"kind": "box", "lower": [0, 0], "upper": [1, 1]}, "upper", "a list of numbers"),
+        ({"kind": "line", "direction": [1, 0]}, "direction", "a list of numbers"),
+        ({"kind": "affine", "basepoint": [0, 0], "basis": [[1, 0]]}, "basepoint",
+         "a list of numbers"),
+        ({"kind": "affine", "basepoint": [0, 0], "basis": [[1, 0]]}, "basis",
+         "a list of lists of numbers"),
+    ])
+    def test_missing_set_parameter_rejected(self, descriptor, missing, message):
+        # it once read as a bare KeyError: "problem.sets[0]: 'normal'"
+        complete = _with(_CUSTOM, "problem.sets", [descriptor, _CUSTOM["problem"]["sets"][1]])
+        parse_config(complete)
+        doc = json.loads(json.dumps(complete))
+        del doc["problem"]["sets"][0][missing]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.errors == [f"problem.sets[0]: {missing} must be {message}"]
+
     @pytest.mark.parametrize("path,value", [
         ("problem.x0", [math.inf, 1.0]),
         ("problem.x0", [1.0, math.nan]),

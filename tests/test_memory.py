@@ -99,6 +99,38 @@ class TestBuilders:
         with pytest.raises(ValueError):
             builder(5, 2, scale=0.0)
 
+    def test_builders_equal_a_loop_reference(self):
+        # entry (m, n) is positive where n is 1..omega cyclic steps ahead of m
+        # (the two-way band: or behind), and the dense matrix everywhere off the diagonal
+        for n in range(2, 41):
+            for omega in range(1, n):
+                forward, both = np.zeros((n, n), bool), np.zeros((n, n), bool)
+                for m in range(n):
+                    for step in range(1, omega + 1):
+                        forward[m, (m + step) % n] = both[m, (m + step) % n] = True
+                        both[m, (m - step) % n] = True
+                for scale in (1.0, 0.01, 2.5, 1e-300):
+                    for builder, pattern in ((build_banded_forward, forward),
+                                             (build_banded_bidirectional, both)):
+                        got = builder(n, omega, scale).to_array()
+                        assert got.tobytes() == np.where(pattern, scale, 0.0).tobytes(), (
+                            builder.__name__, n, omega, scale)
+            for scale in (1.0, 0.01, 2.5, 1e-300):
+                got = build_dense(n, scale).to_array()
+                assert got.tobytes() == np.where(~np.eye(n, dtype=bool), scale, 0.0).tobytes()
+
+    @pytest.mark.parametrize("n_sets", [2.5, 9.0, True, "9", np.float64(5.0)])
+    def test_non_integral_n_sets_rejected(self, n_sets):
+        # 2.5 once built a 3 x 3 band, and a dense matrix failed in NumPy
+        for build in (lambda: build_banded_forward(n_sets, 1),
+                      lambda: build_banded_bidirectional(n_sets, 1),
+                      lambda: build_dense(n_sets)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == f"n_sets must be an integer, not {n_sets!r}"
+        assert build_dense(np.int64(3)) == build_dense(3)
+        assert build_banded_forward(np.int32(5), 2) == build_banded_forward(5, 2)
+
     def test_dense_pattern(self):
         d = build_dense(4, 2.0).to_array()
         assert (np.diagonal(d) == 0).all()

@@ -289,6 +289,13 @@ class TestGuards:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             StoppingRule(**fields)
 
+    @pytest.mark.parametrize("field", ["step_tolerance", "residual_tolerance"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_stopping_rule_tolerances_must_not_be_booleans(self, field, value):
+        # True was once taken as a tolerance of 1
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not {value}$"):
+            StoppingRule(max_iterations=5, **{field: value})
+
     def test_stopping_rule_takes_numpy_integers(self):
         stop = StoppingRule(max_iterations=np.int64(50), step_window=np.int32(18))
         sets, x0, _ = toy()
@@ -738,13 +745,38 @@ class TestGrownStretches:
             assert counter[0] == trace.n_projections == budget
 
 
-def _toy_strategy(kind, k):
-    """mcp, mrp, or pam-min over a dense memory scaled by 2^k."""
+def _scaled_strategy(kind, k, n=9, seed=3):
+    """mcp, mrp, or pam (min policy; "pam_average": average) over a dense
+    memory scaled by 2^k."""
     if kind == "mcp":
-        return Cyclic(9)
+        return Cyclic(n)
     if kind == "mrp":
-        return RandomizedCycles(9, seed=3)
-    return Memory(build_dense(9, math.ldexp(1.0, k)), Policy("min", 0.01), seed=3)
+        return RandomizedCycles(n, seed=seed)
+    policy = Policy("average" if kind == "pam_average" else "min", 0.01)
+    return Memory(build_dense(n, math.ldexp(1.0, k)), policy, seed=seed)
+
+
+# the parameters that give a set its orientation; every other one is a length
+_ORIENTATIONS = ("normal", "direction", "basis")
+
+
+def _scaled_sets(sets, k):
+    """``sets`` rebuilt with offsets, centres, radii, bounds and basepoints
+    times 2^k."""
+    return [type(s)(*(getattr(s, p) if p in _ORIENTATIONS else np.ldexp(getattr(s, p), k)
+                      for p in s.params)) for s in sets]
+
+
+def _assert_scaled(scaled, base, k):
+    """``scaled`` is ``base`` with every length times 2^k, bit for bit."""
+    assert scaled.status == base.status
+    assert scaled.set_indices.tobytes() == base.set_indices.tobytes()
+    for name in ("step_lengths", "residuals", "x_final", "final_matrix"):
+        if getattr(base, name) is None:
+            assert getattr(scaled, name) is None, name
+        else:
+            assert getattr(scaled, name).tobytes() == \
+                np.ldexp(getattr(base, name), k).tobytes(), name
 
 
 class TestExactAtEveryScale:
@@ -793,20 +825,59 @@ class TestExactAtEveryScale:
 
         def once(scale):
             stop = StoppingRule(max_iterations=3000, step_tolerance=math.ldexp(1e-12, scale))
-            strategy, start = _toy_strategy(kind, scale), np.ldexp(x0, scale)
+            strategy, start = _scaled_strategy(kind, scale), np.ldexp(x0, scale)
             if engine == "run":
                 return run(sets, strategy, start, stop, known_point=z)
             return run_lockstep(sets, [strategy], start, stop, known_point=z)[0]
 
-        base, scaled = once(0), once(k)
-        assert scaled.status == base.status == STATUS_MAX_ITERATIONS
-        assert scaled.set_indices.tobytes() == base.set_indices.tobytes()
-        for name in ("step_lengths", "residuals", "x_final"):
-            assert getattr(scaled, name).tobytes() == \
-                np.ldexp(getattr(base, name), k).tobytes(), name
-        if kind == "pam":
-            assert scaled.final_matrix.tobytes() == \
-                np.ldexp(base.final_matrix, k).tobytes()
+        base = once(0)
+        assert base.status == STATUS_MAX_ITERATIONS
+        _assert_scaled(once(k), base, k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000),
+           kind=st.sampled_from(["mcp", "mrp", "pam", "pam_average"]))
+    @example(seed=0, k=-1000, kind="pam_average")
+    @example(seed=0, k=1000, kind="pam")
+    # a distance whose sum of squares was normal while a square was subnormal
+    # was once rounded otherwise than in the base run
+    @example(seed=281591595, k=-510, kind="mcp")
+    @settings(max_examples=40, deadline=None)
+    def test_every_family_scales_bit_for_bit(self, seed, k, kind):
+        # the six families through c, with every length scaled by 2^k: x0, c,
+        # the step tolerance, the initial memory and each set's extents
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.5, 1.0, 3)
+        sets = _sets_through(c, 1.0, rng)
+        x0 = c + rng.uniform(-2.0, 2.0, 3)
+
+        def once(scale):
+            stop = StoppingRule(max_iterations=300, step_tolerance=math.ldexp(1.0, scale - 40))
+            return run(_scaled_sets(sets, scale), _scaled_strategy(kind, scale, 6, seed),
+                       np.ldexp(x0, scale), stop, known_point=np.ldexp(c, scale))
+
+        _assert_scaled(once(k), once(0), k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000),
+           kind=st.sampled_from(["mcp", "mrp", "pam", "pam_average"]))
+    @example(seed=0, k=-1000, kind="pam")
+    @example(seed=0, k=1000, kind="pam_average")
+    @settings(max_examples=25, deadline=None)
+    def test_lockstep_lines_scale_bit_for_bit(self, seed, k, kind):
+        # nearly parallel lines: after 300 projections the iterates are still
+        # far from the origin, so none is subnormal even at k = -1000
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 13))
+        sets, x0, z = make_toy_problem(ToyConfig(n, float(rng.uniform(0.02, 0.1))))
+
+        def once(scale):
+            stop = StoppingRule(max_iterations=300, step_tolerance=math.ldexp(1.0, scale - 40))
+            return run_lockstep(sets, [_scaled_strategy(kind, scale, n, seed + i)
+                                       for i in range(3)], np.ldexp(x0, scale), stop, z)
+
+        for scaled, base in zip(once(k), once(0), strict=True):
+            _assert_scaled(scaled, base, k)
 
 
 def _sets_through(c, size, rng):
@@ -894,11 +965,10 @@ def _strategy_lists(n, seeds=range(3)):
     ]
 
 
-def _lockstep_and_single(sets, make, x0, stop, known_point=None, store_iterates=False):
+def _lockstep_and_single(sets, make, x0, stop, known_point=None):
     """run_lockstep over ``make()`` and one run() per strategy of a second ``make()``."""
-    got = run_lockstep(sets, make(), x0, stop, known_point, store_iterates=store_iterates)
-    expected = [run(sets, s, x0, stop, known_point, store_iterates=store_iterates)
-                for s in make()]
+    got = run_lockstep(sets, make(), x0, stop, known_point)
+    expected = [run(sets, s, x0, stop, known_point) for s in make()]
     return got, expected
 
 
@@ -1039,11 +1109,10 @@ class TestLockstepEngine:
         window_extra=st.one_of(st.none(), st.integers(0, 6)),
         rtol=st.sampled_from([None, 1e-3, 0.3]),
         with_point=st.booleans(),
-        store_iterates=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_one_run_per_strategy(self, seed, n, dim, kind, count, budget, tol,
-                                         window_extra, rtol, with_point, store_iterates):
+                                         window_extra, rtol, with_point):
         rng = np.random.default_rng(seed)
         sets = [LineThroughOrigin(rng.standard_normal(dim)) for _ in range(n)]
         x0 = rng.uniform(-3.0, 3.0, dim)
@@ -1064,7 +1133,7 @@ class TestLockstepEngine:
             residual_tolerance=rtol,
         )
         z = np.zeros(dim) if with_point else None
-        got, expected = _lockstep_and_single(sets, make, x0, stop, z, store_iterates)
+        got, expected = _lockstep_and_single(sets, make, x0, stop, z)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert_same_trace(g, e)
@@ -1075,7 +1144,7 @@ class TestLockstepEngine:
             for i in range(len(group)):
                 got, expected = _lockstep_and_single(
                     sets, lambda: [_strategy_lists(9)[c][i]], x0,
-                    StoppingRule.exact_budget(200), z, store_iterates=True)
+                    StoppingRule.exact_budget(200), z)
                 assert len(got) == 1
                 assert_same_trace(got[0], expected[0])
 
@@ -1088,7 +1157,7 @@ class TestLockstepEngine:
             make = lambda: _strategy_lists(5, seeds=range(6))[c]
             got, expected = _lockstep_and_single(
                 sets, make, np.array([1.0, 2.0, 3.0]), StoppingRule(max_iterations=300),
-                np.zeros(3), store_iterates=True)
+                np.zeros(3))
             assert {t.status for t in expected} == {STATUS_STEP}
             if len(expected) > 1:
                 assert len({t.n_projections for t in expected}) > 2

@@ -130,6 +130,12 @@ class TestMemory:
         assert sequence(42) == sequence(42)
         assert sequence(42) != sequence(43)
 
+    @pytest.mark.parametrize("policy", ["min", None, ("min", 0.01), 0.01])
+    def test_policy_must_be_a_policy(self, policy):
+        # "min" once built, and the first step then failed on policy.beta
+        with pytest.raises(ValueError, match=r"^policy must be a Policy, not "):
+            Memory(build_dense(3), policy)
+
     def test_matrix_size_must_match(self):
         s = self._memory()
         assert s.n_sets == 9

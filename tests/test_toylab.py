@@ -91,6 +91,12 @@ class TestProblemGeneration:
         assert (type(config.n_sets), type(config.r)) == (int, float)
         assert ToyConfig(9, 1).r == 1 and type(ToyConfig(9, 1).r) is int
 
+    def test_more_lines_than_max_lines_rejected_at_construction(self):
+        # a fan of 10**12 lines once failed allocating 7.28 TiB in toy_directions
+        with pytest.raises(ValueError, match=r"^need at most 2300000 lines; "):
+            ToyConfig(10**12)
+        assert ToyConfig(ToyConfig.max_lines).n_sets == ToyConfig.max_lines
+
     def test_numerically_parallel_lines_rejected(self):
         # at tiny r the lines cannot be told apart in double precision
         with pytest.raises(ValueError, match="parallel"):
@@ -296,10 +302,9 @@ class TestPresets:
         assert pam_median <= mrp_median
 
     @pytest.mark.parametrize("preset", PRESETS)
-    @pytest.mark.parametrize("store_iterates", [False, True])
-    def test_traces_equal_one_run_per_seed(self, preset, store_iterates):
+    def test_traces_equal_one_run_per_seed(self, preset):
         seeds = range(5)
-        rep = run_preset(preset, seeds=seeds, store_iterates=store_iterates)
+        rep = run_preset(preset, seeds=seeds)
         sets, x0, solution = make_toy_problem(rep.config)
         rule = StoppingRule.exact_budget(rep.iterations)
         lineup = _method_lineup(preset, rep.config.n_sets, None, 0.01)
@@ -307,18 +312,17 @@ class TestPresets:
         for m, (_, factory) in zip(rep.methods, lineup):
             assert len(m.traces) == len(seeds)
             for seed, trace in zip(seeds, m.traces):
-                expected = run(sets, factory(seed), x0, rule, known_point=solution,
-                               store_iterates=store_iterates)
+                expected = run(sets, factory(seed), x0, rule, known_point=solution)
                 assert_same_trace(trace, expected)
 
     @pytest.mark.parametrize("preset", ["benchmark", "sparse_forward"])
     def test_each_seed_of_a_cyclic_method_has_its_own_arrays(self, preset):
-        rep = run_preset(preset, seeds=range(3), iterations=40, store_iterates=True)
+        rep = run_preset(preset, seeds=range(3), iterations=40)
         first, second, _ = rep.method("mcp").traces
         kept = second.step_lengths.copy()
         first.step_lengths[:] = -1.0
         assert second.step_lengths.tobytes() == kept.tobytes()
-        for name in ("set_indices", "residuals", "x0", "x_final", "known_point", "iterates"):
+        for name in ("set_indices", "residuals", "x0", "x_final", "known_point"):
             assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
 
     def test_method_lookup(self):
