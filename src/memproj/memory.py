@@ -47,9 +47,15 @@ class DistanceMatrix:
     the "average" policy one row argmax; ``Memory.next_index`` keeps them
     current in O(1) per overwrite except when the row minimum is overwritten,
     which costs one row rescan.
+
+    ``_top[m]`` lists, ascending, the columns holding a tied maximum of row m,
+    or is None: a pick that finds the tie in a rescan keeps it, a write that
+    lowers a held column removes that column, and any other write to the row,
+    ``copy`` and ``_rebuild_row_stats`` drop it; up to N(N-1) list slots,
+    about 0.5 MB at N=256.
     """
 
-    __slots__ = ("_a", "_count", "_sum", "_minpos")
+    __slots__ = ("_a", "_count", "_sum", "_minpos", "_top")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -72,6 +78,7 @@ class DistanceMatrix:
         self._count = pos.sum(axis=1).tolist()
         self._sum = np.where(pos, a, 0.0).sum(axis=1).tolist()
         self._minpos = np.where(pos, a, np.inf).min(axis=1).tolist()
+        self._top = [None] * a.shape[0]
 
     @property
     def n(self) -> int:
@@ -98,6 +105,7 @@ class DistanceMatrix:
         dup._count = self._count.copy()
         dup._sum = self._sum.copy()
         dup._minpos = self._minpos.copy()
+        dup._top = [None] * self.n
         return dup
 
     def __eq__(self, other):
@@ -162,13 +170,18 @@ def unreachable_pair(matrix):
     return None
 
 
+def _check_integer(name: str, value, least=None) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int or NumPy integer (not
+    a bool) and, if ``least`` is given, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _check_builder_args(n_sets: int, omega: int, scale: float) -> None:
-    if isinstance(n_sets, bool) or not isinstance(n_sets, (int, np.integer)):
-        raise ValueError(f"n_sets must be an integer, not {n_sets!r}")
-    if n_sets < 2:
-        raise ValueError("need at least 2 sets")
-    if omega < 1:
-        raise ValueError("omega must be at least 1")
+    _check_integer("n_sets", n_sets, 2)
+    _check_integer("omega", omega, 1)
     if omega >= n_sets:
         raise ValueError("omega must be smaller than the number of sets")
     if not (np.isfinite(scale) and scale > 0.0):

@@ -17,9 +17,10 @@ one array pass per stretch what no chooser or stop rule read during it, with
 the bits of one distance per step and per residual; the checks then run in
 projection order, so the chooser may have moved past the projection that
 raises ``NumericError`` or ``FejerViolation``.  A chooser blind to the steps
-(exactly ``Cyclic`` or ``RandomizedCycles``, no residual stop) runs stretches
-at least as long as the run before them; where the step rule fired inside
-one, the stretch is cut there and the chooser rewound to that projection.
+(exactly ``Cyclic`` or ``RandomizedCycles``, no residual stop) draws each
+stretch's picks before it projects, and runs stretches at least as long as
+the run before them; where the step rule fired inside one, the stretch is cut
+there and the chooser rewound to that projection.
 
 ``run_lockstep`` drives several strategies of one class over the same lines
 through the origin at once, one row of a stacked iterate array per run, and
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .memory import _check_integer
 from .sets import _LARGEST, _SMALLEST_SUM, LineThroughOrigin, _distance
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
@@ -94,17 +96,12 @@ class StoppingRule:
     residual_tolerance: float | None = None
 
     def __post_init__(self):
-        for name in ("max_iterations", "step_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer, type(None))):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        _check_integer("max_iterations", self.max_iterations, 1)
+        if self.step_window is not None:
+            _check_integer("step_window", self.step_window, 1)
         for name in ("step_tolerance", "residual_tolerance"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.step_window is not None and self.step_window < 1:
-            raise ValueError("step_window must be at least 1")
         if not self.step_tolerance > 0.0:
             raise ValueError("step_tolerance must be > 0")
         if self.residual_tolerance is not None and not self.residual_tolerance > 0.0:
@@ -233,8 +230,8 @@ def run(
     sets = list(sets)
     n = len(sets)
     x, z, memory_matrix, window = _checked_inputs(sets, strategy, x0, stop, known_point)
-    if matrix_snapshot_interval is not None and matrix_snapshot_interval < 1:
-        raise ValueError("matrix_snapshot_interval must be at least 1")
+    if matrix_snapshot_interval is not None:
+        _check_integer("matrix_snapshot_interval", matrix_snapshot_interval, 1)
 
     indices, steps, snapshots = [], [], []
     residuals = [] if z is not None else None
@@ -261,6 +258,7 @@ def run(
     last_big = -1
     last_step = None
     next_index = strategy.next_index
+    project = [s.project for s in sets]
     while status == STATUS_MAX_ITERATIONS and len(indices) < stop.max_iterations:
         k0 = len(indices)
         size = min(stop.max_iterations - k0, _STRETCH)
@@ -270,30 +268,33 @@ def run(
             saved = strategy._state()
         js, xs, seen, seen_residuals, error = [], [x], [], [], None
         try:
-            for k in range(k0, k0 + size):
-                js.append(j := next_index(last_step) if k or start is None else start)
-                xs.append(x := sets[j].project(x))
-                if not sees_each:
-                    continue
-                step = _distance(x, xs[-2])
-                # a finite step from a finite iterate implies a finite next iterate
-                if not step < math.inf and not np.all(np.isfinite(x)):
-                    raise NumericError(f"non-finite iterate after projection {k}")
-                seen.append(step)
-                if lean:
-                    del xs[0]
-                if not step < step_tolerance:
-                    last_big = k
-                if residual_tolerance is not None:
-                    seen_residuals.append(res := _distance(x, z))
-                    if res < residual_tolerance:
-                        status = STATUS_RESIDUAL
-                if k or start is None:
-                    last_step = step
-                    if snapshot_interval is not None and (k + 1) % snapshot_interval == 0:
-                        snapshots.append((k + 1, strategy.matrix.to_array()))
-                if status != STATUS_MAX_ITERATIONS or k - last_big >= window:
-                    break
+            if not sees_each:  # a blind chooser picks the whole stretch first
+                js = [next_index() for _ in range(size)]
+                for j in js:
+                    xs.append(x := project[j](x))
+            else:
+                for k in range(k0, k0 + size):
+                    js.append(j := next_index(last_step) if k or start is None else start)
+                    xs.append(x := project[j](x))
+                    step = _distance(x, xs[-2])
+                    # a finite step from a finite iterate implies a finite next iterate
+                    if not step < math.inf and not np.all(np.isfinite(x)):
+                        raise NumericError(f"non-finite iterate after projection {k}")
+                    seen.append(step)
+                    if lean:
+                        del xs[0]
+                    if not step < step_tolerance:
+                        last_big = k
+                    if residual_tolerance is not None:
+                        seen_residuals.append(res := _distance(x, z))
+                        if res < residual_tolerance:
+                            status = STATUS_RESIDUAL
+                    if k or start is None:
+                        last_step = step
+                        if snapshot_interval is not None and (k + 1) % snapshot_interval == 0:
+                            snapshots.append((k + 1, strategy.matrix.to_array()))
+                    if status != STATUS_MAX_ITERATIONS or k - last_big >= window:
+                        break
         except Exception as exc:  # raised below, unless an earlier projection fails a check
             if len(xs) == 1:
                 raise

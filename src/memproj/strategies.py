@@ -10,11 +10,12 @@ runs its seeds in worker processes, one per CPU of the affinity mask.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from .memory import (_TINY, DistanceMatrix, InvariantViolation, Policy, is_admissible,
-                     unreachable_pair)
+from .memory import (_TINY, DistanceMatrix, InvariantViolation, Policy, _check_integer,
+                     is_admissible, unreachable_pair)
 
 __all__ = ["Strategy", "Cyclic", "RandomizedCycles", "Memory", "transition_counts"]
 
@@ -43,8 +44,7 @@ class Cyclic(Strategy):
     deterministic = True
 
     def __init__(self, n_sets: int):
-        if n_sets < 1:
-            raise ValueError("need at least one set")
+        _check_integer("n_sets", n_sets, 1)
         self.n_sets = int(n_sets)
         self._k = 0
 
@@ -68,8 +68,7 @@ class RandomizedCycles(Strategy):
     """
 
     def __init__(self, n_sets: int, seed=None):
-        if n_sets < 1:
-            raise ValueError("need at least one set")
+        _check_integer("n_sets", n_sets, 1)
         self.n_sets = int(n_sets)
         self._rng = np.random.default_rng(seed)
         self._perm = None
@@ -115,6 +114,7 @@ class Memory(Strategy):
     def __init__(self, matrix: DistanceMatrix, policy: Policy, seed=None,
                  start_index: int = 0):
         matrix = self.admissible(matrix)
+        _check_integer("start_index", start_index)
         if not 0 <= start_index < matrix.n:
             raise ValueError(f"start index {start_index} out of range")
         if not isinstance(policy, Policy):
@@ -140,8 +140,8 @@ class Memory(Strategy):
 
     def next_index(self, last_step_length=None, *, pick=True):
         """Entry (current, pending) becomes max(step, floor read before the write,
-        5e-324); then the new row's argmax is picked, a tie drawn from ``rng``.
-        ``pick=False`` records only, and returns the floor."""
+        5e-324); then the new row's argmax is picked, a tie drawn from ``rng``
+        out of the row's kept ties.  ``pick=False`` records only, and returns the floor."""
         matrix, j, col = self.matrix, self.current_index, self._pending
         a = matrix._a
         if col is not None:
@@ -167,12 +167,22 @@ class Memory(Strategy):
                 matrix._minpos[j] = value
             elif old == low:
                 matrix._minpos[j] = a[j][a[j] > 0.0].min().item()
+            top = matrix._top[j]
+            if top is not None:  # lowering one of 3+ held columns leaves a tie
+                i = bisect_left(top, col)
+                if value < old and len(top) > 2 and i < len(top) and top[i] == col:
+                    del top[i]
+                else:
+                    matrix._top[j] = None
             j = self.current_index = col
             self._pending = None
             if not pick:
                 return floor
         elif not pick:
             raise InvariantViolation("no pending pick to record: call pam_select first")
+        if (top := matrix._top[j]) is not None:
+            k = self._pending = top[self.rng.integers(len(top))]
+            return k
         # a view suffices: the diagonal is 0 and no entry is negative, so once
         # the maximum is positive the current index cannot be among the ties
         row = a[j]
@@ -183,7 +193,8 @@ class Memory(Strategy):
                                      "the matrix was not admissible")
         ties = (row == best).nonzero()[0]
         if ties.size > 1:
-            k = ties.item(self.rng.integers(ties.size))
+            top = matrix._top[j] = ties.tolist()
+            k = top[self.rng.integers(ties.size)]
         self._pending = k
         return k
 

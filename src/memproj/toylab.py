@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import Policy, build_banded_forward, build_dense
+from .memory import Policy, _check_integer, build_banded_forward, build_dense
 from .runner import StoppingRule, _row_dots, run, run_lockstep
 from .sets import LineThroughOrigin
 from .strategies import Cyclic, Memory, RandomizedCycles
@@ -48,10 +48,7 @@ class ToyConfig:
     max_lines = 2_300_000
 
     def __post_init__(self):
-        if isinstance(self.n_sets, bool) or not isinstance(self.n_sets, (int, np.integer)):
-            raise ValueError(f"n_sets must be an integer, not {self.n_sets!r}")
-        if self.n_sets < 2:
-            raise ValueError("need at least 2 lines")
+        _check_integer("n_sets", self.n_sets, 2)
         if self.n_sets > self.max_lines:
             raise ValueError(f"need at most {self.max_lines} lines; more are parallel")
         if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):

@@ -161,7 +161,7 @@ def assert_same_trace(got, expected):
 def memory_state(strategy):
     """Everything a Memory strategy carries from one call to the next."""
     m = strategy.matrix
-    return (m._a.tobytes(), m._count, m._sum, m._minpos, strategy.current_index,
+    return (m._a.tobytes(), m._count, m._sum, m._minpos, m._top, strategy.current_index,
             strategy._pending, strategy.rng.bit_generator.state)
 
 

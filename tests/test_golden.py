@@ -96,6 +96,10 @@ CASES = {
         _toy(9), lambda: Memory(build_dense(9), AVERAGE, seed=2), BUDGET),
     "pam_dense_min_n64_ties": _case(
         _toy(64), lambda: Memory(build_dense(64), MIN, seed=0), BUDGET),
+    # every row keeps a tie of over 200 columns for the whole run; pinned from
+    # the code that rescanned the row on every pick
+    "pam_dense_min_n256_ties": _case(
+        _toy(256), lambda: Memory(build_dense(256), MIN, seed=11), BUDGET),
     "pam_forward_w2_min_n16": _case(
         _toy(16), lambda: Memory(build_banded_forward(16, 2), MIN, seed=4), BUDGET),
     "pam_bidirectional_w2_average_n16": _case(
@@ -131,6 +135,7 @@ GOLDEN = {
     "pam_bidirectional_w2_average_n16": "e9f4934ca69b0b067a8289bdb0a94beb80349b3fc04c13698a64d6a05062af45",
     "pam_dense_average_n9": "7e6717acbfabb9d2d88719d7af4f1488bab56f480269dd477517c67451b4744f",
     "pam_dense_min_n64_ties": "df01c21a2339d7d50dafddc5cf634273510e63dfbe1de99cd4152dcaf921dc43",
+    "pam_dense_min_n256_ties": "72216bdde393e39c969d9632b265002689a2932e930c3947f1717f198b28e943",
     "pam_dense_min_n9": "b9db1dc8f2913a2c4f32f5e54684679175b04c57aad5fd39106b1b252fbafe3b",
     "pam_forward_w2_min_n16": "af918306b8aab0ab2288e6b03ac1c28a48a64cffccdd6d7c4f9c95c0f780c778",
     "pam_prior_min_n12": "ad26bbceea960c9686b0534b60b5b32f680af6c09f9ccc042274f5d6ba3c7771",

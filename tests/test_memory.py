@@ -131,6 +131,15 @@ class TestBuilders:
         assert build_dense(np.int64(3)) == build_dense(3)
         assert build_banded_forward(np.int32(5), 2) == build_banded_forward(5, 2)
 
+    @pytest.mark.parametrize("omega", [1.5, 2.0, True, "1", np.float64(1.0)])
+    def test_non_integral_omega_rejected(self, omega):
+        # 1.5 once built the band of width 1
+        for build in (build_banded_forward, build_banded_bidirectional):
+            with pytest.raises(ValueError) as exc:
+                build(8, omega)
+            assert str(exc.value) == f"omega must be an integer, not {omega!r}"
+        assert build_banded_forward(8, np.int64(2)) == build_banded_forward(8, 2)
+
     def test_dense_pattern(self):
         d = build_dense(4, 2.0).to_array()
         assert (np.diagonal(d) == 0).all()
@@ -360,6 +369,15 @@ class TestMemoryConstruction:
         with pytest.raises(ValueError):
             Memory(build_dense(3), Policy("min", 0.5), start_index=3)
 
+    @pytest.mark.parametrize("start_index", [1.7, 1.0, True, False, "1", np.float64(2.0)])
+    def test_non_integral_start_index_rejected(self, start_index):
+        # 1.7 and True once started at set 1
+        with pytest.raises(ValueError) as exc:
+            Memory(build_dense(3), Policy("min", 0.5), start_index=start_index)
+        assert str(exc.value) == f"start_index must be an integer, not {start_index!r}"
+        memory = Memory(build_dense(3), Policy("min", 0.5), start_index=np.int64(2))
+        assert memory.current_index == 2
+
 
 class TestSelect:
     def test_unique_argmax(self):
@@ -556,6 +574,17 @@ def _reachable_from_reference(pattern, start):
 _TIE_PRONE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324])
 
 
+def _kept_ties_checked(matrix):
+    """Assert that each row's kept ties are None or the ties of a rescan; count the kept."""
+    kept = 0
+    for m, top in enumerate(matrix._top):
+        row = matrix._a[m]
+        ties = (row == row.max()).nonzero()[0].tolist()
+        assert top is None or (len(ties) > 1 and top == ties), (m, top, ties)
+        kept += top is not None
+    return kept
+
+
 class TestLeanMemoryEquivalence:
     @given(
         rows=st.lists(
@@ -573,6 +602,7 @@ class TestLeanMemoryEquivalence:
             for memory in (lean, plain):
                 memory.current_index = j
                 memory.matrix._a[j] = row
+                memory.matrix._top[j] = None  # the row's kept ties are stale now
             try:
                 expected = _pam_select_reference(plain)
             except InvariantViolation:
@@ -587,6 +617,7 @@ class TestLeanMemoryEquivalence:
         "build",
         [
             lambda: build_dense(6, 2.0),
+            lambda: build_dense(12, 8.0),  # above every step: ties shrink one by one
             lambda: build_banded_forward(8, 2),
             lambda: build_banded_forward(5, 1),
             lambda: build_banded_bidirectional(7, 1),
@@ -602,26 +633,49 @@ class TestLeanMemoryEquivalence:
         matrix = memory.matrix
         rows, cols = np.nonzero(matrix.positive_pattern())
         # a few repeated values make writes that land exactly on the row
-        # minimum, which exercises the rescan branch
+        # minimum, which exercises the rescan branch; a write of the row
+        # maximum itself ties the written column with the held ones
         values = [0.0, 0.25, 0.5, 1.0, 3.0]
+        a = matrix.to_array()
+        tied_at_start = ((a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        kept = 0
         for i in range(3000):
             step = (float(rng.choice(values)) if rng.random() < 0.5
                     else float(rng.random() * 4.0))
+            on_max = rng.random() < 0.2
             if i % 2:
-                pam_select(memory)
-                pam_update(memory, step)
+                row = matrix._a[memory.current_index]
+                ties = (row == row.max()).nonzero()[0]
+                plain = np.random.default_rng()
+                plain.bit_generator.state = memory.rng.bit_generator.state
+                expected = ties[plain.integers(ties.size)] if ties.size > 1 else ties[0]
+                assert pam_select(memory) == expected  # from a kept list or a rescan
+                assert memory.rng.bit_generator.state == plain.bit_generator.state
+                kept += _kept_ties_checked(matrix)
+                pam_update(memory, float(row.max()) if on_max else step)
             else:  # any positive entry, not only the row argmax pam writes
                 e = int(rng.integers(rows.size))
                 memory.current_index = int(rows[e])
-                _record(memory, int(cols[e]), step + 0.125)
+                _record(memory, int(cols[e]),
+                        float(matrix._a[rows[e]].max()) if on_max else step + 0.125)
             fresh = matrix.copy()
             fresh._rebuild_row_stats()
             assert list(matrix._count) == list(fresh._count)
             assert list(matrix._minpos) == list(fresh._minpos)
+            kept += _kept_ties_checked(matrix)
             for m in range(memory.n_sets):
                 for p in (Policy("min", 0.5), Policy("average", 0.5)):
                     assert evaluate_policy(p, m, matrix) == \
                         _evaluate_policy_reference(p, m, matrix)
+        assert kept or not tied_at_start
+
+    def test_copy_and_evaluate_policy_leave_kept_ties_alone(self):
+        memory = Memory(build_dense(5), Policy("min", 0.5), seed=0)
+        pam_select(memory)
+        assert memory.matrix._top == [[1, 2, 3, 4], None, None, None, None]
+        assert memory.matrix.copy()._top == [None] * 5
+        evaluate_policy(Policy("min", 0.5), 0, memory.matrix)  # writes row 0 of a copy
+        assert memory.matrix._top == [[1, 2, 3, 4], None, None, None, None]
 
     def test_reachability_matches_plain_traversal(self):
         rng = np.random.default_rng(5)

@@ -160,15 +160,22 @@ class TestBasicRuns:
         mcp = run(sets, Cyclic(9), x0, StoppingRule.exact_budget(10))
         assert mcp.final_matrix is None
 
-    @pytest.mark.parametrize("interval", [0, -3])
-    def test_snapshot_interval_below_one_is_rejected_before_any_projection(self, interval):
+    # 2.5 once took snapshots at projections 5, 10, 15, ... and True was taken as 1
+    @pytest.mark.parametrize("interval", [0, -3, 2.5, 2.0, True, "2", np.float64(5.0)])
+    def test_snapshot_interval_must_be_a_positive_integer(self, interval):
         sets, x0, sol = toy()
         strategy = pam_strategy(seed=1)
         before = memory_state(strategy)
-        with pytest.raises(ValueError, match="^matrix_snapshot_interval must be at least 1$"):
+        with pytest.raises(ValueError) as exc:
             run(sets, strategy, x0, StoppingRule.exact_budget(10), known_point=sol,
                 matrix_snapshot_interval=interval)
-        assert memory_state(strategy) == before
+        assert str(exc.value) == (
+            "matrix_snapshot_interval must be at least 1" if type(interval) is int
+            else f"matrix_snapshot_interval must be an integer, not {interval!r}")
+        assert memory_state(strategy) == before  # rejected before any projection
+        numpy_int = run(sets, pam_strategy(seed=1), x0, StoppingRule.exact_budget(10),
+                        matrix_snapshot_interval=np.int64(5))
+        assert [count for count, _ in numpy_int.matrix_snapshots] == [5, 10]
 
 
 class TestErrorReduction:

@@ -35,6 +35,21 @@ class TestCyclic:
         assert s.next_index(None) == 1
 
 
+@pytest.mark.parametrize("build", [Cyclic, RandomizedCycles])
+class TestSetCount:
+    @pytest.mark.parametrize("n_sets", [3.9, 3.0, True, "3", np.float64(3.0)])
+    def test_non_integral_n_sets_rejected(self, build, n_sets):
+        # 3.9 once built a 3-set chooser and True a 1-set one
+        with pytest.raises(ValueError) as exc:
+            build(n_sets)
+        assert str(exc.value) == f"n_sets must be an integer, not {n_sets!r}"
+
+    def test_numpy_integer_accepted_and_zero_rejected(self, build):
+        assert build(np.int64(3)).n_sets == 3
+        with pytest.raises(ValueError, match="^n_sets must be at least 1$"):
+            build(0)
+
+
 class TestRandomizedCycles:
     def test_every_cycle_is_a_permutation(self):
         n = 9
