@@ -286,8 +286,10 @@ def set_to_descriptor(s: ProjectableSet) -> dict:
 
 
 def _is_number(v, integer=False) -> bool:
-    """A JSON number (an integer if ``integer``); booleans are neither."""
-    return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+    """A JSON number (an integer if ``integer``, where a NumPy integer counts, as
+    in ``memory._check_integer``); booleans are neither."""
+    kinds = (int, np.integer) if integer else (int, float)
+    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
 def _as_float(v):
@@ -342,7 +344,7 @@ def _parse_problem(doc, col: _Collector):
         if not (_is_number(r) and 0.0 < _as_float(r) < math.inf):
             col.add("problem.r", "must be a finite number > 0")
             return None
-        return ToyProblem(n_sets=n, r=_as_float(r))
+        return ToyProblem(n_sets=int(n), r=_as_float(r))
     if kind == "custom":
         raw_sets = doc.get("sets")
         if not isinstance(raw_sets, list) or len(raw_sets) < 2:
@@ -403,7 +405,7 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
         if kind == "dense":
             return DenseSpec(scale=_as_float(scale))
         cls = BandedBidirectionalSpec if kind == "banded_bidirectional" else BandedForwardSpec
-        return cls(omega=omega, scale=_as_float(scale))
+        return cls(omega=int(omega), scale=_as_float(scale))
     if kind == "prior":
         path = doc.get("path")
         if not isinstance(path, str) or not path:
@@ -429,6 +431,7 @@ def _parse_strategy(doc, col: _Collector, base_dir):
     if seed is not None and seed < 0:  # a generator seed is never negative
         col.add("strategy.seed", "must be an integer >= 0")
         return None
+    seed = None if seed is None else int(seed)  # a Python int, as emit_config encodes
     if kind == "mcp":
         return McpSpec()
     if kind == "mrp":
@@ -469,12 +472,12 @@ def _parse_stop(doc, col: _Collector):
     if not (_is_number(max_iter, integer=True) and max_iter >= 1):
         col.add("stop.max_iterations", "must be an integer >= 1")
         return None
-    kwargs["max_iterations"] = max_iter
+    kwargs["max_iterations"] = int(max_iter)
     window = doc.get("step_window")
     if window is not None and not (_is_number(window, integer=True) and window >= 1):
         col.add("stop.step_window", "must be an integer >= 1 or null")
         return None
-    kwargs["step_window"] = window
+    kwargs["step_window"] = None if window is None else int(window)
     for key in ("step_tolerance", "residual_tolerance"):
         default = getattr(StoppingRule, key)  # the rule's own defaults
         v = doc.get(key, default)
@@ -560,11 +563,11 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         problem=problem,
         strategy=strategy,
         stop=stop,
-        seeds=tuple(seeds),
+        seeds=tuple(map(int, seeds)),
         output_dir=output_dir,
         debug_asserts=bool(debug_asserts),
         store_iterates=bool(store_iterates),
-        matrix_snapshot_interval=interval,
+        matrix_snapshot_interval=None if interval is None else int(interval),
     )
 
 

@@ -53,9 +53,14 @@ class DistanceMatrix:
     lowers a held column removes that column, and any other write to the row,
     ``copy`` and ``_rebuild_row_stats`` drop it; up to N(N-1) list slots,
     about 0.5 MB at N=256.
+
+    ``_rows[m]`` and ``_rev[m]`` are views of row m of ``_a``, forward and
+    reversed, so a pick reads and writes a row without slicing ``_a``; they
+    are 2N view objects, about 57 KB at N=256.  ``copy``, pickling and
+    ``copy.deepcopy`` rebuild them on the copy, where they share its ``_a``.
     """
 
-    __slots__ = ("_a", "_count", "_sum", "_minpos", "_top")
+    __slots__ = ("_a", "_count", "_sum", "_minpos", "_top", "_rows", "_rev")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -79,6 +84,17 @@ class DistanceMatrix:
         self._sum = np.where(pos, a, 0.0).sum(axis=1).tolist()
         self._minpos = np.where(pos, a, np.inf).min(axis=1).tolist()
         self._top = [None] * a.shape[0]
+        self._view_rows()
+
+    def _view_rows(self) -> None:
+        self._rows, self._rev = list(self._a), list(self._a[:, ::-1])
+
+    def __getstate__(self):  # the views are not state: __setstate__ rebuilds them
+        return self._a, self._count, self._sum, self._minpos, self._top
+
+    def __setstate__(self, state) -> None:
+        self._a, self._count, self._sum, self._minpos, self._top = state
+        self._view_rows()
 
     @property
     def n(self) -> int:
@@ -101,11 +117,8 @@ class DistanceMatrix:
 
     def copy(self) -> "DistanceMatrix":
         dup = object.__new__(DistanceMatrix)
-        dup._a = self._a.copy()
-        dup._count = self._count.copy()
-        dup._sum = self._sum.copy()
-        dup._minpos = self._minpos.copy()
-        dup._top = [None] * self.n
+        dup.__setstate__((self._a.copy(), self._count.copy(), self._sum.copy(),
+                          self._minpos.copy(), [None] * self.n))
         return dup
 
     def __eq__(self, other):

@@ -100,7 +100,7 @@ class StoppingRule:
         if self.step_window is not None:
             _check_integer("step_window", self.step_window, 1)
         for name in ("step_tolerance", "residual_tolerance"):
-            if isinstance(getattr(self, name), bool):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         if not self.step_tolerance > 0.0:
             raise ValueError("step_tolerance must be > 0")

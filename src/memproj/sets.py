@@ -5,7 +5,10 @@ and the obtuse-angle property of the nearest point hold to floating-point
 accuracy (about 1e-12 at moderate scales) without any inner iteration.
 Instances are immutable after construction and safe to share across threads;
 ``project`` is a pure function.  Its vector products call ``ndarray.dot``,
-which makes the BLAS call of ``@`` without the matmul dispatch.
+which makes the BLAS call of ``@`` without the matmul dispatch.  Each
+instance stores its shape ``(dim,)`` as ``_shape``, so the point check that
+opens ``project`` takes a float64 vector of that shape as it is after one
+tuple comparison; any other input is converted, or rejected with its shape.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ def _distance(a: np.ndarray, b: np.ndarray | float) -> float:
     return math.ldexp(math.sqrt(w.dot(w)), e)
 
 
-_FLOAT = np.dtype(float)
+_FLOAT, _NDARRAY = np.dtype(float), np.ndarray
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -73,6 +76,7 @@ class ProjectableSet:
     """Base class: a closed convex subset of R^d with an exact projection."""
 
     dim: int
+    _shape: tuple[int]  # (dim,), set by each constructor next to dim
     # the constructor's arguments in order, each kept as an attribute of the
     # same name: equality, repr and config descriptors read them
     params: tuple[str, ...]
@@ -83,7 +87,7 @@ class ProjectableSet:
 
     def _check_point(self, x) -> np.ndarray:
         # the engines pass float vectors of the right length: take them as they are
-        if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (self.dim,):
+        if type(x) is _NDARRAY and x.dtype is _FLOAT and x.shape == self._shape:
             return x
         v = np.asarray(x, dtype=float)
         if v.ndim != 1 or v.shape[0] != self.dim:
@@ -119,7 +123,7 @@ class _NormalOffset(ProjectableSet):
             raise ValueError("offset must be finite")
         self.normal = _readonly(a)
         self.offset = b
-        self.dim = a.shape[0]
+        self.dim, self._shape = a.shape[0], a.shape
         self._nn = nn
 
 
@@ -154,7 +158,7 @@ class Ball(ProjectableSet):
             raise ValueError("radius must be finite and >= 0")
         self.center = _readonly(c)
         self.radius = r
-        self.dim = c.shape[0]
+        self.dim, self._shape = c.shape[0], c.shape
 
     def project(self, x):
         v = self._check_point(x)
@@ -178,7 +182,7 @@ class Box(ProjectableSet):
             raise ValueError("lower must not exceed upper in any component")
         self.lower = _readonly(lo)
         self.upper = _readonly(hi)
-        self.dim = lo.shape[0]
+        self.dim, self._shape = lo.shape[0], lo.shape
 
     def project(self, x):
         v = self._check_point(x)
@@ -196,7 +200,7 @@ class LineThroughOrigin(ProjectableSet):
         if vv == 0.0:
             raise ValueError("direction must be nonzero")
         self.direction = _readonly(v)
-        self.dim = v.shape[0]
+        self.dim, self._shape = v.shape[0], v.shape
         self._vv = vv
 
     def project(self, x):
@@ -239,7 +243,7 @@ class AffineSubspace(ProjectableSet):
                 B = vt[:k].copy()
         self.basepoint = _readonly(p)
         self.basis = _readonly(B)
-        self.dim = p.shape[0]
+        self.dim, self._shape = p.shape[0], p.shape
 
     def project(self, x):
         v = self._check_point(x)

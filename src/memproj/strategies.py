@@ -143,7 +143,6 @@ class Memory(Strategy):
         5e-324); then the new row's argmax is picked, a tie drawn from ``rng``
         out of the row's kept ties.  ``pick=False`` records only, and returns the floor."""
         matrix, j, col = self.matrix, self.current_index, self._pending
-        a = matrix._a
         if col is not None:
             if last_step_length is None:
                 raise ValueError("last_step_length is required on every call after the first")
@@ -152,7 +151,8 @@ class Memory(Strategy):
             if not (step >= 0.0 and step < math.inf):
                 raise ValueError("step_length must be finite and >= 0")
             # the pending entry is a maximum of row j: picked, and not written since
-            old, low, beta = a.item(j, col), matrix._minpos[j], self.policy.beta
+            row = matrix._rows[j]
+            old, low, beta = row.item(col), matrix._minpos[j], self.policy.beta
             if self.policy.kind == "min":
                 floor = beta * low
             else:
@@ -160,13 +160,13 @@ class Memory(Strategy):
                 # max; clamping to the exact row max keeps the decay bound exact
                 floor = min(beta * (matrix._sum[j] / matrix._count[j]), beta * old)
             value = max(step, floor, _TINY)
-            a[j, col] = value
+            row[col] = value
             # old > 0 and value > 0, so the positive count of row j stays
             matrix._sum[j] += value - old
             if value <= low:
                 matrix._minpos[j] = value
             elif old == low:
-                matrix._minpos[j] = a[j][a[j] > 0.0].min().item()
+                matrix._minpos[j] = row[row > 0.0].min().item()
             top = matrix._top[j]
             if top is not None:  # lowering one of 3+ held columns leaves a tie
                 i = bisect_left(top, col)
@@ -183,18 +183,18 @@ class Memory(Strategy):
         if (top := matrix._top[j]) is not None:
             k = self._pending = top[self.rng.integers(len(top))]
             return k
-        # a view suffices: the diagonal is 0 and no entry is negative, so once
-        # the maximum is positive the current index cannot be among the ties
-        row = a[j]
+        # the diagonal is 0 and no entry is negative, so once the maximum
+        # is positive the current index cannot be among the ties
+        row = matrix._rows[j]
         k = int(row.argmax())
         best = row.item(k)
         if not best > 0.0:
             raise InvariantViolation(f"row {j} has no positive entry besides the diagonal; "
                                      "the matrix was not admissible")
-        ties = (row == best).nonzero()[0]
-        if ties.size > 1:
-            top = matrix._top[j] = ties.tolist()
-            k = top[self.rng.integers(ties.size)]
+        # the first maximum from either end is the same entry only in an untied row
+        if matrix._rev[j].argmax() != self.n_sets - 1 - k:
+            top = matrix._top[j] = (row == best).nonzero()[0].tolist()
+            k = top[self.rng.integers(len(top))]
         self._pending = k
         return k
 

@@ -310,6 +310,31 @@ class TestNumbersAreNumbers:
             parse_config(doc)
         assert exc.value.errors == ["strategy.matrix.omega: must be an integer >= 1"]
 
+    def test_numpy_integers_read_as_python_ints(self):
+        # a dict config may carry NumPy integers, which the library takes too
+        doc = {
+            "problem": {"kind": "toy", "n_sets": np.int64(9), "r": 0.05},
+            "strategy": {"kind": "pam", "seed": np.int64(7),
+                         "matrix": {"kind": "banded_forward", "omega": np.int64(2)},
+                         "policy": {"kind": "min", "beta": 0.01}},
+            "stop": {"max_iterations": np.int64(315), "step_window": np.int64(18)},
+            "seeds": [np.int64(0), np.int64(3)],
+            "flags": {"matrix_snapshot_interval": np.int64(10)},
+        }
+        cfg = parse_config(doc)
+        assert cfg == ExperimentConfig(
+            problem=ToyProblem(9, 0.05),
+            strategy=PamSpec(BandedForwardSpec(2), Policy("min", 0.01), seed=7),
+            stop=StoppingRule(max_iterations=315, step_window=18),
+            seeds=(0, 3),
+            matrix_snapshot_interval=10,
+        )
+        ints = [cfg.problem.n_sets, cfg.strategy.seed, cfg.strategy.matrix.omega,
+                cfg.stop.max_iterations, cfg.stop.step_window, *cfg.seeds,
+                cfg.matrix_snapshot_interval]
+        assert all(type(v) is int for v in ints)
+        assert parse_config(emit_config(cfg)) == cfg
+
     @pytest.mark.parametrize("path,value,message", [
         ("problem.x0", ["a", 1.0], "must be a nonempty list of numbers"),
         ("problem.x0", [True, 1.0], "must be a nonempty list of numbers"),

@@ -1,7 +1,9 @@
 """Memory matrices, admissibility, policies, and the select/update step."""
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -676,6 +678,71 @@ class TestLeanMemoryEquivalence:
         assert memory.matrix.copy()._top == [None] * 5
         evaluate_policy(Policy("min", 0.5), 0, memory.matrix)  # writes row 0 of a copy
         assert memory.matrix._top == [[1, 2, 3, 4], None, None, None, None]
+
+    @pytest.mark.parametrize("kind", ["tie_at_both_ends", "maximum_last"])
+    def test_select_at_the_row_ends_matches_plain_definition(self, kind):
+        # the first maximum from the front and from the back differ only on a tie
+        rng = np.random.default_rng(12)
+        lean = Memory(build_dense(12), Policy("min", 0.5), seed=8)
+        plain = Memory(build_dense(12), Policy("min", 0.5), seed=8)
+        for _ in range(200):
+            j = int(rng.integers(12))
+            row = np.where(rng.random(12) < 0.3, 0.0, rng.uniform(0.5, 1.5, 12))
+            row[j] = 0.0
+            positive = row.nonzero()[0]
+            if kind == "maximum_last":
+                if j == 11:
+                    continue
+                row[11] = 2.0
+            elif positive.size < 2:
+                continue
+            else:
+                row[[positive[0], positive[-1]]] = 2.0
+            for memory in (lean, plain):
+                memory.current_index = j
+                memory.matrix._a[j] = row
+                memory.matrix._top[j] = None
+            assert pam_select(lean) == _pam_select_reference(plain)
+            assert lean.rng.bit_generator.state == plain.rng.bit_generator.state
+            top = None if kind == "maximum_last" else [positive[0], positive[-1]]
+            assert lean.matrix._top[j] == top
+
+    def test_row_views_share_the_entries(self):
+        def assert_views_of(matrix):
+            for m, (row, rev) in enumerate(zip(matrix._rows, matrix._rev, strict=True)):
+                assert np.shares_memory(row, matrix._a) and np.shares_memory(rev, matrix._a)
+                assert row.tobytes() == matrix._a[m].tobytes()
+                assert rev.tobytes() == matrix._a[m, ::-1].tobytes()
+
+        original = build_dense(6, 2.0)
+        dup = original.copy()
+        assert not np.shares_memory(dup._rows[0], original._a)
+        for m in range(6):  # in place, as test_select_matches_plain_definition writes
+            dup._a[m] = np.roll([0.0, 1.0, 2.0, 3.0, 2.0, 1.0], m)
+        assert_views_of(dup)
+        dup._rebuild_row_stats()
+        assert_views_of(dup)
+        assert_views_of(original)
+        for twin in (copy.deepcopy(dup), pickle.loads(pickle.dumps(dup))):
+            assert_views_of(twin)
+            assert not np.shares_memory(twin._rows[0], dup._a)
+            assert twin == dup and twin._count == dup._count and twin._top == dup._top
+
+    def test_copies_continue_a_run_as_the_original(self):
+        sets, x0, z = make_toy_problem()
+        memories = [Memory(build_dense(9), Policy("min", 0.01), seed=4) for _ in range(3)]
+        for memory in memories:
+            first = run(sets, memory, x0, StoppingRule.exact_budget(50), z,
+                        store_iterates=True)
+        assert any(top is not None for top in memories[0].matrix._top)
+        memories[1] = copy.deepcopy(memories[1])
+        memories[2] = pickle.loads(pickle.dumps(memories[2]))
+        traces = [run(sets, memory, first.iterates[-1], StoppingRule.exact_budget(400), z)
+                  for memory in memories]
+        for trace in traces[1:]:
+            assert np.array_equal(trace.set_indices, traces[0].set_indices)
+            assert np.array_equal(trace.step_lengths, traces[0].step_lengths)
+            assert trace.final_matrix.tobytes() == traces[0].final_matrix.tobytes()
 
     def test_reachability_matches_plain_traversal(self):
         rng = np.random.default_rng(5)

@@ -297,10 +297,10 @@ class TestGuards:
             StoppingRule(**fields)
 
     @pytest.mark.parametrize("field", ["step_tolerance", "residual_tolerance"])
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_stopping_rule_tolerances_must_not_be_booleans(self, field, value):
-        # True was once taken as a tolerance of 1
-        with pytest.raises(ValueError, match=f"^{field} must be a number, not {value}$"):
+        # True, and NumPy's True, were once taken as a tolerance of 1
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not {value!r}$"):
             StoppingRule(max_iterations=5, **{field: value})
 
     def test_stopping_rule_takes_numpy_integers(self):

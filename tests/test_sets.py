@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import SET_FAMILIES, sample_member, sample_set
+from conftest import SET_FAMILIES, sample_member, sample_set, sets_through_origin
+from memproj.config import parse_config, set_to_descriptor
 from memproj.sets import _distance
 from memproj import (
     AffineSubspace,
@@ -319,6 +320,18 @@ class TestProjectEqualsReference:
         for v in inputs:
             assert _outcome(s.project, v) == _outcome(_reference_project, s, v)
             assert type(s.project(v)) is np.ndarray
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_exact_float_vectors_pass_the_check_as_they_are(self, dim):
+        rng = np.random.default_rng(dim)
+        built = sets_through_origin(rng, dim) + [AffineSubspace(np.ones(dim), [])]
+        doc = {"problem": {"kind": "custom", "x0": [0.0] * dim,
+                           "sets": [set_to_descriptor(s) for s in built]},
+               "strategy": {"kind": "mcp"}}
+        for s in built + list(parse_config(doc).problem.sets):
+            assert s._shape == (s.dim,)
+            x = rng.uniform(-8.0, 8.0, dim)
+            assert s._check_point(x) is x
 
     @pytest.mark.parametrize("family", SET_FAMILIES)
     def test_inputs_of_the_wrong_shape(self, family):
