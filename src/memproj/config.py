@@ -3,6 +3,9 @@
 Configs are JSON documents.  ``parse_config`` either returns a fully
 validated ``ExperimentConfig`` or raises ``ConfigError`` carrying *every*
 validation problem found, each prefixed with the path of the offending key.
+JSON shapes and key names are checked here, a key being known where
+``emit_config`` writes it; values are checked in the library, by the owner of
+each rule, whose message ``<name> must ...`` reads ``<path>.<name>: must ...``.
 ``emit_config`` writes a config back out such that parsing the result
 reproduces an equal object.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +21,13 @@ import numpy as np
 from .memory import (
     DistanceMatrix,
     Policy,
+    _check_builder_args,
+    _check_integer,
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
 )
-from .runner import StoppingRule
+from .runner import StoppingRule, _sweep_window
 from .sets import (
     AffineSubspace,
     Ball,
@@ -64,11 +69,15 @@ class ConfigError(ValueError):
 
 
 class _FlatSpec:
-    """A spec whose JSON form is its ``kind`` and its compared fields."""
+    """A spec whose JSON form is its ``kind`` and its compared fields: the keys
+    its config object may have."""
+
+    @classmethod
+    def keys(cls) -> tuple:
+        return ("kind", *(f.name for f in fields(cls) if f.compare))
 
     def to_dict(self):
-        return {"kind": self.kind,
-                **{f.name: getattr(self, f.name) for f in fields(self) if f.compare}}
+        return {key: getattr(self, key) for key in self.keys()}
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,8 @@ class ToyProblem(ToyConfig, _FlatSpec):
 
 
 @dataclass(frozen=True)
-class CustomProblem:
+class CustomProblem(_FlatSpec):
+    kind = "custom"
     sets: tuple
     x0: tuple
     known_point: tuple | None = None
@@ -95,41 +105,44 @@ class CustomProblem:
         return list(self.sets), x0, z
 
     def to_dict(self):
-        return {
-            "kind": "custom",
-            "sets": [set_to_descriptor(s) for s in self.sets],
-            "x0": list(self.x0),
-            "known_point": None if self.known_point is None else list(self.known_point),
-        }
+        return {**super().to_dict(), "sets": [set_to_descriptor(s) for s in self.sets],
+                "x0": list(self.x0),
+                "known_point": None if self.known_point is None else list(self.known_point)}
+
+
+class _BuiltSpec(_FlatSpec):
+    """A matrix built by ``builder`` from N and the spec's fields, which pass the
+    builder's rule when the spec is made (but omega < N, checked when built)."""
+
+    def __post_init__(self):
+        scale = _check_builder_args(getattr(self, "omega", 1), self.scale)
+        object.__setattr__(self, "scale", scale)
+
+    def build(self, n_sets: int) -> DistanceMatrix:
+        return self.builder(n_sets, *(getattr(self, key) for key in self.keys()[1:]))
 
 
 @dataclass(frozen=True)
-class BandedBidirectionalSpec(_FlatSpec):
+class BandedBidirectionalSpec(_BuiltSpec):
     kind = "banded_bidirectional"
+    builder = staticmethod(build_banded_bidirectional)
     omega: int
     scale: float = 1.0
 
-    def build(self, n_sets: int) -> DistanceMatrix:
-        return build_banded_bidirectional(n_sets, self.omega, self.scale)
-
 
 @dataclass(frozen=True)
-class BandedForwardSpec(_FlatSpec):
+class BandedForwardSpec(_BuiltSpec):
     kind = "banded_forward"
+    builder = staticmethod(build_banded_forward)
     omega: int
     scale: float = 1.0
 
-    def build(self, n_sets: int) -> DistanceMatrix:
-        return build_banded_forward(n_sets, self.omega, self.scale)
-
 
 @dataclass(frozen=True)
-class DenseSpec(_FlatSpec):
+class DenseSpec(_BuiltSpec):
     kind = "dense"
+    builder = staticmethod(build_dense)
     scale: float = 1.0
-
-    def build(self, n_sets: int) -> DistanceMatrix:
-        return build_dense(n_sets, self.scale)
 
 
 @dataclass(frozen=True)
@@ -142,16 +155,12 @@ class PriorSpec(_FlatSpec):
 
     def resolved_path(self) -> Path:
         p = Path(self.path)
-        if not p.is_absolute() and self.base_dir is not None:
-            p = Path(self.base_dir) / p
-        return p
+        return p if p.is_absolute() or self.base_dir is None else Path(self.base_dir) / p
 
     def build(self, n_sets: int) -> DistanceMatrix:
         m = load_distance_matrix(self.resolved_path())
         if m.n != n_sets:
-            raise ValueError(
-                f"weights matrix is {m.n}x{m.n}, problem has {n_sets} sets"
-            )
+            raise ValueError(f"weights matrix is {m.n}x{m.n}, problem has {n_sets} sets")
         return m
 
 
@@ -173,25 +182,23 @@ class MrpSpec(_FlatSpec):
 
 
 @dataclass(frozen=True)
-class PamSpec:
+class PamSpec(_FlatSpec):
+    kind = "pam"
     matrix: object
     policy: Policy
     seed: int | None = None
 
     def build(self, n_sets: int, seed=None):
-        return Memory(
-            self.matrix.build(n_sets),
-            self.policy,
-            seed=self.seed if seed is None else seed,
-        )
+        return Memory(self.matrix.build(n_sets), self.policy,
+                      seed=self.seed if seed is None else seed)
 
     def to_dict(self):
-        return {
-            "kind": "pam",
-            "matrix": self.matrix.to_dict(),
-            "policy": {"kind": self.policy.kind, "beta": self.policy.beta},
-            "seed": self.seed,
-        }
+        return {**super().to_dict(), "matrix": self.matrix.to_dict(),
+                "policy": asdict(self.policy)}
+
+
+# the flags of an ExperimentConfig, which its JSON form groups under "flags"
+_FLAGS = ("debug_asserts", "store_iterates", "matrix_snapshot_interval")
 
 
 @dataclass(frozen=True)
@@ -233,18 +240,19 @@ class ExperimentConfig:
         matrix = spec.matrix.build(self.n_sets)
         return lambda seed: Memory(matrix, spec.policy, seed=seed)
 
+    @classmethod
+    def keys(cls) -> tuple:
+        """The top-level keys of its JSON form."""
+        return (*(f.name for f in fields(cls) if f.name not in _FLAGS), "flags")
+
     def to_dict(self) -> dict:
         return {
             "problem": self.problem.to_dict(),
             "strategy": self.strategy.to_dict(),
-            "stop": {f.name: getattr(self.stop, f.name) for f in fields(self.stop)},
+            "stop": asdict(self.stop),
             "seeds": list(self.seeds),
             "output_dir": self.output_dir,
-            "flags": {
-                "debug_asserts": self.debug_asserts,
-                "store_iterates": self.store_iterates,
-                "matrix_snapshot_interval": self.matrix_snapshot_interval,
-            },
+            "flags": {name: getattr(self, name) for name in _FLAGS},
         }
 
 
@@ -286,10 +294,8 @@ def set_to_descriptor(s: ProjectableSet) -> dict:
 
 
 def _is_number(v, integer=False) -> bool:
-    """A JSON number (an integer if ``integer``, where a NumPy integer counts, as
-    in ``memory._check_integer``); booleans are neither."""
-    kinds = (int, np.integer) if integer else (int, float)
-    return isinstance(v, kinds) and not isinstance(v, bool)
+    """A JSON number (an integer if ``integer``); booleans are neither."""
+    return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
 
 
 def _as_float(v):
@@ -310,6 +316,28 @@ def _is_numbers(v, depth: int) -> bool:
     return isinstance(v, list) and all(_is_numbers(x, depth - 1) for x in v)
 
 
+def _plain(v):
+    """A dict document with each NumPy scalar as the Python value it holds, so
+    that a NumPy real reads as a JSON number and ``np.bool_`` as a boolean."""
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_plain(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _fields(cls, doc: dict) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the keys of ``doc`` that
+    name its fields, a JSON number as a float in a field declared float; a
+    missing field without a default is None, for ``cls`` to reject."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc or f.default is MISSING:
+            v = doc.get(f.name)
+            kwargs[f.name] = _as_float(v) if "float" in str(f.type) and _is_number(v) else v
+    return kwargs
+
+
 class _Collector:
     def __init__(self):
         self.errors: list[str] = []
@@ -317,12 +345,24 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
+    def unknown(self, path: str, doc: dict, known) -> None:
+        """Record each key of ``doc`` that is not among ``known``."""
+        for key in doc:
+            if key not in known:
+                self.add(f"{path}.{key}" if path else str(key), "unknown key")
+
     def attempt(self, path: str, fn, *args, **kwargs):
-        """Run fn, recording a ValueError under ``path``; None on failure."""
+        """Run fn, recording its error under ``path``; None on failure.  A
+        message ``<name> must ...`` about an argument the call names (a keyword,
+        or a string argument) is recorded as ``<path>.<name>: must ...``."""
         try:
             return fn(*args, **kwargs)
         except (ValueError, KeyError, TypeError, OSError) as exc:
-            self.add(path, str(exc))
+            message = str(exc)
+            name, must, rest = message.partition(" must ")
+            if must and (name in kwargs or name in [a for a in args if isinstance(a, str)]):
+                path, message = f"{path}.{name}", "must " + rest
+            self.add(path, message)
             return None
 
 
@@ -332,20 +372,10 @@ def _parse_problem(doc, col: _Collector):
         return None
     kind = doc.get("kind")
     if kind == "toy":
-        n = doc.get("n_sets", ToyConfig.n_sets)
-        r = doc.get("r", ToyConfig.r)
-        if not (_is_number(n, integer=True) and n >= 2):
-            col.add("problem.n_sets", "must be an integer >= 2")
-            return None
-        if n > ToyConfig.max_lines:
-            col.add("problem.n_sets", f"must be at most {ToyConfig.max_lines}; "
-                    "neighbouring lines of a larger fan are parallel at every r")
-            return None
-        if not (_is_number(r) and 0.0 < _as_float(r) < math.inf):
-            col.add("problem.r", "must be a finite number > 0")
-            return None
-        return ToyProblem(n_sets=int(n), r=_as_float(r))
+        col.unknown("problem", doc, ToyProblem.keys())
+        return col.attempt("problem", ToyProblem, **_fields(ToyProblem, doc))
     if kind == "custom":
+        col.unknown("problem", doc, CustomProblem.keys())
         raw_sets = doc.get("sets")
         if not isinstance(raw_sets, list) or len(raw_sets) < 2:
             col.add("problem.sets", "must be a list of at least 2 set descriptors")
@@ -355,6 +385,7 @@ def _parse_problem(doc, col: _Collector):
             s = col.attempt(f"problem.sets[{i}]", set_from_descriptor, d)
             if s is not None:
                 sets.append(s)
+                col.unknown(f"problem.sets[{i}]", d, set_to_descriptor(s))
         x0 = doc.get("x0")
         if not isinstance(x0, list) or not x0 or not all(map(_is_number, x0)):
             col.add("problem.x0", "must be a nonempty list of numbers")
@@ -367,10 +398,8 @@ def _parse_problem(doc, col: _Collector):
         dim = len(x0)
         for i, s in enumerate(sets):
             if s.dim != dim:
-                col.add(
-                    f"problem.sets[{i}]",
-                    f"dimension {s.dim} does not match x0 dimension {dim}",
-                )
+                col.add(f"problem.sets[{i}]",
+                        f"dimension {s.dim} does not match x0 dimension {dim}")
         zp = doc.get("known_point")
         if zp is not None and (not isinstance(zp, list) or len(zp) != dim
                                or not all(map(_is_number, zp))):
@@ -379,11 +408,8 @@ def _parse_problem(doc, col: _Collector):
             col.add("problem.known_point", "must have finite entries")
         if col.errors:
             return None
-        return CustomProblem(
-            sets=tuple(sets),
-            x0=tuple(x0),
-            known_point=None if zp is None else tuple(_as_float(zp)),
-        )
+        return CustomProblem(tuple(sets), tuple(x0),
+                             None if zp is None else tuple(_as_float(zp)))
     col.add("problem.kind", 'must be "toy" or "custom"')
     return None
 
@@ -392,101 +418,63 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
     if not isinstance(doc, dict):
         col.add("strategy.matrix", "must be an object")
         return None
-    kind = doc.get("kind")
-    if kind in ("dense", "banded_bidirectional", "banded_forward"):
-        omega = doc.get("omega")
-        scale = doc.get("scale", 1.0)
-        if kind != "dense" and not (_is_number(omega, integer=True) and omega >= 1):
-            col.add("strategy.matrix.omega", "must be an integer >= 1")
-            return None
-        if not (_is_number(scale) and 0.0 < _as_float(scale) < math.inf):
-            col.add("strategy.matrix.scale", "must be a finite number > 0")
-            return None
-        if kind == "dense":
-            return DenseSpec(scale=_as_float(scale))
-        cls = BandedBidirectionalSpec if kind == "banded_bidirectional" else BandedForwardSpec
-        return cls(omega=int(omega), scale=_as_float(scale))
-    if kind == "prior":
-        path = doc.get("path")
-        if not isinstance(path, str) or not path:
-            col.add("strategy.matrix.path", "must be a nonempty string")
-            return None
-        return PriorSpec(path=path, base_dir=base_dir)
-    col.add(
-        "strategy.matrix.kind",
-        'must be one of "banded_bidirectional", "banded_forward", "dense", "prior"',
-    )
-    return None
+    specs = (BandedBidirectionalSpec, BandedForwardSpec, DenseSpec, PriorSpec)
+    cls = next((c for c in specs if c.kind == doc.get("kind")), None)
+    if cls is None:
+        col.add("strategy.matrix.kind", "must be one of " + ", ".join(
+            f'"{c.kind}"' for c in specs))
+        return None
+    col.unknown("strategy.matrix", doc, cls.keys())
+    if cls is not PriorSpec:
+        return col.attempt("strategy.matrix", cls, **_fields(cls, doc))
+    path = doc.get("path")
+    if not isinstance(path, str) or not path:
+        col.add("strategy.matrix.path", "must be a nonempty string")
+        return None
+    return PriorSpec(path=path, base_dir=base_dir)
 
 
 def _parse_strategy(doc, col: _Collector, base_dir):
     if not isinstance(doc, dict):
         col.add("strategy", "must be an object")
         return None
-    kind = doc.get("kind")
-    seed = doc.get("seed")
+    cls = next((c for c in (McpSpec, MrpSpec, PamSpec) if c.kind == doc.get("kind")), None)
+    if cls is None:
+        col.add("strategy.kind", 'must be "mcp", "mrp" or "pam"')
+        return None
+    col.unknown("strategy", doc, cls.keys())
+    seed = doc.get("seed") if "seed" in cls.keys() else None
     if seed is not None and not _is_number(seed, integer=True):
         col.add("strategy.seed", "must be an integer")
         return None
     if seed is not None and seed < 0:  # a generator seed is never negative
         col.add("strategy.seed", "must be an integer >= 0")
         return None
-    seed = None if seed is None else int(seed)  # a Python int, as emit_config encodes
-    if kind == "mcp":
+    if cls is McpSpec:
         return McpSpec()
-    if kind == "mrp":
+    if cls is MrpSpec:
         return MrpSpec(seed=seed)
-    if kind == "pam":
-        matrix = _parse_matrix_spec(doc.get("matrix"), col, base_dir)
-        pol = doc.get("policy")
-        policy = None
-        if not isinstance(pol, dict):
-            col.add("strategy.policy", "must be an object with kind and beta")
-        else:
-            pkind = pol.get("kind")
-            beta = pol.get("beta")
-            if pkind not in ("min", "average"):
-                col.add("strategy.policy.kind", 'must be "min" or "average"')
-            elif not _is_number(beta) or not (0.0 < _as_float(beta) < 1.0):
-                col.add(
-                    "strategy.policy.beta",
-                    "an admissible policy requires beta in the open interval (0, 1)",
-                )
-            else:
-                policy = Policy(pkind, _as_float(beta))
-        if matrix is None or policy is None:
-            return None
-        return PamSpec(matrix=matrix, policy=policy, seed=seed)
-    col.add("strategy.kind", 'must be "mcp", "mrp" or "pam"')
-    return None
+    matrix = _parse_matrix_spec(doc.get("matrix"), col, base_dir)
+    pol = doc.get("policy")
+    policy = None
+    if not isinstance(pol, dict):
+        col.add("strategy.policy", "must be an object with kind and beta")
+    else:
+        col.unknown("strategy.policy", pol, [f.name for f in fields(Policy)])
+        policy = col.attempt("strategy.policy", Policy, **_fields(Policy, pol))
+    if matrix is None or policy is None:
+        return None
+    return PamSpec(matrix=matrix, policy=policy, seed=seed)
 
 
 def _parse_stop(doc, col: _Collector):
-    if doc is None:
-        doc = {}
+    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         col.add("stop", "must be an object")
         return None
-    kwargs = {}
-    max_iter = doc.get("max_iterations", 1000)
-    if not (_is_number(max_iter, integer=True) and max_iter >= 1):
-        col.add("stop.max_iterations", "must be an integer >= 1")
-        return None
-    kwargs["max_iterations"] = int(max_iter)
-    window = doc.get("step_window")
-    if window is not None and not (_is_number(window, integer=True) and window >= 1):
-        col.add("stop.step_window", "must be an integer >= 1 or null")
-        return None
-    kwargs["step_window"] = None if window is None else int(window)
-    for key in ("step_tolerance", "residual_tolerance"):
-        default = getattr(StoppingRule, key)  # the rule's own defaults
-        v = doc.get(key, default)
-        # residual_tolerance alone may be null: no residual stop
-        if (v is not None or default is not None) and not (_is_number(v) and v > 0):
-            col.add(f"stop.{key}", "must be a number > 0")
-            return None
-        kwargs[key] = None if v is None else _as_float(v)
-    return StoppingRule(**kwargs)
+    col.unknown("stop", doc, [f.name for f in fields(StoppingRule)])
+    doc = {"max_iterations": 1000, **doc}
+    return col.attempt("stop", StoppingRule, **_fields(StoppingRule, doc))
 
 
 def parse_config(source, base_dir=None) -> ExperimentConfig:
@@ -502,7 +490,7 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError([f"(document): not valid JSON: {exc}"]) from exc
     else:
-        doc = source
+        doc = _plain(source)
     if not isinstance(doc, dict):
         raise ConfigError(["(document): top level must be an object"])
 
@@ -510,10 +498,9 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     problem = _parse_problem(doc.get("problem"), col)
     strategy = _parse_strategy(doc.get("strategy"), col, base_dir)
     stop = _parse_stop(doc.get("stop"), col)
+    col.unknown("", doc, ExperimentConfig.keys())
 
-    seeds = doc.get("seeds", [])
-    if seeds is None:
-        seeds = []
+    seeds = [] if doc.get("seeds") is None else doc["seeds"]
     if not isinstance(seeds, list) or not all(_is_number(s, integer=True) for s in seeds):
         col.add("seeds", "must be a list of integers")
         seeds = []
@@ -530,15 +517,14 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     if not isinstance(flags, dict):
         col.add("flags", "must be an object")
         flags = {}
-    debug_asserts = flags.get("debug_asserts", False)
-    store_iterates = flags.get("store_iterates", False)
-    interval = flags.get("matrix_snapshot_interval")
-    for name, v in (("debug_asserts", debug_asserts), ("store_iterates", store_iterates)):
-        if not isinstance(v, bool):
+    col.unknown("flags", flags, _FLAGS)
+    for name in ("debug_asserts", "store_iterates"):
+        if not isinstance(flags.get(name, False), bool):
             col.add(f"flags.{name}", "must be true or false")
-    if interval is not None and not (_is_number(interval, integer=True) and interval >= 1):
-        col.add("flags.matrix_snapshot_interval", "must be an integer >= 1 or null")
-        interval = None
+    interval = flags.get("matrix_snapshot_interval")
+    if interval is not None:
+        interval = col.attempt("flags", _check_integer, "matrix_snapshot_interval",
+                               interval, 1)
 
     # cross-field checks need the pieces to have parsed individually first;
     # a toy problem's lines must not be parallel
@@ -549,26 +535,16 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
         if matrix is not None:
             col.attempt("strategy.matrix", Memory.admissible, matrix)
-    window = None if stop is None else stop.step_window
-    if problem is not None and window is not None and window < problem.n_sets:
-        col.add(
-            "stop.step_window",
-            f"must cover at least one full sweep (>= N = {problem.n_sets})",
-        )
+    if problem is not None and stop is not None:
+        col.attempt("stop", _sweep_window, step_window=stop.step_window, n_sets=problem.n_sets)
 
     if col.errors:
         raise ConfigError(col.errors)
 
     return ExperimentConfig(
-        problem=problem,
-        strategy=strategy,
-        stop=stop,
-        seeds=tuple(map(int, seeds)),
-        output_dir=output_dir,
-        debug_asserts=bool(debug_asserts),
-        store_iterates=bool(store_iterates),
-        matrix_snapshot_interval=None if interval is None else int(interval),
-    )
+        problem=problem, strategy=strategy, stop=stop, seeds=tuple(seeds),
+        output_dir=output_dir, debug_asserts=flags.get("debug_asserts", False),
+        store_iterates=flags.get("store_iterates", False), matrix_snapshot_interval=interval)
 
 
 def emit_config(config: ExperimentConfig) -> str:

@@ -15,6 +15,8 @@ Set indices everywhere in this package are 0-based.
 """
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,26 +185,41 @@ def unreachable_pair(matrix):
     return None
 
 
-def _check_integer(name: str, value, least=None) -> None:
-    """ValueError naming ``name`` unless ``value`` is an int or NumPy integer (not
-    a bool) and, if ``least`` is given, at least ``least``."""
+def _check_integer(name: str, value, least=None) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an int
+    or NumPy integer (not a bool) and, if ``least`` is given, at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}")
+    return int(value)
 
 
-def _check_builder_args(n_sets: int, omega: int, scale: float) -> None:
-    _check_integer("n_sets", n_sets, 2)
+def _check_real(name: str, value):
+    """``value``, a NumPy real as a Python float; ValueError naming ``name``
+    unless it is a real number (a bool, NumPy's too, is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value) if isinstance(value, np.generic) else value
+
+
+def _check_builder_args(omega, scale, n_sets=None):
+    """A builder's ``scale``, which must be finite and > 0; ``omega`` must be an
+    integer >= 1 and, with ``n_sets`` given (>= 2), smaller than it."""
+    if n_sets is not None:
+        _check_integer("n_sets", n_sets, 2)
     _check_integer("omega", omega, 1)
-    if omega >= n_sets:
+    if n_sets is not None and omega >= n_sets:
         raise ValueError("omega must be smaller than the number of sets")
-    if not (np.isfinite(scale) and scale > 0.0):
+    scale = _check_real("scale", scale)
+    # compared, not converted: an integer beyond the float range is not finite
+    if not 0.0 < scale <= sys.float_info.max:
         raise ValueError("scale must be finite and > 0")
+    return scale
 
 
 def _cyclic_band(n_sets: int, omega: int, scale: float, both_ways: bool) -> DistanceMatrix:
-    _check_builder_args(n_sets, omega, scale)
+    scale = _check_builder_args(omega, scale, n_sets)
     ahead = (np.arange(n_sets) - np.arange(n_sets)[:, None]) % n_sets  # (n - m) mod N
     reach = np.minimum(ahead, n_sets - ahead) if both_ways else ahead
     return DistanceMatrix(np.where((0 < reach) & (reach <= omega), scale, 0.0))
@@ -229,7 +246,7 @@ def build_banded_forward(n_sets: int, omega: int, scale: float = 1.0) -> Distanc
 
 def build_dense(n_sets: int, scale: float = 1.0) -> DistanceMatrix:
     """All off-diagonal entries equal to ``scale``."""
-    _check_builder_args(n_sets, 1, scale)  # every n_sets >= 2 admits omega=1
+    scale = _check_builder_args(1, scale, n_sets)  # every n_sets >= 2 admits omega=1
     a = np.full((n_sets, n_sets), scale, dtype=float)
     np.fill_diagonal(a, 0.0)
     return DistanceMatrix(a)
@@ -260,8 +277,9 @@ class Policy:
 
     def __post_init__(self):
         if self.kind not in ("min", "average"):
-            raise ValueError('policy kind must be "min" or "average"')
-        if not (0.0 < self.beta < 1.0):
+            raise ValueError('kind must be "min" or "average"')
+        object.__setattr__(self, "beta", _check_real("beta", self.beta))
+        if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in the open interval (0, 1)")
 
 

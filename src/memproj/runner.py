@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import _check_integer
+from .memory import _check_integer, _check_real
 from .sets import _LARGEST, _SMALLEST_SUM, LineThroughOrigin, _distance
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
@@ -100,12 +100,13 @@ class StoppingRule:
         if self.step_window is not None:
             _check_integer("step_window", self.step_window, 1)
         for name in ("step_tolerance", "residual_tolerance"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
-        if not self.step_tolerance > 0.0:
-            raise ValueError("step_tolerance must be > 0")
-        if self.residual_tolerance is not None and not self.residual_tolerance > 0.0:
-            raise ValueError("residual_tolerance must be > 0")
+            value = getattr(self, name)
+            if value is None and name == "residual_tolerance":  # no residual stop
+                continue
+            value = _check_real(name, value)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def exact_budget(cls, n_projections: int) -> "StoppingRule":
@@ -201,10 +202,15 @@ def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, know
             raise ValueError("known_point must have finite entries")
     # a Memory checked its matrix when it was built, and n_sets is its size
     memory_matrix = getattr(strategy, "matrix", None)
-    window = stop.step_window if stop.step_window is not None else 2 * n
-    if window < n:
-        raise ValueError("step_window must cover at least one full sweep (>= N)")
-    return x, z, memory_matrix, window
+    return x, z, memory_matrix, _sweep_window(stop.step_window, n)
+
+
+def _sweep_window(step_window, n_sets: int) -> int:
+    """The step window of a run over ``n_sets`` sets: 2N if ``step_window`` is
+    None, else ``step_window``, which must cover a sweep."""
+    if step_window is not None and step_window < n_sets:
+        raise ValueError(f"step_window must cover at least one full sweep (>= N = {n_sets})")
+    return 2 * n_sets if step_window is None else step_window
 
 
 # _distance rescales an overflowing sum of squares; a non-finite iterate raises

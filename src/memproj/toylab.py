@@ -15,13 +15,12 @@ statistics.
 from __future__ import annotations
 
 import copy
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import Policy, _check_integer, build_banded_forward, build_dense
+from .memory import Policy, _check_integer, _check_real, build_banded_forward, build_dense
 from .runner import StoppingRule, _row_dots, run, run_lockstep
 from .sets import LineThroughOrigin
 from .strategies import Cyclic, Memory, RandomizedCycles
@@ -48,15 +47,12 @@ class ToyConfig:
     max_lines = 2_300_000
 
     def __post_init__(self):
-        _check_integer("n_sets", self.n_sets, 2)
-        if self.n_sets > self.max_lines:
-            raise ValueError(f"need at most {self.max_lines} lines; more are parallel")
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
-            raise ValueError(f"r must be a real number, not {self.r!r}")
         # a NumPy scalar is kept as the Python number it holds, which a report can encode
-        for name in ("n_sets", "r"):
-            if isinstance(getattr(self, name), np.generic):
-                object.__setattr__(self, name, getattr(self, name).item())
+        object.__setattr__(self, "n_sets", _check_integer("n_sets", self.n_sets, 2))
+        if self.n_sets > self.max_lines:
+            raise ValueError(f"n_sets must be at most {self.max_lines}; neighbouring "
+                             "lines of a larger fan are parallel at every r")
+        object.__setattr__(self, "r", _check_real("r", self.r))
         # compared, not converted: an integer beyond the float range is not finite
         if not 0.0 < self.r <= sys.float_info.max:
             raise ValueError("r must be finite and > 0")

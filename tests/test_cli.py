@@ -144,7 +144,7 @@ class TestRun:
 
     @pytest.mark.parametrize("change,error", [
         ({"seeds": [True, False], "stop": {"max_iterations": True}},
-         "error: stop.max_iterations: must be an integer >= 1\n"
+         "error: stop.max_iterations: must be an integer, not True\n"
          "error: seeds: must be a list of integers\n"),
         ({"problem": {"kind": "custom",
                       "sets": [{"kind": "line", "direction": [1.0, 0.0]},
@@ -152,7 +152,7 @@ class TestRun:
                       "x0": [1.0, 1.0], "known_point": [0, None]}},
          "error: problem.known_point: must be a list of 2 numbers\n"),
         ({"stop": {"max_iterations": 60, "step_tolerance": None}},
-         "error: stop.step_tolerance: must be a number > 0\n"),
+         "error: stop.step_tolerance: must be a number, not None\n"),
     ])
     def test_non_number_rejected_before_any_output(
         self, toy_pam_config, tmp_path, capsys, change, error
@@ -162,6 +162,16 @@ class TestRun:
         out = tmp_path / "results"
         assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == error
+        assert not out.exists()
+
+    def test_unknown_key_rejected_before_any_output(self, toy_pam_config, tmp_path, capsys):
+        # a typo of "flags" once ran without the debug checks it asked for
+        doc = json.loads(toy_pam_config.read_text())
+        doc["flag"] = {"debug_asserts": True}
+        toy_pam_config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: flag: unknown key\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["x0", "known_point"])
@@ -400,7 +410,8 @@ class TestPreset:
         code = main(["preset", "benchmark", "--N", str(10**12), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: need at most 2300000 lines;") and err.count("\n") == 1
+        assert err == ("error: n_sets must be at most 2300000; neighbouring lines of "
+                       "a larger fan are parallel at every r\n")
         assert not out.exists()
 
     def test_unknown_preset_rejected_by_argparse(self, capsys):

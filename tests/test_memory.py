@@ -142,6 +142,25 @@ class TestBuilders:
             assert str(exc.value) == f"omega must be an integer, not {omega!r}"
         assert build_banded_forward(8, np.int64(2)) == build_banded_forward(8, 2)
 
+    @pytest.mark.parametrize("build,value", [
+        (lambda scale: build_dense(4, scale), True),
+        (lambda scale: build_banded_forward(4, 1, scale), True),
+        (lambda scale: build_banded_bidirectional(4, 1, scale), np.True_),
+        (lambda scale: build_dense(4, scale), "1.0"),
+        (lambda scale: build_banded_forward(4, 1, scale), None),
+    ])
+    def test_non_real_scale_rejected(self, build, value):
+        # a boolean scale once built a matrix of scale 1.0
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == f"scale must be a number, not {value!r}"
+
+    @pytest.mark.parametrize("scale", [np.float32(2.0), np.float64(2.0), np.int64(2), 2])
+    def test_numpy_real_scale_accepted(self, scale):
+        for build in (lambda s: build_dense(4, s), lambda s: build_banded_forward(4, 1, s),
+                      lambda s: build_banded_bidirectional(4, 1, s)):
+            assert build(scale) == build(2.0)
+
     def test_dense_pattern(self):
         d = build_dense(4, 2.0).to_array()
         assert (np.diagonal(d) == 0).all()
@@ -223,6 +242,18 @@ class TestPolicies:
             Policy("min", 0.0)
         with pytest.raises(ValueError):
             Policy("median", 0.5)
+
+    @pytest.mark.parametrize("beta", ["0.5", None, True, np.True_, [0.5]])
+    def test_non_real_beta_rejected(self, beta):
+        # a string once raised a bare TypeError from the comparison
+        with pytest.raises(ValueError) as exc:
+            Policy("min", beta)
+        assert str(exc.value) == f"beta must be a number, not {beta!r}"
+
+    @pytest.mark.parametrize("beta", [np.float32(0.5), np.float64(0.5)])
+    def test_numpy_beta_stored_as_float(self, beta):
+        policy = Policy("min", beta)
+        assert type(policy.beta) is float and policy == Policy("min", 0.5)
 
     def test_min_policy_value(self):
         d = _matrix_with_row([0.0, 2.0, 4.0, 0.0])

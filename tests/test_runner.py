@@ -303,6 +303,27 @@ class TestGuards:
         with pytest.raises(ValueError, match=f"^{field} must be a number, not {value!r}$"):
             StoppingRule(max_iterations=5, **{field: value})
 
+    @pytest.mark.parametrize("field", ["step_tolerance", "residual_tolerance"])
+    @pytest.mark.parametrize("value", ["1e-9", [1e-9], 1e-9j])
+    def test_stopping_rule_tolerances_must_be_real(self, field, value):
+        # a string once raised a bare TypeError from the comparison
+        with pytest.raises(ValueError) as exc:
+            StoppingRule(10, **{field: value})
+        assert str(exc.value) == f"{field} must be a number, not {value!r}"
+
+    def test_stopping_rule_step_tolerance_is_not_optional(self):
+        with pytest.raises(ValueError) as exc:
+            StoppingRule(10, step_tolerance=None)
+        assert str(exc.value) == "step_tolerance must be a number, not None"
+        assert StoppingRule(10, residual_tolerance=None).residual_tolerance is None
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(2)])
+    def test_stopping_rule_stores_numpy_tolerances_as_floats(self, value):
+        stop = StoppingRule(10, step_tolerance=value, residual_tolerance=value)
+        assert type(stop.step_tolerance) is type(stop.residual_tolerance) is float
+        as_float = float(value)
+        assert stop == StoppingRule(10, step_tolerance=as_float, residual_tolerance=as_float)
+
     def test_stopping_rule_takes_numpy_integers(self):
         stop = StoppingRule(max_iterations=np.int64(50), step_window=np.int32(18))
         sets, x0, _ = toy()
