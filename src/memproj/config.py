@@ -112,11 +112,14 @@ class CustomProblem(_FlatSpec):
 
 class _BuiltSpec(_FlatSpec):
     """A matrix built by ``builder`` from N and the spec's fields, which pass the
-    builder's rule when the spec is made (but omega < N, checked when built)."""
+    builder's rule when the spec is made (but omega < N, checked when built)
+    and are kept as the Python numbers the rule returns."""
 
     def __post_init__(self):
-        scale = _check_builder_args(getattr(self, "omega", 1), self.scale)
+        omega, scale = _check_builder_args(getattr(self, "omega", 1), self.scale)
         object.__setattr__(self, "scale", scale)
+        if "omega" in self.keys():
+            object.__setattr__(self, "omega", omega)
 
     def build(self, n_sets: int) -> DistanceMatrix:
         return self.builder(n_sets, *(getattr(self, key) for key in self.keys()[1:]))
@@ -164,6 +167,15 @@ class PriorSpec(_FlatSpec):
         return m
 
 
+class _SeededSpec(_FlatSpec):
+    """A strategy spec with an optional generator seed, an integer >= 0 kept
+    as the Python int it holds."""
+
+    def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
+
+
 @dataclass(frozen=True)
 class McpSpec(_FlatSpec):
     kind = "mcp"
@@ -173,7 +185,7 @@ class McpSpec(_FlatSpec):
 
 
 @dataclass(frozen=True)
-class MrpSpec(_FlatSpec):
+class MrpSpec(_SeededSpec):
     kind = "mrp"
     seed: int | None = None
 
@@ -182,7 +194,7 @@ class MrpSpec(_FlatSpec):
 
 
 @dataclass(frozen=True)
-class PamSpec(_FlatSpec):
+class PamSpec(_SeededSpec):
     kind = "pam"
     matrix: object
     policy: Policy
@@ -213,6 +225,14 @@ class ExperimentConfig:
     debug_asserts: bool = False
     store_iterates: bool = False
     matrix_snapshot_interval: int | None = None
+
+    def __post_init__(self):
+        # the integers are kept as the Python ints they hold, which JSON can encode
+        seeds = tuple(_check_integer("seeds", s, 0) for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
+        if self.matrix_snapshot_interval is not None:
+            object.__setattr__(self, "matrix_snapshot_interval", _check_integer(
+                "matrix_snapshot_interval", self.matrix_snapshot_interval, 1))
 
     @property
     def n_sets(self) -> int:
@@ -366,11 +386,17 @@ class _Collector:
             return None
 
 
+def _kind(doc: dict):
+    """``doc["kind"]`` if it is a string, else None, which no kind equals."""
+    kind = doc.get("kind")
+    return kind if isinstance(kind, str) else None
+
+
 def _parse_problem(doc, col: _Collector):
     if not isinstance(doc, dict):
         col.add("problem", "must be an object")
         return None
-    kind = doc.get("kind")
+    kind = _kind(doc)
     if kind == "toy":
         col.unknown("problem", doc, ToyProblem.keys())
         return col.attempt("problem", ToyProblem, **_fields(ToyProblem, doc))
@@ -419,7 +445,7 @@ def _parse_matrix_spec(doc, col: _Collector, base_dir):
         col.add("strategy.matrix", "must be an object")
         return None
     specs = (BandedBidirectionalSpec, BandedForwardSpec, DenseSpec, PriorSpec)
-    cls = next((c for c in specs if c.kind == doc.get("kind")), None)
+    cls = next((c for c in specs if c.kind == _kind(doc)), None)
     if cls is None:
         col.add("strategy.matrix.kind", "must be one of " + ", ".join(
             f'"{c.kind}"' for c in specs))
@@ -438,7 +464,7 @@ def _parse_strategy(doc, col: _Collector, base_dir):
     if not isinstance(doc, dict):
         col.add("strategy", "must be an object")
         return None
-    cls = next((c for c in (McpSpec, MrpSpec, PamSpec) if c.kind == doc.get("kind")), None)
+    cls = next((c for c in (McpSpec, MrpSpec, PamSpec) if c.kind == _kind(doc)), None)
     if cls is None:
         col.add("strategy.kind", 'must be "mcp", "mrp" or "pam"')
         return None
@@ -513,7 +539,7 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         col.add("output_dir", "must be a string or null")
         output_dir = None
 
-    flags = doc.get("flags", {}) or {}
+    flags = {} if doc.get("flags") is None else doc["flags"]
     if not isinstance(flags, dict):
         col.add("flags", "must be an object")
         flags = {}

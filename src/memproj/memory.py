@@ -204,22 +204,23 @@ def _check_real(name: str, value):
 
 
 def _check_builder_args(omega, scale, n_sets=None):
-    """A builder's ``scale``, which must be finite and > 0; ``omega`` must be an
-    integer >= 1 and, with ``n_sets`` given (>= 2), smaller than it."""
+    """A builder's ``(omega, scale)``: ``omega`` an integer >= 1 and, with
+    ``n_sets`` given (>= 2), smaller than it, as a Python int; ``scale``
+    finite and > 0."""
     if n_sets is not None:
         _check_integer("n_sets", n_sets, 2)
-    _check_integer("omega", omega, 1)
+    omega = _check_integer("omega", omega, 1)
     if n_sets is not None and omega >= n_sets:
         raise ValueError("omega must be smaller than the number of sets")
     scale = _check_real("scale", scale)
     # compared, not converted: an integer beyond the float range is not finite
     if not 0.0 < scale <= sys.float_info.max:
         raise ValueError("scale must be finite and > 0")
-    return scale
+    return omega, scale
 
 
 def _cyclic_band(n_sets: int, omega: int, scale: float, both_ways: bool) -> DistanceMatrix:
-    scale = _check_builder_args(omega, scale, n_sets)
+    omega, scale = _check_builder_args(omega, scale, n_sets)
     ahead = (np.arange(n_sets) - np.arange(n_sets)[:, None]) % n_sets  # (n - m) mod N
     reach = np.minimum(ahead, n_sets - ahead) if both_ways else ahead
     return DistanceMatrix(np.where((0 < reach) & (reach <= omega), scale, 0.0))
@@ -246,7 +247,7 @@ def build_banded_forward(n_sets: int, omega: int, scale: float = 1.0) -> Distanc
 
 def build_dense(n_sets: int, scale: float = 1.0) -> DistanceMatrix:
     """All off-diagonal entries equal to ``scale``."""
-    scale = _check_builder_args(1, scale, n_sets)  # every n_sets >= 2 admits omega=1
+    _, scale = _check_builder_args(1, scale, n_sets)  # every n_sets >= 2 admits omega=1
     a = np.full((n_sets, n_sets), scale, dtype=float)
     np.fill_diagonal(a, 0.0)
     return DistanceMatrix(a)
@@ -276,7 +277,7 @@ class Policy:
     beta: float
 
     def __post_init__(self):
-        if self.kind not in ("min", "average"):
+        if not isinstance(self.kind, str) or self.kind not in ("min", "average"):
             raise ValueError('kind must be "min" or "average"')
         object.__setattr__(self, "beta", _check_real("beta", self.beta))
         if not 0.0 < self.beta < 1.0:

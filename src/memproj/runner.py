@@ -20,7 +20,9 @@ raises ``NumericError`` or ``FejerViolation``.  A chooser blind to the steps
 (exactly ``Cyclic`` or ``RandomizedCycles``, no residual stop) draws each
 stretch's picks before it projects, and runs stretches at least as long as
 the run before them; where the step rule fired inside one, the stretch is cut
-there and the chooser rewound to that projection.
+there and the chooser rewound to that projection.  Each stretch is recorded as
+one array per column, and each column of the trace is one concatenation of
+them.
 
 ``run_lockstep`` drives several strategies of one class over the same lines
 through the origin at once, one row of a stacked iterate array per run, and
@@ -96,9 +98,11 @@ class StoppingRule:
     residual_tolerance: float | None = None
 
     def __post_init__(self):
-        _check_integer("max_iterations", self.max_iterations, 1)
-        if self.step_window is not None:
-            _check_integer("step_window", self.step_window, 1)
+        # a NumPy integer is kept as the Python int it holds, which JSON can encode
+        for name in ("max_iterations", "step_window"):
+            value = getattr(self, name)
+            if value is not None or name == "max_iterations":
+                object.__setattr__(self, name, _check_integer(name, value, 1))
         for name in ("step_tolerance", "residual_tolerance"):
             value = getattr(self, name)
             if value is None and name == "residual_tolerance":  # no residual stop
@@ -241,7 +245,8 @@ def run(
 
     indices, steps, snapshots = [], [], []
     residuals = [] if z is not None else None
-    iterates = [x.copy()] if store_iterates else None
+    iterates = [x[None].copy()] if store_iterates else None
+    done = 0  # projections recorded
     x_start = x.copy()
     status = STATUS_MAX_ITERATIONS
     check_fejer = debug_asserts and z is not None
@@ -265,8 +270,8 @@ def run(
     last_step = None
     next_index = strategy.next_index
     project = [s.project for s in sets]
-    while status == STATUS_MAX_ITERATIONS and len(indices) < stop.max_iterations:
-        k0 = len(indices)
+    while status == STATUS_MAX_ITERATIONS and done < stop.max_iterations:
+        k0 = done
         size = min(stop.max_iterations - k0, _STRETCH)
         if not sees_each:
             # to where the step rule could first fire, or as long as the run so far
@@ -316,7 +321,7 @@ def run(
             lengths = _row_lengths(np.concatenate(parts))
         new_steps = np.array(seen) if sees_each else lengths[:len(xs) - 1]
         m = len(new_steps)
-        new_residuals = lengths[-m:].tolist() if deferred else seen_residuals
+        new_residuals = lengths[-m:] if deferred else np.array(seen_residuals)
         if not sees_each:
             # the rule fires ``window`` projections after a big step with none between
             big = np.r_[last_big, k0 + np.flatnonzero(~(new_steps < step_tolerance))]
@@ -337,26 +342,27 @@ def run(
             raise NumericError(f"non-finite iterate after projection {k0 + bad}")
         if error is not None:
             raise error
-        indices.extend(js)
-        steps.extend(new_steps.tolist())
+        done += m
+        indices.append(np.array(js, dtype=int))
+        steps.append(new_steps)
         if residuals is not None:
-            residuals.extend(new_residuals)
+            residuals.append(new_residuals)
         if iterates is not None:
-            iterates.extend(xs[1:])
-        if status == STATUS_MAX_ITERATIONS and len(indices) - 1 - last_big >= window:
+            iterates.append(X[1:m + 1] if deferred or not sees_each else np.array(xs[1:]))
+        if status == STATUS_MAX_ITERATIONS and done - 1 - last_big >= window:
             status = STATUS_STEP
 
     strategy.finish(last_step)
     return RunTrace(
-        set_indices=np.asarray(indices, dtype=int),
-        step_lengths=np.asarray(steps, dtype=float),
+        set_indices=np.concatenate(indices),
+        step_lengths=np.concatenate(steps),
         status=status,
         n_sets=n,
         x0=x_start,
         x_final=x,
-        residuals=None if residuals is None else np.asarray(residuals, dtype=float),
+        residuals=None if residuals is None else np.concatenate(residuals),
         known_point=z,
-        iterates=None if iterates is None else np.asarray(iterates, dtype=float),
+        iterates=None if iterates is None else np.concatenate(iterates),
         final_matrix=None if memory_matrix is None else strategy.matrix.to_array(),
         matrix_snapshots=snapshots,
     )

@@ -141,9 +141,16 @@ _TRACE_ARRAYS = ("set_indices", "step_lengths", "x0", "x_final", "residuals",
 
 
 def assert_same_trace(got, expected):
-    """Every field of two RunTraces is equal, arrays bit for bit."""
+    """Every field of two RunTraces is equal, arrays bit for bit.  Each array
+    of ``got`` is C-contiguous, shares no memory with another and owns its
+    buffer: disjoint views of one buffer share no memory, yet keep all of it."""
     assert got.status == expected.status
     assert got.n_sets == expected.n_sets
+    arrays = {name: a for name in _TRACE_ARRAYS if (a := getattr(got, name)) is not None}
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous and a.base is None, name
+        for other, b in arrays.items():
+            assert other == name or not np.shares_memory(a, b), (name, other)
     for name in _TRACE_ARRAYS:
         a, b = getattr(got, name), getattr(expected, name)
         if b is None:

@@ -335,6 +335,21 @@ class TestNumbersAreNumbers:
         assert all(type(v) is int for v in ints)
         assert parse_config(emit_config(cfg)) == cfg
 
+    def test_numpy_integers_built_in_code_emit_as_python_ints(self):
+        # a spec built in code once kept np.int64, which emit_config cannot encode
+        i = np.int64
+        stop = StoppingRule(max_iterations=i(50), step_window=i(18))
+        for matrix in (BandedForwardSpec(i(2)), BandedBidirectionalSpec(i(3), 0.5)):
+            for strategy in (PamSpec(matrix, Policy("min", 0.5), seed=i(7)), MrpSpec(seed=i(4))):
+                cfg = ExperimentConfig(ToyProblem(i(9), 0.05), strategy, stop,
+                                       seeds=(i(0), i(3)), matrix_snapshot_interval=i(5))
+                ints = [cfg.problem.n_sets, cfg.strategy.seed, cfg.stop.max_iterations,
+                        cfg.stop.step_window, *cfg.seeds, cfg.matrix_snapshot_interval]
+                if isinstance(strategy, PamSpec):
+                    ints.append(cfg.strategy.matrix.omega)
+                assert all(type(v) is int for v in ints)
+                assert parse_config(emit_config(cfg)) == cfg
+
     @pytest.mark.parametrize("base,path,value,kind", [
         (base, path, value, kind)
         for base, path, value in [
@@ -533,7 +548,7 @@ def test_parse_config_raises_nothing_but_config_error(base):
     escaped = []
     for path in _key_paths(base):
         for value in (None, True, "x", [], {}, {"extra": 1}, 10**400, -(10**400), math.nan,
-                      math.inf):
+                      math.inf, np.array(["toy", "x"]), np.array([1.0, 2.0])):
             doc = json.loads(json.dumps(base))
             node = doc
             for key in path[:-1]:
@@ -546,6 +561,20 @@ def test_parse_config_raises_nothing_but_config_error(base):
             except Exception as exc:  # noqa: BLE001 -- any other type is the finding
                 escaped.append((path, value, type(exc).__name__))
     assert escaped == []
+
+
+@pytest.mark.parametrize("path,message", [
+    ("problem.kind", 'must be "toy" or "custom"'),
+    ("strategy.kind", 'must be "mcp", "mrp" or "pam"'),
+    ("strategy.matrix.kind",
+     'must be one of "banded_bidirectional", "banded_forward", "dense", "prior"'),
+    ("strategy.policy.kind", 'must be "min" or "average"'),
+])
+def test_array_kind_is_no_kind(path, message):
+    # an array compared with a string compares element-wise, and its truth is ambiguous
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with(TOY_PAM, path, np.array(["toy", "x"])))
+    assert exc.value.errors == [f"{path}: {message}"]
 
 
 _MRP = _with(TOY_PAM, "strategy", {"kind": "mrp", "seed": 3})

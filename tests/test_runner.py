@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -605,12 +606,38 @@ class TestDeferredResiduals:
         (0, 3, "average", 1e-9, 1110),
         (0, 8, "mcp", 1e-9, 1312),
         (6, 8, "mrp", 1e-9, 1140),
+        # StoppingRule(1): one array pass measures the run's only step and residual
+        *((0, 3, kind, 1e-12, 1) for kind in ("min", "average", "mcp", "mrp")),
     ])
     def test_step_stop_inside_a_chunk(self, seed, dim, kind, tol, stops_at):
-        expected = _origin_run(seed, dim, kind, 2049, tol, False, False, reference_run)
-        assert expected.status == STATUS_STEP and expected.n_projections == stops_at
+        budget = 1 if stops_at == 1 else 2049
+        expected = _origin_run(seed, dim, kind, budget, tol, False, False, reference_run)
+        assert expected.n_projections == stops_at
+        assert expected.status == (STATUS_STEP if budget > 1 else STATUS_MAX_ITERATIONS)
         for debug in (False, True):
-            assert_same_trace(_origin_run(seed, dim, kind, 2049, tol, False, debug), expected)
+            assert_same_trace(_origin_run(seed, dim, kind, budget, tol, False, debug), expected)
+
+
+class TestRecordingMemory:
+    """run() keeps each column as one array per stretch, joined at the end, so
+    what it allocates on the way stays a small multiple of what it returns."""
+
+    @pytest.mark.parametrize("kind", ["mcp", "mrp", "pam"])
+    def test_peak_is_at_most_three_times_the_columns(self, kind):
+        sets, x0, z = toy()
+        make = {"mcp": lambda: Cyclic(9), "mrp": lambda: RandomizedCycles(9, seed=0),
+                "pam": pam_strategy}[kind]
+        # a first run makes the lazy imports (numpy.random) outside the measure
+        run(sets, make(), x0, StoppingRule.exact_budget(100), known_point=z)
+        strategy = make()
+        tracemalloc.start()
+        try:
+            trace = run(sets, strategy, x0, StoppingRule.exact_budget(20000), known_point=z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = trace.set_indices.nbytes + trace.step_lengths.nbytes + trace.residuals.nbytes
+        assert peak <= 3 * columns
 
 
 def _chooser(kind, n, seed):
