@@ -10,6 +10,7 @@ runs its seeds in worker processes, one per CPU of the affinity mask.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -18,6 +19,8 @@ from .memory import (_TINY, DistanceMatrix, InvariantViolation, Policy, _check_i
                      is_admissible, unreachable_pair)
 
 __all__ = ["Strategy", "Cyclic", "RandomizedCycles", "Memory", "transition_counts"]
+
+_NORMAL_MIN = sys.float_info.min  # the smallest positive normal double
 
 
 class Strategy:
@@ -153,12 +156,16 @@ class Memory(Strategy):
             # the pending entry is a maximum of row j: picked, and not written since
             row = matrix._rows[j]
             old, low, beta = row.item(col), matrix._minpos[j], self.policy.beta
-            if self.policy.kind == "min":
-                floor = beta * low
-            else:
-                # the incremental sum can nudge the average a hair above the row
-                # max; clamping to the exact row max keeps the decay bound exact
-                floor = min(beta * (matrix._sum[j] / matrix._count[j]), beta * old)
+            # the incremental sum can nudge the average a hair above the row
+            # max; clamping to the exact row max keeps the decay bound exact
+            base = low if self.policy.kind == "min" else min(matrix._sum[j] / matrix._count[j], old)
+            floor = beta * base
+            if floor < _NORMAL_MIN:
+                # a subnormal product is rounded to 53 bits first and then to
+                # the subnormal grid, as ldexp(floor, k) of the same row at any
+                # normal scale 2^-k is, so the floor scales by powers of two
+                e = math.frexp(base)[1]
+                floor = math.ldexp(beta * math.ldexp(base, -e), e)
             value = max(step, floor, _TINY)
             row[col] = value
             # old > 0 and value > 0, so the positive count of row j stays

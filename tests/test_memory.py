@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -314,6 +315,30 @@ class TestPolicies:
         assert memory.matrix.to_array().tobytes() == a.tobytes()
         assert memory.matrix._minpos[0] == tiny
         assert memory.current_index == 1
+
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    @pytest.mark.parametrize("entry, k", [(0.9677030477529535, -1016), (1.0574214961213473, -1016),
+                                          (1.7103790728427775, -1017), (1.991796513171993, -1018)])
+    def test_subnormal_floor_scales_by_powers_of_two(self, kind, entry, k):
+        # 0.01 * entry * 2^k is subnormal; rounded once, straight to the
+        # subnormal grid, it is one ulp off ldexp(0.01 * entry, k), which the
+        # floor of the scaled row once was
+        a = np.array([[0.0, entry], [1.0, 0.0]])
+        policy = Policy(kind, 0.01)
+        base = evaluate_policy(policy, 0, DistanceMatrix(a))
+        assert evaluate_policy(policy, 0, DistanceMatrix(np.ldexp(a, k))) == math.ldexp(base, k)
+
+    @pytest.mark.parametrize("kind", ["min", "average"])
+    def test_floor_scales_by_powers_of_two_on_random_rows(self, kind):
+        # every entry times 2^k stays normal, the floor often does not
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(2, 7))
+            a = rng.uniform(0.5, 2.0, (n, n))
+            np.fill_diagonal(a, 0.0)
+            policy, k = Policy(kind, float(rng.uniform(1e-6, 0.99))), int(rng.integers(-1021, -990))
+            base = evaluate_policy(policy, 0, DistanceMatrix(a))
+            assert evaluate_policy(policy, 0, DistanceMatrix(np.ldexp(a, k))) == math.ldexp(base, k)
 
     def test_average_policy_long_run_ends_by_a_stop_rule(self):
         # 300k projections on the default fan: the iterates shrink to
