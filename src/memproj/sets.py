@@ -4,10 +4,11 @@ Every family here has a closed-form projection, so membership, idempotence
 and the obtuse-angle property of the nearest point hold to floating-point
 accuracy (about 1e-12 at moderate scales) without any inner iteration.
 Instances are immutable after construction and safe to share across threads;
-``project`` is a pure function.  Its vector products call ``ndarray.dot``,
-which makes the BLAS call of ``@`` without the matmul dispatch.  Each
-instance stores its shape ``(dim,)`` as ``_shape``, so the point check that
-opens ``project`` takes a float64 vector of that shape as it is after one
+``project`` is a pure function.  Its vector products call ``ndarray.dot`` (the
+BLAS call of ``@`` without the matmul dispatch); a scalar product becomes an
+exact Python float, so ``c * vector`` takes NumPy's faster Python-scalar path.
+Each instance stores its shape ``(dim,)`` as ``_shape``, so the point check
+opening ``project`` takes a float64 vector of that shape as it is after one
 tuple comparison; any other input is converted, or rejected with its shape.
 """
 from __future__ import annotations
@@ -132,7 +133,7 @@ class Hyperplane(_NormalOffset):
 
     def project(self, x):
         v = self._check_point(x)
-        return v - ((self.normal.dot(v) - self.offset) / self._nn) * self.normal
+        return v - ((float(self.normal.dot(v)) - self.offset) / self._nn) * self.normal
 
 
 class Halfspace(_NormalOffset):
@@ -140,7 +141,7 @@ class Halfspace(_NormalOffset):
 
     def project(self, x):
         v = self._check_point(x)
-        slack = self.normal.dot(v) - self.offset
+        slack = float(self.normal.dot(v)) - self.offset
         if slack <= 0.0:
             return v.copy()
         return v - (slack / self._nn) * self.normal
@@ -205,7 +206,7 @@ class LineThroughOrigin(ProjectableSet):
 
     def project(self, x):
         v = self._check_point(x)
-        return (self.direction.dot(v) / self._vv) * self.direction
+        return (float(self.direction.dot(v)) / self._vv) * self.direction
 
 
 class AffineSubspace(ProjectableSet):

@@ -67,7 +67,8 @@ class RandomizedCycles(Strategy):
     """A fresh uniformly random permutation of all sets for every cycle.
 
     Unlike i.i.d. index sampling, every window of N consecutive outputs that
-    aligns with a cycle visits each set exactly once.
+    aligns with a cycle visits each set exactly once.  Each cycle shuffles a new
+    ``list(range(N))``, draw for draw as ``permutation(N)``; ``_state`` holds the old one.
     """
 
     def __init__(self, n_sets: int, seed=None):
@@ -79,8 +80,8 @@ class RandomizedCycles(Strategy):
 
     def next_index(self, last_step_length=None) -> int:
         if self._pos >= self.n_sets:
-            self._perm = self._rng.permutation(self.n_sets).tolist()
-            self._pos = 0
+            self._rng.shuffle(perm := list(range(self.n_sets)))
+            self._perm, self._pos = perm, 0
         j = self._perm[self._pos]
         self._pos += 1
         return j
@@ -143,8 +144,9 @@ class Memory(Strategy):
 
     def next_index(self, last_step_length=None, *, pick=True):
         """Entry (current, pending) becomes max(step, floor read before the write,
-        5e-324); then the new row's argmax is picked, a tie drawn from ``rng``
-        out of the row's kept ties.  ``pick=False`` records only, and returns the floor."""
+        5e-324); then the new row's argmax is picked, a tie drawn from ``rng`` out of
+        the row's kept ties as an int32 (below 2^32 the int64 draw's sampler, value
+        and state, dispatched sooner).  ``pick=False`` records only, and returns the floor."""
         matrix, j, col = self.matrix, self.current_index, self._pending
         if col is not None:
             if last_step_length is None:
@@ -166,7 +168,9 @@ class Memory(Strategy):
                 # normal scale 2^-k is, so the floor scales by powers of two
                 e = math.frexp(base)[1]
                 floor = math.ldexp(beta * math.ldexp(base, -e), e)
-            value = max(step, floor, _TINY)
+            value = step if step > floor else floor
+            if value < _TINY:
+                value = _TINY
             row[col] = value
             # old > 0 and value > 0, so the positive count of row j stays
             matrix._sum[j] += value - old
@@ -188,7 +192,7 @@ class Memory(Strategy):
         elif not pick:
             raise InvariantViolation("no pending pick to record: call pam_select first")
         if (top := matrix._top[j]) is not None:
-            k = self._pending = top[self.rng.integers(len(top))]
+            k = self._pending = top[self.rng.integers(len(top), dtype=np.int32)]
             return k
         # the diagonal is 0 and no entry is negative, so once the maximum
         # is positive the current index cannot be among the ties
@@ -201,7 +205,7 @@ class Memory(Strategy):
         # the first maximum from either end is the same entry only in an untied row
         if matrix._rev[j].argmax() != self.n_sets - 1 - k:
             top = matrix._top[j] = (row == best).nonzero()[0].tolist()
-            k = top[self.rng.integers(len(top))]
+            k = top[self.rng.integers(len(top), dtype=np.int32)]
         self._pending = k
         return k
 

@@ -317,6 +317,23 @@ class TestPolicies:
         assert memory.current_index == 1
 
     @pytest.mark.parametrize("kind", ["min", "average"])
+    @pytest.mark.parametrize("row, steps", [
+        ([0.0, 4.0, 2.0, 1.0], [-0.0, 0.0, "floor"]),
+        # 0.5 * 5e-324 rounds to a floor of 0
+        ([0.0, 5e-324, 5e-324, 5e-324], [-0.0, 0.0, "floor", 5e-324]),
+    ])
+    def test_record_is_max_of_step_floor_and_tiny(self, kind, row, steps):
+        # the bits of max(step, floor, 5e-324), signed zeros and equal values included
+        policy = Policy(kind, 0.5)
+        for step in steps:
+            memory = Memory(_matrix_with_row(row), policy, seed=0)
+            floor = evaluate_policy(policy, 0, memory.matrix)
+            if step == "floor":
+                step = floor
+            _record(memory, 1, step)
+            assert memory.matrix.to_array()[0, 1].hex() == max(step, floor, 5e-324).hex()
+
+    @pytest.mark.parametrize("kind", ["min", "average"])
     @pytest.mark.parametrize("entry, k", [(0.9677030477529535, -1016), (1.0574214961213473, -1016),
                                           (1.7103790728427775, -1017), (1.991796513171993, -1018)])
     def test_subnormal_floor_scales_by_powers_of_two(self, kind, entry, k):

@@ -82,6 +82,19 @@ class TestRandomizedCycles:
             assert all(type(j) is int for j in cycle)
             assert cycle == rng.permutation(n).tolist()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rewind_across_a_refill_replays_the_picks(self, seed):
+        # the state taken just before a refill holds the finished cycle's list:
+        # a refill that reshuffled that list in place would change the replay
+        s = RandomizedCycles(9, seed=seed)
+        for _ in range(18):
+            s.next_index()
+        assert s._pos == s.n_sets
+        state = s._state()
+        picks = [s.next_index() for _ in range(30)]
+        s._restore(state, 5)
+        assert [s.next_index() for _ in range(25)] == picks[5:]
+
     def test_long_run_transition_frequencies_roughly_uniform(self):
         n = 9
         s = RandomizedCycles(n, seed=1234)
@@ -90,6 +103,33 @@ class TestRandomizedCycles:
         off = ~np.eye(n, dtype=bool)
         uniform = counts[off].mean()
         assert np.all(np.abs(counts[off] - uniform) <= 0.25 * uniform)
+
+
+class TestGeneratorPathsAgree:
+    """The cheaper generator calls of the choosers draw what the plain ones do.
+
+    ``Memory`` draws a tie as an int32 and ``RandomizedCycles`` shuffles a
+    list; these pin both to NumPy's default draws, value and state, so a
+    NumPy release that splits the paths fails here rather than in a trace.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 255, 256, 65537, 2**31 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_int32_draw_is_the_int64_draw(self, n, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            assert a.integers(n, dtype=np.int32) == b.integers(n)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_shuffled_list_is_the_permutation(self, n, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            perm = list(range(n))
+            a.shuffle(perm)
+            assert perm == b.permutation(n).tolist()
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestMemory:
@@ -123,6 +163,13 @@ class TestMemory:
         assert j == 1
         s.next_index(0.25)  # records the 0 -> 1 step
         assert s.matrix.entry(0, 1) == 0.5  # max(0.25, 0.5 * 1.0)
+
+    def test_tie_draws_pick_python_ints(self):
+        # a tie is drawn as an int32 index into a list of Python ints, after a
+        # rescan and from a kept list alike (steps below the floor keep lists)
+        s = Memory(build_dense(5), Policy("min", 0.5), seed=3)
+        picks = [s.next_index(None)] + [s.next_index(0.1) for _ in range(40)]
+        assert all(type(k) is int for k in picks)
 
     def test_finish_applies_the_pending_update(self):
         s = self._memory(beta=0.5)
