@@ -64,9 +64,9 @@ def _run_seed(i: int, job=None) -> None:
     """Run the ``i``-th seed of ``job`` (in a pool worker, its inherited
     job) and write that seed's trace CSV, trace JSON and frequency CSV."""
     config, (sets, x0, known_point), echo_text, build, seeds, paths = job or _worker_job
+    # the files hold neither iterates nor matrix snapshots, so the run keeps none
     trace = run(sets, build(seeds[i]), x0, config.stop, known_point=known_point,
-                debug_asserts=config.debug_asserts, store_iterates=config.store_iterates,
-                matrix_snapshot_interval=config.matrix_snapshot_interval)
+                debug_asserts=config.debug_asserts)
     csv_path, json_path, frequency_path = paths[i]
     write_trace_csv(trace, csv_path)
     write_trace_json(trace, json_path, config_echo=echo_text)

@@ -4,10 +4,11 @@ Configs are JSON documents.  ``parse_config`` either returns a fully
 validated ``ExperimentConfig`` or raises ``ConfigError`` carrying *every*
 validation problem found, each prefixed with the path of the offending key.
 JSON shapes and key names are checked here, a key being known where
-``emit_config`` writes it; values are checked in the library, by the owner of
-each rule, whose message ``<name> must ...`` reads ``<path>.<name>: must ...``.
-``emit_config`` writes a config back out such that parsing the result
-reproduces an equal object.
+``emit_config`` writes it, and ``_spec`` finds the kind of each spec; values
+are checked by the owner of each rule, the spec's own constructor or the
+library, whose message ``<name> must ...`` reads ``<path>.<name>: must ...``.
+So a spec built in code rejects what parsing rejects.  ``emit_config`` writes
+a config back out such that parsing the result reproduces an equal object.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .memory import (
     build_banded_forward,
     build_dense,
 )
-from .runner import StoppingRule, _sweep_window
+from .runner import StoppingRule, _checked_problem, _sweep_window
 from .sets import (
     AffineSubspace,
     Ball,
@@ -36,6 +37,7 @@ from .sets import (
     Hyperplane,
     LineThroughOrigin,
     ProjectableSet,
+    as_vector,
 )
 from .strategies import Cyclic, Memory, RandomizedCycles
 from .toylab import ToyConfig, make_toy_problem
@@ -94,6 +96,13 @@ class CustomProblem(_FlatSpec):
     sets: tuple
     x0: tuple
     known_point: tuple | None = None
+
+    def __post_init__(self):
+        # run()'s own check; the points are kept as the Python floats they hold
+        x, z = _checked_problem(self.sets, self.x0, self.known_point)
+        object.__setattr__(self, "sets", tuple(self.sets))
+        object.__setattr__(self, "x0", tuple(x.tolist()))
+        object.__setattr__(self, "known_point", None if z is None else tuple(z.tolist()))
 
     @property
     def n_sets(self):
@@ -155,6 +164,10 @@ class PriorSpec(_FlatSpec):
     kind = "prior"
     path: str
     base_dir: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.path, str) or not self.path:
+            raise ValueError("path must be a nonempty string")
 
     def resolved_path(self) -> Path:
         p = Path(self.path)
@@ -313,9 +326,9 @@ def set_to_descriptor(s: ProjectableSet) -> dict:
     raise TypeError(f"cannot describe {type(s).__name__}")
 
 
-def _is_number(v, integer=False) -> bool:
-    """A JSON number (an integer if ``integer``); booleans are neither."""
-    return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+def _is_number(v) -> bool:
+    """A JSON number; a boolean is none."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _as_float(v):
@@ -362,145 +375,96 @@ class _Collector:
     def __init__(self):
         self.errors: list[str] = []
 
-    def add(self, path: str, message: str) -> None:
+    def add(self, path: str, message: str, key=None) -> None:
+        """Record ``message`` under ``path``, or under its ``key`` if given."""
+        if key is not None:
+            path = f"{path}.{key}" if path else str(key)
         self.errors.append(f"{path}: {message}")
 
     def unknown(self, path: str, doc: dict, known) -> None:
         """Record each key of ``doc`` that is not among ``known``."""
         for key in doc:
             if key not in known:
-                self.add(f"{path}.{key}" if path else str(key), "unknown key")
+                self.add(path, "unknown key", key)
 
-    def attempt(self, path: str, fn, *args, **kwargs):
-        """Run fn, recording its error under ``path``; None on failure.  A
-        message ``<name> must ...`` about an argument the call names (a keyword,
-        or a string argument) is recorded as ``<path>.<name>: must ...``."""
+    def attempt(self, at: str, fn, /, *args, **kwargs):
+        """Run fn, recording its error under ``at``; None on failure.  A message
+        ``<name> must ...`` about an argument the call names (a keyword or an
+        item ``<keyword>[i]`` of one, or a string argument) is recorded as
+        ``<at>.<name>: must ...``."""
         try:
             return fn(*args, **kwargs)
         except (ValueError, KeyError, TypeError, OSError) as exc:
-            message = str(exc)
-            name, must, rest = message.partition(" must ")
-            if must and (name in kwargs or name in [a for a in args if isinstance(a, str)]):
-                path, message = f"{path}.{name}", "must " + rest
-            self.add(path, message)
+            name, must, rest = str(exc).partition(" must ")
+            if must and (name.partition("[")[0] in kwargs
+                         or name in [a for a in args if isinstance(a, str)]):
+                self.add(at, "must " + rest, name)
+            else:
+                self.add(at, str(exc))
             return None
 
 
-def _kind(doc: dict):
-    """``doc["kind"]`` if it is a string, else None, which no kind equals."""
-    kind = doc.get("kind")
-    return kind if isinstance(kind, str) else None
-
-
-def _parse_problem(doc, col: _Collector):
+def _spec(col: _Collector, path: str, doc, kinds, **given):
+    """The spec of ``kinds`` that ``doc`` names by its kind, made by one attempt
+    from the keys of ``doc`` and the parts that ``given[kind]()`` parses, if
+    given (None makes no attempt); None after an error under ``path``."""
     if not isinstance(doc, dict):
-        col.add("problem", "must be an object")
+        col.add(path, "must be an object")
         return None
-    kind = _kind(doc)
-    if kind == "toy":
-        col.unknown("problem", doc, ToyProblem.keys())
-        return col.attempt("problem", ToyProblem, **_fields(ToyProblem, doc))
-    if kind == "custom":
-        col.unknown("problem", doc, CustomProblem.keys())
-        raw_sets = doc.get("sets")
-        if not isinstance(raw_sets, list) or len(raw_sets) < 2:
-            col.add("problem.sets", "must be a list of at least 2 set descriptors")
-            return None
-        sets = []
-        for i, d in enumerate(raw_sets):
-            s = col.attempt(f"problem.sets[{i}]", set_from_descriptor, d)
-            if s is not None:
-                sets.append(s)
-                col.unknown(f"problem.sets[{i}]", d, set_to_descriptor(s))
-        x0 = doc.get("x0")
-        if not isinstance(x0, list) or not x0 or not all(map(_is_number, x0)):
-            col.add("problem.x0", "must be a nonempty list of numbers")
-            return None
-        x0 = _as_float(x0)
-        if not all(map(math.isfinite, x0)):
-            col.add("problem.x0", "must have finite entries")
-        if len(sets) != len(raw_sets):
-            return None
-        dim = len(x0)
-        for i, s in enumerate(sets):
-            if s.dim != dim:
-                col.add(f"problem.sets[{i}]",
-                        f"dimension {s.dim} does not match x0 dimension {dim}")
-        zp = doc.get("known_point")
-        if zp is not None and (not isinstance(zp, list) or len(zp) != dim
-                               or not all(map(_is_number, zp))):
-            col.add("problem.known_point", f"must be a list of {dim} numbers")
-        elif zp is not None and not all(map(math.isfinite, _as_float(zp))):
-            col.add("problem.known_point", "must have finite entries")
-        if col.errors:
-            return None
-        return CustomProblem(tuple(sets), tuple(x0),
-                             None if zp is None else tuple(_as_float(zp)))
-    col.add("problem.kind", 'must be "toy" or "custom"')
-    return None
-
-
-def _parse_matrix_spec(doc, col: _Collector, base_dir):
-    if not isinstance(doc, dict):
-        col.add("strategy.matrix", "must be an object")
-        return None
-    specs = (BandedBidirectionalSpec, BandedForwardSpec, DenseSpec, PriorSpec)
-    cls = next((c for c in specs if c.kind == _kind(doc)), None)
+    kind = doc.get("kind")  # compared only as a string: an array compares element-wise
+    cls = next((c for c in kinds if isinstance(kind, str) and c.kind == kind), None)
     if cls is None:
-        col.add("strategy.matrix.kind", "must be one of " + ", ".join(
-            f'"{c.kind}"' for c in specs))
+        *most, last = (f'"{c.kind}"' for c in kinds)
+        col.add(f"{path}.kind", f"must be {', '.join(most)} or {last}")
         return None
-    col.unknown("strategy.matrix", doc, cls.keys())
-    if cls is not PriorSpec:
-        return col.attempt("strategy.matrix", cls, **_fields(cls, doc))
-    path = doc.get("path")
-    if not isinstance(path, str) or not path:
-        col.add("strategy.matrix.path", "must be a nonempty string")
-        return None
-    return PriorSpec(path=path, base_dir=base_dir)
+    col.unknown(path, doc, cls.keys())
+    errors = len(col.errors)
+    parts = given[cls.kind]() if cls.kind in given else {}
+    spec = None if parts is None else col.attempt(path, cls, **{**_fields(cls, doc), **parts})
+    return None if len(col.errors) > errors else spec
 
 
-def _parse_strategy(doc, col: _Collector, base_dir):
+def _record(col: _Collector, path: str, doc, cls, shape="must be an object"):
+    """``cls`` made from the JSON object ``doc``, whose keys are its fields."""
     if not isinstance(doc, dict):
-        col.add("strategy", "must be an object")
+        col.add(path, shape)
         return None
-    cls = next((c for c in (McpSpec, MrpSpec, PamSpec) if c.kind == _kind(doc)), None)
-    if cls is None:
-        col.add("strategy.kind", 'must be "mcp", "mrp" or "pam"')
-        return None
-    col.unknown("strategy", doc, cls.keys())
-    seed = doc.get("seed") if "seed" in cls.keys() else None
-    if seed is not None and not _is_number(seed, integer=True):
-        col.add("strategy.seed", "must be an integer")
-        return None
-    if seed is not None and seed < 0:  # a generator seed is never negative
-        col.add("strategy.seed", "must be an integer >= 0")
-        return None
-    if cls is McpSpec:
-        return McpSpec()
-    if cls is MrpSpec:
-        return MrpSpec(seed=seed)
-    matrix = _parse_matrix_spec(doc.get("matrix"), col, base_dir)
-    pol = doc.get("policy")
-    policy = None
-    if not isinstance(pol, dict):
-        col.add("strategy.policy", "must be an object with kind and beta")
-    else:
-        col.unknown("strategy.policy", pol, [f.name for f in fields(Policy)])
-        policy = col.attempt("strategy.policy", Policy, **_fields(Policy, pol))
-    if matrix is None or policy is None:
-        return None
-    return PamSpec(matrix=matrix, policy=policy, seed=seed)
+    col.unknown(path, doc, [f.name for f in fields(cls)])
+    return col.attempt(path, cls, **_fields(cls, doc))
 
 
-def _parse_stop(doc, col: _Collector):
-    doc = {} if doc is None else doc
-    if not isinstance(doc, dict):
-        col.add("stop", "must be an object")
-        return None
-    col.unknown("stop", doc, [f.name for f in fields(StoppingRule)])
-    doc = {"max_iterations": 1000, **doc}
-    return col.attempt("stop", StoppingRule, **_fields(StoppingRule, doc))
+def _custom_parts(doc: dict, col: _Collector):
+    """A custom problem's sets and points, or None after an error.  Each point
+    is checked on its own too, so that an error in x0 hides none in the other."""
+    errors = len(col.errors)
+    raw = doc.get("sets")
+    if not isinstance(raw, list):
+        col.add("problem.sets", "must be a list of set descriptors")
+        raw = []
+    sets = tuple(col.attempt(f"problem.sets[{i}]", set_from_descriptor, d)
+                 for i, d in enumerate(raw))
+    for i, (d, s) in enumerate(zip(raw, sets)):
+        if s is not None:
+            col.unknown(f"problem.sets[{i}]", d, set_to_descriptor(s))
+    points = {"x0": doc.get("x0"), "known_point": doc.get("known_point")}
+    for name, v in points.items():
+        if v is None and name == "known_point":
+            continue
+        if not _is_numbers(v, 1):
+            col.add(f"problem.{name}", f"must be {_NUMBERS[1]}")
+        else:
+            points[name] = _as_float(v)
+            col.attempt("problem", as_vector, points[name], name)
+    return None if len(col.errors) > errors else {"sets": sets, **points}
+
+
+def _pam_parts(doc: dict, col: _Collector, base_dir):
+    """A pam strategy's matrix and policy, each None after an error in it."""
+    return {"matrix": _spec(col, "strategy.matrix", doc.get("matrix"),
+                            (BandedBidirectionalSpec, BandedForwardSpec, DenseSpec, PriorSpec),
+                            prior=lambda: {"base_dir": base_dir}),
+            "policy": _record(col, "strategy.policy", doc.get("policy"), Policy,
+                              "must be an object with kind and beta")}
 
 
 def parse_config(source, base_dir=None) -> ExperimentConfig:
@@ -521,17 +485,19 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         raise ConfigError(["(document): top level must be an object"])
 
     col = _Collector()
-    problem = _parse_problem(doc.get("problem"), col)
-    strategy = _parse_strategy(doc.get("strategy"), col, base_dir)
-    stop = _parse_stop(doc.get("stop"), col)
+    problem = _spec(col, "problem", doc.get("problem"), (ToyProblem, CustomProblem),
+                    custom=lambda: _custom_parts(doc["problem"], col))
+    strategy = _spec(col, "strategy", doc.get("strategy"), (McpSpec, MrpSpec, PamSpec),
+                     pam=lambda: _pam_parts(doc["strategy"], col, base_dir))
+    stop = {} if doc.get("stop") is None else doc["stop"]
+    if isinstance(stop, dict):
+        stop = {"max_iterations": 1000, **stop}
+    stop = _record(col, "stop", stop, StoppingRule)
     col.unknown("", doc, ExperimentConfig.keys())
 
     seeds = [] if doc.get("seeds") is None else doc["seeds"]
-    if not isinstance(seeds, list) or not all(_is_number(s, integer=True) for s in seeds):
+    if not isinstance(seeds, list):
         col.add("seeds", "must be a list of integers")
-        seeds = []
-    elif any(s < 0 for s in seeds):
-        col.add("seeds", "must be a list of integers >= 0")
         seeds = []
 
     output_dir = doc.get("output_dir")
@@ -547,10 +513,15 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     for name in ("debug_asserts", "store_iterates"):
         if not isinstance(flags.get(name, False), bool):
             col.add(f"flags.{name}", "must be true or false")
+    # ExperimentConfig checks the seeds and the interval; one attempt each reports both
     interval = flags.get("matrix_snapshot_interval")
-    if interval is not None:
-        interval = col.attempt("flags", _check_integer, "matrix_snapshot_interval",
-                               interval, 1)
+    if col.attempt("flags", ExperimentConfig, problem, strategy, stop,
+                   matrix_snapshot_interval=interval) is None:
+        interval = None
+    config = col.attempt(
+        "", ExperimentConfig, problem, strategy, stop, seeds=tuple(seeds),
+        output_dir=output_dir, debug_asserts=flags.get("debug_asserts", False),
+        store_iterates=flags.get("store_iterates", False), matrix_snapshot_interval=interval)
 
     # cross-field checks need the pieces to have parsed individually first;
     # a toy problem's lines must not be parallel
@@ -566,11 +537,7 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
 
     if col.errors:
         raise ConfigError(col.errors)
-
-    return ExperimentConfig(
-        problem=problem, strategy=strategy, stop=stop, seeds=tuple(seeds),
-        output_dir=output_dir, debug_asserts=flags.get("debug_asserts", False),
-        store_iterates=flags.get("store_iterates", False), matrix_snapshot_interval=interval)
+    return config
 
 
 def emit_config(config: ExperimentConfig) -> str:

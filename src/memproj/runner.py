@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .memory import _check_integer, _check_real
-from .sets import _LARGEST, _SMALLEST_SUM, LineThroughOrigin, _distance
+from .sets import _LARGEST, _SMALLEST_SUM, LineThroughOrigin, _distance, as_vector
 from .strategies import Cyclic, Memory, RandomizedCycles, Strategy, transition_counts
 
 __all__ = [
@@ -180,33 +180,32 @@ def _check_fejer(x_prev, x_next, z, step, k):
 def _checked_inputs(sets: list, strategy: Strategy, x0, stop: StoppingRule, known_point):
     """Validate one run's inputs; return (x0, known point, memory matrix, window).
 
-    ``x0`` and the known point come back as fresh float arrays, the known
-    point and the memory matrix as None when there is none.
+    ``x0`` and the known point come back as ``_checked_problem`` gives them,
+    the memory matrix as None when there is none.
     """
+    x, z = _checked_problem(sets, x0, known_point)
     n = len(sets)
-    if n < 2:
-        raise ValueError("need at least 2 sets")
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x0 must be a 1-D vector")
-    d = x.shape[0]
-    for i, s in enumerate(sets):
-        if s.dim != d:
-            raise ValueError(f"set {i} has dimension {s.dim}, expected {d}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must have finite entries")
     if strategy.n_sets != n:
         raise ValueError(f"strategy was built for {strategy.n_sets} sets, got {n}")
-    z = None
-    if known_point is not None:
-        z = np.array(known_point, dtype=float)
-        if z.shape != (d,):
-            raise ValueError("known_point dimension mismatch")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("known_point must have finite entries")
     # a Memory checked its matrix when it was built, and n_sets is its size
     memory_matrix = getattr(strategy, "matrix", None)
     return x, z, memory_matrix, _sweep_window(stop.step_window, n)
+
+
+def _checked_problem(sets, x0, known_point):
+    """``x0`` and the known point (None if there is none) as fresh finite float
+    vectors, after checking that there are at least two sets, all of the
+    dimension of ``x0``: the one rule of a run's problem and of a config's."""
+    if len(sets) < 2:
+        raise ValueError("sets must hold at least 2 sets")
+    x = as_vector(x0, "x0")
+    for i, s in enumerate(sets):
+        if s.dim != x.shape[0]:
+            raise ValueError(f"sets[{i}] must have dimension {x.shape[0]}, not {s.dim}")
+    z = None if known_point is None else as_vector(known_point, "known_point")
+    if z is not None and z.shape != x.shape:
+        raise ValueError(f"known_point must have {x.shape[0]} entries, as x0 has")
+    return x, z
 
 
 def _sweep_window(step_window, n_sets: int) -> int:

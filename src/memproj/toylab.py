@@ -233,7 +233,7 @@ def _method_lineup(preset: str, n_sets: int, omega, beta: float):
     if preset == "scaling_small":
         return [mrp, ("pam", pam(build_dense(n_sets, 0.01)))]
     if preset == "sparse_forward":
-        w = 2 if omega is None else int(omega)
+        w = 2 if omega is None else omega
         return [mcp, (f"pam_omega{w}", pam(build_banded_forward(n_sets, w)))]
     # bandwidth_sweep
     quarter = max(1, round(n_sets / 4))
@@ -260,14 +260,18 @@ def run_preset(
     method advance in lockstep (``run_lockstep``); each trace is the one a
     single ``run()`` with that seed gives, bit for bit.  Deterministic
     methods run once, copied per seed: every seed still has its own trace,
-    which keeps the summary statistics comparable.
+    which keeps the summary statistics comparable.  ``omega`` is the band
+    width of ``sparse_forward`` (2 if None), the one preset that reads it.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose one of {PRESETS}")
-    seeds = [int(s) for s in seeds]
+    if omega is not None and preset != "sparse_forward":
+        raise ValueError(f"preset {preset!r} takes no omega; only sparse_forward reads it")
+    seeds = [_check_integer("seeds", s, 0) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    budget = _DEFAULT_BUDGET[preset] if iterations is None else int(iterations)
+    budget = _DEFAULT_BUDGET[preset] if iterations is None else _check_integer(
+        "iterations", iterations, 1)
     sets, x0, solution = make_toy_problem(config)
     rule = StoppingRule.exact_budget(budget)
     methods = []
@@ -280,7 +284,7 @@ def run_preset(
             traces = run_lockstep(sets, strategies, x0, rule, known_point=solution)
         methods.append(MethodResult(label=label, traces=traces, seeds=list(seeds)))
     params = {"beta": beta}
-    if omega is not None:
+    if omega is not None:  # an integer, which the band builder checked
         params["omega"] = int(omega)
     return PresetReport(
         preset=preset,

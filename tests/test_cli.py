@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from memproj import LineThroughOrigin, __version__, toylab
+from memproj import LineThroughOrigin, __version__, cli, toylab
 from memproj.cli import main
 from memproj.config import ExperimentConfig
 
@@ -122,6 +122,21 @@ class TestRun:
         assert record["n_projections"] == 60
         assert record["config"]["strategy"]["kind"] == "pam"
 
+    def test_run_stores_no_iterates_or_snapshots(self, toy_pam_config, tmp_path, monkeypatch):
+        # the files hold neither, yet the two flags once made every run store them
+        doc = {**json.loads(toy_pam_config.read_text()), "seeds": [0],  # one seed runs inline
+               "flags": {"store_iterates": True, "matrix_snapshot_interval": 1}}
+        toy_pam_config.write_text(json.dumps(doc))
+        calls = []
+        real = cli.run
+        monkeypatch.setattr(cli, "run", lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+        out = tmp_path / "results"
+        assert main(["run", str(toy_pam_config), "--out", str(out)]) == 0
+        assert calls == [{"known_point": calls[0]["known_point"], "debug_asserts": False}]
+        # the flags are still accepted and echoed
+        assert json.loads((out / "config.json").read_text())["flags"] == {
+            "debug_asserts": False, **doc["flags"]}
+
     def test_byte_identical_outputs_across_invocations(self, toy_pam_config, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
@@ -145,12 +160,12 @@ class TestRun:
     @pytest.mark.parametrize("change,error", [
         ({"seeds": [True, False], "stop": {"max_iterations": True}},
          "error: stop.max_iterations: must be an integer, not True\n"
-         "error: seeds: must be a list of integers\n"),
+         "error: seeds: must be an integer, not True\n"),
         ({"problem": {"kind": "custom",
                       "sets": [{"kind": "line", "direction": [1.0, 0.0]},
                                {"kind": "line", "direction": [0.0, 1.0]}],
                       "x0": [1.0, 1.0], "known_point": [0, None]}},
-         "error: problem.known_point: must be a list of 2 numbers\n"),
+         "error: problem.known_point: must be a list of numbers\n"),
         ({"stop": {"max_iterations": 60, "step_tolerance": None}},
          "error: stop.step_tolerance: must be a number, not None\n"),
     ])
@@ -223,9 +238,9 @@ class TestRun:
 
     @pytest.mark.parametrize("change,error", [
         (lambda doc: doc.update(seeds=[0, -1]),
-         "error: seeds: must be a list of integers >= 0\n"),
+         "error: seeds: must be at least 0\n"),
         (lambda doc: doc["strategy"].update(seed=-7),
-         "error: strategy.seed: must be an integer >= 0\n"),
+         "error: strategy.seed: must be at least 0\n"),
     ])
     def test_negative_seed_rejected_before_any_output(
         self, toy_pam_config, tmp_path, capsys, change, error
@@ -412,6 +427,15 @@ class TestPreset:
         err = capsys.readouterr().err
         assert err == ("error: n_sets must be at most 2300000; neighbouring lines of "
                        "a larger fan are parallel at every r\n")
+        assert not out.exists()
+
+    def test_omega_of_a_preset_without_a_band_rejected_before_any_output(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "rep"
+        assert main(["preset", "benchmark", "--omega", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: preset 'benchmark' takes no omega; only sparse_forward reads it\n")
         assert not out.exists()
 
     def test_unknown_preset_rejected_by_argparse(self, capsys):

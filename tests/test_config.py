@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memproj import (
     AffineSubspace,
@@ -38,11 +40,12 @@ from memproj.config import (
     MrpSpec,
     PamSpec,
     PriorSpec,
+    set_to_descriptor,
 )
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
 from memproj.traceio import write_matrix_csv, write_trace_csv
 
-from conftest import subprocess_env
+from conftest import SET_FAMILIES, sample_set, subprocess_env
 
 TOY_PAM = {
     "problem": {"kind": "toy", "n_sets": 9, "r": 0.05},
@@ -71,6 +74,12 @@ class TestParsing:
     def test_invalid_json_reported(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope")
+
+    @pytest.mark.parametrize("source", ["[1, 2]", "null", '"toy"', [TOY_PAM], None])
+    def test_non_object_document_rejected(self, source):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(source)
+        assert exc.value.errors == ["(document): top level must be an object"]
 
     def test_beta_boundary_rejected_with_requirement(self):
         doc = json.loads(json.dumps(TOY_PAM))
@@ -224,6 +233,21 @@ class TestParsing:
         assert any("problem.sets[1]" in e and "dimension" in e
                    for e in exc.value.errors)
 
+    def test_custom_point_and_set_count_checked_by_their_owner(self):
+        one_set = _with(_CUSTOM, "problem.sets", _CUSTOM["problem"]["sets"][:1])
+        assert _outcome(parse_config, one_set) == ["problem.sets: must hold at least 2 sets"]
+        assert _outcome(parse_config, _with(_CUSTOM, "problem.sets", "ball")) == [
+            "problem.sets: must be a list of set descriptors"]
+        assert _outcome(parse_config, _with(_CUSTOM, "problem.x0", [])) == [
+            "problem.x0: must be a 1-D vector with at least one entry"]
+        assert _outcome(parse_config, _with(_CUSTOM, "problem.known_point", [0.0])) == [
+            "problem.known_point: must have 2 entries, as x0 has"]
+
+    def test_pam_with_a_bad_matrix_still_reports_a_bad_seed(self):
+        doc = _with(TOY_PAM, "strategy.matrix", {"kind": "banded_forward", "omega": 0})
+        assert _outcome(parse_config, _with(doc, "strategy.seed", -1)) == [
+            "strategy.matrix.omega: must be at least 1", "strategy.seed: must be at least 0"]
+
     def test_flags_validated(self):
         doc = json.loads(json.dumps(TOY_PAM))
         doc["flags"] = {"debug_asserts": "yes", "matrix_snapshot_interval": 0}
@@ -271,14 +295,14 @@ class TestNumbersAreNumbers:
     """A JSON boolean is not a number, and a number field takes no other value."""
 
     @pytest.mark.parametrize("path,value,message", [
-        ("seeds", [True, False], "must be a list of integers"),
+        ("seeds", [True, False], "must be an integer, not True"),
         ("stop.max_iterations", True, "must be an integer, not True"),
         ("stop.step_window", True, "must be an integer, not True"),
         ("stop.step_tolerance", True, "must be a number, not True"),
         ("stop.residual_tolerance", True, "must be a number, not True"),
         ("problem.n_sets", True, "must be an integer, not True"),
         ("problem.r", True, "must be a number, not True"),
-        ("strategy.seed", True, "must be an integer"),
+        ("strategy.seed", True, "must be an integer, not True"),
         ("strategy.matrix.scale", True, "must be a number, not True"),
         ("strategy.policy.beta", True, "must be a number, not True"),
         ("flags.matrix_snapshot_interval", True, "must be an integer, not True"),
@@ -296,8 +320,8 @@ class TestNumbersAreNumbers:
         assert cfg.stop.residual_tolerance is None
 
     @pytest.mark.parametrize("path,value,message", [
-        ("seeds", [0, -1], "must be a list of integers >= 0"),
-        ("strategy.seed", -1, "must be an integer >= 0"),
+        ("seeds", [0, -1], "must be at least 0"),
+        ("strategy.seed", -1, "must be at least 0"),
     ])
     def test_negative_seed_rejected(self, path, value, message):
         with pytest.raises(ConfigError) as exc:
@@ -392,12 +416,12 @@ class TestNumbersAreNumbers:
         assert types == {float}
 
     @pytest.mark.parametrize("path,value,message", [
-        ("problem.x0", ["a", 1.0], "must be a nonempty list of numbers"),
-        ("problem.x0", [True, 1.0], "must be a nonempty list of numbers"),
-        ("problem.x0", [None, 1.0], "must be a nonempty list of numbers"),
-        ("problem.known_point", [0.0, None], "must be a list of 2 numbers"),
-        ("problem.known_point", [0.0, "0"], "must be a list of 2 numbers"),
-        ("problem.known_point", [False, 0.0], "must be a list of 2 numbers"),
+        ("problem.x0", ["a", 1.0], "must be a list of numbers"),
+        ("problem.x0", [True, 1.0], "must be a list of numbers"),
+        ("problem.x0", [None, 1.0], "must be a list of numbers"),
+        ("problem.known_point", [0.0, None], "must be a list of numbers"),
+        ("problem.known_point", [0.0, "0"], "must be a list of numbers"),
+        ("problem.known_point", [False, 0.0], "must be a list of numbers"),
     ])
     def test_non_number_point_rejected(self, path, value, message):
         with pytest.raises(ConfigError) as exc:
@@ -563,11 +587,105 @@ def test_parse_config_raises_nothing_but_config_error(base):
     assert escaped == []
 
 
+_TWO_BALLS = (Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0], 2.0))
+
+
+class TestSpecsBuiltInCode:
+    """A spec built in code rejects what parse_config rejects, and its message
+    ``<name> must ...`` is the one parse_config reports as ``<path>.<name>: must ...``."""
+
+    @pytest.mark.parametrize("sets,x0,known_point", [
+        # an x0, a set and a known point at fault at once; it once built, and
+        # parse_config rejected the config that emit_config wrote of it
+        ((Ball([0, 0], 1), Ball([0, 0, 0], 1)), (math.inf, 1.0), (0.0,)),
+        ((Ball([0, 0], 1), Ball([0, 0, 0], 1)), (1.0, 1.0), None),
+        (_TWO_BALLS[:1], (1.0, 1.0), None),
+        (_TWO_BALLS, (), None),
+        (_TWO_BALLS, (1.0, math.nan), None),
+        (_TWO_BALLS, (1.0, 1.0), (0.0,)),
+        (_TWO_BALLS, (1.0, 1.0), (0.0, -math.inf)),
+    ])
+    def test_custom_problem(self, sets, x0, known_point):
+        with pytest.raises(ValueError) as exc:
+            CustomProblem(sets, x0, known_point)
+        name, _, rest = str(exc.value).partition(" must ")
+        doc = _with(_CUSTOM, "problem.sets", [set_to_descriptor(s) for s in sets])
+        doc["problem"].update(x0=list(x0), known_point=known_point and list(known_point))
+        assert _outcome(parse_config, doc) == [f"problem.{name}: must {rest}"]
+
+    @pytest.mark.parametrize("path", [None, "", 3, ["w.csv"]])
+    def test_prior_path(self, path):
+        with pytest.raises(ValueError) as exc:
+            PriorSpec(path)
+        assert str(exc.value) == "path must be a nonempty string"
+        doc = _with(TOY_PAM, "strategy.matrix", {"kind": "prior", "path": path})
+        assert _outcome(parse_config, doc) == ["strategy.matrix.path: must be a nonempty string"]
+
+    def test_custom_points_kept_as_tuples_of_floats(self):
+        problem = CustomProblem(list(_TWO_BALLS), np.array([1, 2]), [np.float32(0.5), 0])
+        assert problem == CustomProblem(_TWO_BALLS, (1.0, 2.0), (0.5, 0.0))
+        assert [type(v) for v in (*problem.x0, *problem.known_point)] == [float] * 4
+        assert type(problem.sets) is tuple
+
+
+def _int(v, numpy):
+    return np.int64(v) if numpy else int(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), custom=st.booleans(),
+       strategy=st.sampled_from(["mcp", "mrp", "pam"]),
+       matrix=st.sampled_from(["dense", "banded_forward", "banded_bidirectional", "prior"]),
+       numpy=st.booleans())
+def test_emitted_config_parses_back_equal(tmp_path_factory, seed, custom, strategy, matrix,
+                                          numpy):
+    # any config whose specs construct in code: NumPy or Python numbers, points
+    # as lists, tuples or arrays, every set family, every strategy and matrix
+    rng = np.random.default_rng(seed)
+    if custom:
+        dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        point = rng.uniform(-5, 5, dim)
+        as_ = [list, tuple, np.asarray][int(rng.integers(3))]
+        problem = CustomProblem(
+            [sample_set(rng, SET_FAMILIES[int(rng.integers(6))], dim) for _ in range(n)],
+            as_(point), None if rng.random() < 0.5 else as_(point / 2))
+    else:
+        n = int(rng.integers(2, 30))
+        problem = ToyProblem(_int(n, numpy), float(rng.uniform(0.05, 2.0)))
+    seed_of = None if rng.random() < 0.3 else _int(rng.integers(0, 2**31), numpy)
+    base_dir = tmp_path_factory.mktemp("prior")
+    if strategy == "mcp":
+        spec = McpSpec()
+    elif strategy == "mrp":
+        spec = MrpSpec(seed=seed_of)
+    else:
+        scale = float(rng.uniform(0.1, 4.0))
+        omega = _int(rng.integers(1, n), numpy)
+        weights = rng.uniform(0.5, 2.0, (n, n)) * (1 - np.eye(n))
+        write_matrix_csv(weights, base_dir / "w.csv")
+        spec = PamSpec({"dense": DenseSpec(scale),
+                        "banded_forward": BandedForwardSpec(omega, scale),
+                        "banded_bidirectional": BandedBidirectionalSpec(omega, scale),
+                        "prior": PriorSpec("w.csv", base_dir=str(base_dir))}[matrix],
+                       Policy(["min", "average"][int(rng.integers(2))],
+                              float(rng.uniform(0.01, 0.99))), seed=seed_of)
+    window = None if rng.random() < 0.5 else _int(n + rng.integers(0, 5), numpy)
+    config = ExperimentConfig(
+        problem, spec,
+        StoppingRule(_int(rng.integers(1, 500), numpy), window, float(rng.uniform(1e-14, 1e-6)),
+                     None if rng.random() < 0.5 else float(rng.uniform(1e-12, 1e-3))),
+        seeds=tuple(_int(s, numpy) for s in rng.integers(0, 100, int(rng.integers(0, 4)))),
+        output_dir=None if rng.random() < 0.5 else "out", debug_asserts=bool(rng.random() < 0.5),
+        store_iterates=bool(rng.random() < 0.5),
+        matrix_snapshot_interval=None if rng.random() < 0.5 else _int(rng.integers(1, 9), numpy))
+    assert parse_config(emit_config(config), base_dir=base_dir) == config
+
+
 @pytest.mark.parametrize("path,message", [
     ("problem.kind", 'must be "toy" or "custom"'),
     ("strategy.kind", 'must be "mcp", "mrp" or "pam"'),
     ("strategy.matrix.kind",
-     'must be one of "banded_bidirectional", "banded_forward", "dense", "prior"'),
+     'must be "banded_bidirectional", "banded_forward", "dense" or "prior"'),
     ("strategy.policy.kind", 'must be "min" or "average"'),
 ])
 def test_array_kind_is_no_kind(path, message):
@@ -613,7 +731,7 @@ def test_unknown_key_rejected(tmp_path, base, node, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(doc, base_dir=tmp_path)
     assert sorted(exc.value.errors) == sorted([
-        f"{path.lstrip('.')}: unknown key", "seeds: must be a list of integers >= 0"])
+        f"{path.lstrip('.')}: unknown key", "seeds: must be at least 0"])
 
 
 def test_readme_config_example_parses():

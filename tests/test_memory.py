@@ -206,6 +206,11 @@ class TestAdmissibility:
         a = np.array([[1.0, 1.0], [1.0, 0.0]])
         assert not is_admissible(a)
 
+    @pytest.mark.parametrize("check", [is_admissible, unreachable_pair])
+    def test_non_square_array_rejected(self, check):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            check(np.zeros((2, 3)))
+
     def test_witness_none_for_admissible(self):
         assert unreachable_pair(build_dense(5)) is None
 
@@ -433,6 +438,15 @@ class TestMemoryConstruction:
         with pytest.raises(ValueError, match="matrix is not admissible: no positive-entry "
                                              "chain from set 1 to set 0"):
             Memory(DistanceMatrix([[0.0, 1.0], [0.0, 0.0]]), Policy("min", 0.5))
+
+    def test_plain_array_becomes_a_distance_matrix(self):
+        entries = [[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [3.0, 1.0, 0.0]]
+        memory = Memory(np.array(entries), Policy("min", 0.5), seed=4)
+        same = Memory(DistanceMatrix(entries), Policy("min", 0.5), seed=4)
+        assert type(memory.matrix) is DistanceMatrix
+        np.testing.assert_array_equal(memory.matrix.to_array(), entries)
+        assert [memory.next_index(0.25) if k else memory.next_index() for k in range(6)] == [
+            same.next_index(0.25) if k else same.next_index() for k in range(6)]
 
     def test_copies_the_matrix(self):
         d = build_dense(3)

@@ -245,6 +245,15 @@ class TestGuards:
             run(sets, Cyclic(2), np.array([3.0, 0.0]), rule,
                 known_point=np.array([0.0, 1.0]), debug_asserts=True)
 
+    def test_debug_asserts_flag_a_distance_that_grew(self):
+        # the squared distance falls by no less than the squared step within the
+        # slack, yet the distance itself grows beyond it
+        sets = [Hyperplane([0, 1], 1e-8), Hyperplane([1, 0], 1)]
+        with pytest.raises(FejerViolation, match="projection 0: distance to the reference "
+                                                 "point increased"):
+            run(sets, Cyclic(2), [1, 0], StoppingRule(10), known_point=[1, 0],
+                debug_asserts=True)
+
     def test_nonfinite_iterate_raises_numeric_error(self):
         sets = [_NanProducing(), _NanProducing()]
         with pytest.raises(NumericError, match="non-finite"):
@@ -252,13 +261,24 @@ class TestGuards:
 
     def test_needs_two_sets(self):
         sets, x0, _ = toy()
-        with pytest.raises(ValueError, match="2 sets"):
+        with pytest.raises(ValueError, match="sets must hold at least 2 sets"):
             run(sets[:1], Cyclic(1), x0, StoppingRule.exact_budget(5))
 
     def test_dimension_mismatch(self):
         sets, _, _ = toy()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"sets\[0\] must have dimension 2, not 3"):
             run(sets, Cyclic(9), np.array([1.0, 2.0]), StoppingRule.exact_budget(5))
+
+    @pytest.mark.parametrize("x0", [np.ones((1, 3)), 1.0, []])
+    def test_x0_must_be_a_vector(self, x0):
+        sets, _, _ = toy()
+        with pytest.raises(ValueError, match="x0 must be a 1-D vector with at least one entry"):
+            run(sets, Cyclic(9), x0, StoppingRule.exact_budget(5))
+
+    def test_known_point_must_match_x0(self):
+        sets, x0, _ = toy()
+        with pytest.raises(ValueError, match="known_point must have 3 entries, as x0 has"):
+            run(sets, Cyclic(9), x0, StoppingRule.exact_budget(5), known_point=[0.0, 0.0])
 
     def test_strategy_size_mismatch(self):
         sets, x0, _ = toy()

@@ -111,6 +111,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ball([0.0], np.inf)
 
+    def test_box_bounds_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="lower and upper must have the same dimension"):
+            Box([0.0, 0.0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("basis", [[[1.0, 0.0, 0.0]], [1.0, 0.0], [[[1.0, 0.0]]]])
+    def test_misshapen_affine_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="basis must be a list of vectors matching "
+                                             "the basepoint dimension"):
+            AffineSubspace([0.0, 0.0], basis)
+
+    def test_more_spanning_vectors_than_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="more spanning vectors than the ambient dimension"):
+            AffineSubspace([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
     def test_rank_deficient_affine_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             AffineSubspace([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])

@@ -247,6 +247,34 @@ class TestPresets:
         with pytest.raises(ValueError, match="seed"):
             run_preset("benchmark", seeds=[])
 
+    @pytest.mark.parametrize("preset,kwargs,message", [
+        # int() once ran seeds 1 and 2, one projection, and a band of width 2
+        ("benchmark", {"seeds": [1.7, 2.2]}, "seeds must be an integer, not 1.7"),
+        ("benchmark", {"iterations": True}, "iterations must be an integer, not True"),
+        ("sparse_forward", {"omega": 2.9}, "omega must be an integer, not 2.9"),
+        # NumPy's own error once named no argument
+        ("benchmark", {"seeds": [-1]}, "seeds must be at least 0"),
+        ("benchmark", {"iterations": 0}, "iterations must be at least 1"),
+    ])
+    def test_integers_checked_not_truncated(self, preset, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            run_preset(preset, **{"seeds": [0], "iterations": 10, **kwargs})
+        assert str(exc.value) == message
+
+    def test_numpy_integers_read_as_python_ints(self):
+        rep = run_preset("sparse_forward", seeds=[np.int64(3)], iterations=np.int64(12),
+                         omega=np.int64(3))
+        assert rep.seeds == [3] and rep.iterations == 12 and rep.params["omega"] == 3
+        assert {type(v) for v in (*rep.seeds, rep.iterations, rep.params["omega"])} == {int}
+        assert [m.label for m in rep.methods] == ["mcp", "pam_omega3"]
+
+    @pytest.mark.parametrize("preset", [p for p in PRESETS if p != "sparse_forward"])
+    def test_omega_rejected_where_no_method_reads_it(self, preset):
+        # benchmark once ran without it and echoed it in its summary's params
+        with pytest.raises(ValueError) as exc:
+            run_preset(preset, seeds=[0], iterations=10, omega=3)
+        assert str(exc.value) == f"preset {preset!r} takes no omega; only sparse_forward reads it"
+
     def test_benchmark_structure(self):
         rep = run_preset("benchmark", seeds=range(3), iterations=60)
         assert [m.label for m in rep.methods] == ["mcp", "mrp", "pam"]

@@ -114,6 +114,11 @@ class TestMatrixCsv:
         write_matrix_csv(counts, path)
         assert path.read_text() == "0,3\n2,0\n"
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n0,1.5\n  \n2,0\n\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[0.0, 1.5], [2.0, 0.0]])
+
     def test_load_enforces_square(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,2\n3,0,4\n")
