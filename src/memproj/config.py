@@ -7,8 +7,9 @@ JSON shapes and key names are checked here, a key being known where
 ``emit_config`` writes it, and ``_spec`` finds the kind of each spec; values
 are checked by the owner of each rule, the spec's own constructor or the
 library, whose message ``<name> must ...`` reads ``<path>.<name>: must ...``.
-So a spec built in code rejects what parsing rejects.  ``emit_config`` writes
-a config back out such that parsing the result reproduces an equal object.
+So a config built in code rejects what parsing rejects; ``ExperimentConfig``
+owns the rules between parts, its ``strategy_builder`` those of a prior's file.
+``emit_config`` writes a config that parses back to an equal object.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ class CustomProblem(_FlatSpec):
 
 class _BuiltSpec(_FlatSpec):
     """A matrix built by ``builder`` from N and the spec's fields, which pass the
-    builder's rule when the spec is made (but omega < N, checked when built)
+    builder's rule when the spec is made (omega < N when in an ExperimentConfig)
     and are kept as the Python numbers the rule returns."""
 
     def __post_init__(self):
@@ -228,7 +229,7 @@ _FLAGS = ("debug_asserts", "store_iterates", "matrix_snapshot_interval")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated, runnable experiment description."""
+    """A validated, runnable experiment description; ``_rules`` span its parts."""
 
     problem: object
     strategy: object
@@ -246,6 +247,20 @@ class ExperimentConfig:
         if self.matrix_snapshot_interval is not None:
             object.__setattr__(self, "matrix_snapshot_interval", _check_integer(
                 "matrix_snapshot_interval", self.matrix_snapshot_interval, 1))
+        for _, owner, kwargs in self._rules(self.problem, self.strategy, self.stop):
+            owner(**kwargs)
+
+    @staticmethod
+    def _rules(problem, strategy, stop):
+        """(key path, owner, keyword arguments) of each rule between parts present."""
+        n, matrix = getattr(problem, "n_sets", None), getattr(strategy, "matrix", None)
+        if isinstance(problem, ToyProblem):
+            yield "problem", problem.directions, {}
+        if n is not None and hasattr(matrix, "omega"):
+            yield "strategy.matrix", _check_builder_args, {
+                "omega": matrix.omega, "scale": matrix.scale, "n_sets": n}
+        if n is not None and stop is not None:
+            yield "stop", _sweep_window, {"step_window": stop.step_window, "n_sets": n}
 
     @property
     def n_sets(self) -> int:
@@ -266,11 +281,11 @@ class ExperimentConfig:
 
     def strategy_builder(self):
         """A function from a seed to that seed's strategy.  A pam matrix is
-        built (a prior read) once, by this call; each Memory copies it."""
+        built (a prior read and checked) once, by this call; each Memory copies it."""
         spec = self.strategy
         if not isinstance(spec, PamSpec):
             return self.build_strategy
-        matrix = spec.matrix.build(self.n_sets)
+        matrix = Memory.admissible(spec.matrix.build(self.n_sets))
         return lambda seed: Memory(matrix, spec.policy, seed=seed)
 
     @classmethod
@@ -513,31 +528,21 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
     for name in ("debug_asserts", "store_iterates"):
         if not isinstance(flags.get(name, False), bool):
             col.add(f"flags.{name}", "must be true or false")
-    # ExperimentConfig checks the seeds and the interval; one attempt each reports both
-    interval = flags.get("matrix_snapshot_interval")
-    if col.attempt("flags", ExperimentConfig, problem, strategy, stop,
-                   matrix_snapshot_interval=interval) is None:
-        interval = None
-    config = col.attempt(
-        "", ExperimentConfig, problem, strategy, stop, seeds=tuple(seeds),
-        output_dir=output_dir, debug_asserts=flags.get("debug_asserts", False),
-        store_iterates=flags.get("store_iterates", False), matrix_snapshot_interval=interval)
-
-    # cross-field checks need the pieces to have parsed individually first;
-    # a toy problem's lines must not be parallel
-    if isinstance(problem, ToyProblem):
-        col.attempt("problem", problem.directions)
-    # Memory's own check, without the numpy.random import a Memory's generator costs
-    if problem is not None and isinstance(strategy, PamSpec):
-        matrix = col.attempt("strategy.matrix", strategy.matrix.build, problem.n_sets)
-        if matrix is not None:
-            col.attempt("strategy.matrix", Memory.admissible, matrix)
-    if problem is not None and stop is not None:
-        col.attempt("stop", _sweep_window, step_window=stop.step_window, n_sets=problem.n_sets)
+    # ExperimentConfig's checks, one attempt each: seeds, interval, the rules between parts
+    col.attempt("flags", ExperimentConfig, None, None, None,
+                matrix_snapshot_interval=flags.get("matrix_snapshot_interval"))
+    col.attempt("", ExperimentConfig, None, None, None, seeds=tuple(seeds))
+    failed = {at for at, owner, kwargs in ExperimentConfig._rules(problem, strategy, stop)
+              if col.attempt(at, owner, **kwargs) is None}
+    # a prior's file is read by a config, which builds only where the problem's
+    # rule holds; a band or dense matrix holds the +1 cycle, so it is not built
+    if problem is not None and "problem" not in failed and isinstance(
+            getattr(strategy, "matrix", None), PriorSpec):
+        col.attempt("strategy.matrix", ExperimentConfig(problem, strategy, None).strategy_builder)
 
     if col.errors:
         raise ConfigError(col.errors)
-    return config
+    return ExperimentConfig(problem, strategy, stop, tuple(seeds), output_dir, **flags)
 
 
 def emit_config(config: ExperimentConfig) -> str:

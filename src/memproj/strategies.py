@@ -101,8 +101,8 @@ class Memory(Strategy):
     The one owner of the method's state: ``matrix`` (a private copy),
     ``current_index``, the tie-break generator ``rng``, the ``policy`` and
     ``_pending``, the set chosen last whose step is not recorded yet.  Its
-    ``admissible`` is the one admissibility check: ``__init__`` and
-    ``parse_config`` make it, ``run`` and ``run_lockstep`` rely on it; the
+    ``admissible`` is the one admissibility check: ``__init__`` and a config's
+    ``strategy_builder`` make it, ``run`` and ``run_lockstep`` rely on it; the
     latter takes unpicked ones and steps each through its own ``next_index``.
 
     ``next_index`` is the one owner of a step of the method.  The first call

@@ -113,11 +113,16 @@ def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
     rows = []
     with path.open(newline="") as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}: line {i}: {len(rows[-1])} entries, not {len(rows[0])}")
     a = np.asarray(rows, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {a.shape}")

@@ -68,6 +68,17 @@ class TestCheckMatrix:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check-matrix", str(tmp_path / "none.csv")]) == 1
 
+    @pytest.mark.parametrize("text,where", [
+        ("0,1,1\n1,0\n1,1,0\n", "line 2: 2 entries, not 3"),
+        ("0,1,\n1,0,1\n1,1,0\n", "line 1: could not convert string to float: ''"),
+    ])
+    def test_malformed_file_names_the_line(self, tmp_path, capsys, text, where):
+        # NumPy's error once stood alone, naming neither the file nor the line
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert main(["check-matrix", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {where}"]
+
 
 def _cpus(monkeypatch, count):
     """Let ``memproj run`` see ``count`` CPUs in its affinity mask, and

@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memproj import (
@@ -40,6 +42,7 @@ from memproj.config import (
     MrpSpec,
     PamSpec,
     PriorSpec,
+    _BuiltSpec,
     set_to_descriptor,
 )
 from memproj.strategies import Cyclic, Memory, RandomizedCycles
@@ -166,7 +169,8 @@ class TestParsing:
         doc["strategy"]["matrix"] = {"kind": "banded_forward", "omega": 9}
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
-        assert any("strategy.matrix" in e and "omega" in e for e in exc.value.errors)
+        assert exc.value.errors == [
+            "strategy.matrix.omega: must be smaller than the number of sets"]
 
     def test_inadmissible_prior_matrix_detected(self, tmp_path):
         weights = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -188,14 +192,16 @@ class TestParsing:
             "from set 1 to set 0"
         ]
 
-    def test_matrix_checked_without_building_a_generator(self):
+    def test_matrix_checked_without_building_a_generator(self, tmp_path):
         # a Memory's generator imports numpy.random, about 15 ms of a fresh
-        # process's set-up; parsing makes Memory's check without one
+        # process's set-up; parsing makes Memory's check on a prior without one
         # (a NumPy that imports numpy.random eagerly leaves nothing to test)
+        write_matrix_csv(np.ones((9, 9)) - np.eye(9), tmp_path / "w.csv")
+        doc = _with(TOY_PAM, "strategy.matrix", {"kind": "prior", "path": str(tmp_path / "w.csv")})
         code = ("import json, sys, memproj; loaded = 'numpy.random' in sys.modules; "
                 "memproj.parse_config(json.loads(sys.argv[1])); "
                 "print(loaded, 'numpy.random' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(TOY_PAM)],
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(doc)],
                               capture_output=True, text=True, check=True, env=subprocess_env())
         loaded, after = proc.stdout.split()
         assert after == loaded
@@ -278,6 +284,21 @@ def _outcome(fn, *args):
         return fn(*args)
     except ConfigError as exc:
         return exc.errors
+
+
+def _as_raised(error: str) -> str:
+    """A ``parse_config`` error as its owner raised it: ``<path>.<name>: must ...``
+    reads ``<name> must ...``, and ``<path>: <message>`` reads ``<message>``."""
+    path, _, message = error.partition(": ")
+    return f"{path.rpartition('.')[2]} {message}" if message.startswith("must ") else message
+
+
+def _document(problem, strategy, stop, **kwargs):
+    """The document ``emit_config`` writes of these parts, whether or not they
+    make an ``ExperimentConfig``."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    return ExperimentConfig.to_dict(SimpleNamespace(
+        **{**defaults, **kwargs}, problem=problem, strategy=strategy, stop=stop))
 
 
 def _with(base, path, value):
@@ -627,20 +648,66 @@ class TestSpecsBuiltInCode:
         assert [type(v) for v in (*problem.x0, *problem.known_point)] == [float] * 4
         assert type(problem.sets) is tuple
 
+    @pytest.mark.parametrize("parts,errors", [
+        # it once built, and parse_config rejected what emit_config wrote of it
+        ((ToyProblem(9, 0.05), PamSpec(BandedForwardSpec(9), Policy("min", 0.5)),
+          StoppingRule(10, step_window=3)),
+         ["strategy.matrix.omega: must be smaller than the number of sets",
+          "stop.step_window: must cover at least one full sweep (>= N = 9)"]),
+        ((ToyProblem(9), McpSpec(), StoppingRule(10, step_window=3)),
+         ["stop.step_window: must cover at least one full sweep (>= N = 9)"]),
+        ((ToyProblem(3, 1e-9), McpSpec(), StoppingRule(10)),
+         ["problem: lines 0 and 1 are parallel; their intersection is not a single point"]),
+    ])
+    def test_rules_between_parts(self, parts, errors):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(*parts)
+        assert _outcome(parse_config, _document(*parts)) == errors
+        assert str(exc.value) == _as_raised(errors[0])
+
+    @pytest.mark.parametrize("text,message", [
+        ("0,1\n1,0\n", "weights matrix is 2x2, problem has 3 sets"),
+        ("0,1,1\n0,0,0\n1,0,0\n",
+         "matrix is not admissible: no positive-entry chain from set 1 to set 0"),
+        ("0,1,1\n1,0\n1,1,0\n", "{path}: line 2: 2 entries, not 3"),
+        ("0,1,1\n1,0,1,\n1,1,0\n", "{path}: line 2: could not convert string to float: ''"),
+    ])
+    def test_prior_checked_where_its_strategy_is_built(self, tmp_path, text, message):
+        # a prior's file is read by strategy_builder, never by building a config
+        (tmp_path / "w.csv").write_text(text)
+        message = message.format(path=tmp_path / "w.csv")
+        config = ExperimentConfig(ToyProblem(3, 0.5), PamSpec(
+            PriorSpec("w.csv", base_dir=str(tmp_path)), Policy("min", 0.01)), StoppingRule(9))
+        with pytest.raises(ValueError) as exc:
+            config.strategy_builder()
+        assert str(exc.value) == message
+        assert _outcome(parse_config, _document(config.problem, config.strategy, config.stop),
+                        tmp_path) == [f"strategy.matrix: {message}"]
+
+    def test_parse_config_builds_no_band_or_dense_matrix(self, monkeypatch):
+        # each holds the +1 cycle, so it is admissible unbuilt; parsing a dense
+        # config once allocated N x N floats
+        def build(spec, n_sets):
+            raise AssertionError(f"{spec.kind} built")
+
+        monkeypatch.setattr(_BuiltSpec, "build", build)
+        for matrix in ({"kind": "dense"}, {"kind": "banded_forward", "omega": 8},
+                       {"kind": "banded_bidirectional", "omega": 1, "scale": 2.0}):
+            config = parse_config(_with(TOY_PAM, "strategy.matrix", matrix))
+            with pytest.raises(AssertionError, match=f"{matrix['kind']} built"):
+                config.strategy_builder()  # the build a run makes
+
 
 def _int(v, numpy):
     return np.int64(v) if numpy else int(v)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), custom=st.booleans(),
-       strategy=st.sampled_from(["mcp", "mrp", "pam"]),
-       matrix=st.sampled_from(["dense", "banded_forward", "banded_bidirectional", "prior"]),
-       numpy=st.booleans())
-def test_emitted_config_parses_back_equal(tmp_path_factory, seed, custom, strategy, matrix,
-                                          numpy):
-    # any config whose specs construct in code: NumPy or Python numbers, points
-    # as lists, tuples or arrays, every set family, every strategy and matrix
+def _drawn_config(base_dir, seed, custom, strategy, matrix, numpy):
+    """The parts and keyword arguments of a config drawn from ``seed``: NumPy or
+    Python numbers, points as lists, tuples or arrays, every set family, every
+    strategy and matrix, and values that break the rules between parts (omega
+    up to N + 2, a window below N, parallel toy lines, a prior of another size
+    or an inadmissible one), each part good on its own."""
     rng = np.random.default_rng(seed)
     if custom:
         dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
@@ -651,17 +718,19 @@ def test_emitted_config_parses_back_equal(tmp_path_factory, seed, custom, strate
             as_(point), None if rng.random() < 0.5 else as_(point / 2))
     else:
         n = int(rng.integers(2, 30))
-        problem = ToyProblem(_int(n, numpy), float(rng.uniform(0.05, 2.0)))
+        r = rng.uniform(0.05, 2.0) if rng.random() < 0.8 else 10 ** rng.uniform(-10, -3)
+        problem = ToyProblem(_int(n, numpy), float(r))
     seed_of = None if rng.random() < 0.3 else _int(rng.integers(0, 2**31), numpy)
-    base_dir = tmp_path_factory.mktemp("prior")
     if strategy == "mcp":
         spec = McpSpec()
     elif strategy == "mrp":
         spec = MrpSpec(seed=seed_of)
     else:
         scale = float(rng.uniform(0.1, 4.0))
-        omega = _int(rng.integers(1, n), numpy)
-        weights = rng.uniform(0.5, 2.0, (n, n)) * (1 - np.eye(n))
+        omega = _int(rng.integers(1, n + 3), numpy)
+        side = n if rng.random() < 0.7 else max(2, n + int(rng.choice([-1, 1])))
+        weights = rng.uniform(0.5, 2.0, (side, side)) * (1 - np.eye(side))
+        weights[0] *= rng.random() < 0.85  # a row of zeros reaches no other set
         write_matrix_csv(weights, base_dir / "w.csv")
         spec = PamSpec({"dense": DenseSpec(scale),
                         "banded_forward": BandedForwardSpec(omega, scale),
@@ -669,16 +738,44 @@ def test_emitted_config_parses_back_equal(tmp_path_factory, seed, custom, strate
                         "prior": PriorSpec("w.csv", base_dir=str(base_dir))}[matrix],
                        Policy(["min", "average"][int(rng.integers(2))],
                               float(rng.uniform(0.01, 0.99))), seed=seed_of)
-    window = None if rng.random() < 0.5 else _int(n + rng.integers(0, 5), numpy)
-    config = ExperimentConfig(
-        problem, spec,
-        StoppingRule(_int(rng.integers(1, 500), numpy), window, float(rng.uniform(1e-14, 1e-6)),
-                     None if rng.random() < 0.5 else float(rng.uniform(1e-12, 1e-3))),
+    window = None if rng.random() < 0.5 else _int(max(1, n + rng.integers(-3, 5)), numpy)
+    stop = StoppingRule(_int(rng.integers(1, 500), numpy), window,
+                        float(rng.uniform(1e-14, 1e-6)),
+                        None if rng.random() < 0.5 else float(rng.uniform(1e-12, 1e-3)))
+    return (problem, spec, stop), dict(
         seeds=tuple(_int(s, numpy) for s in rng.integers(0, 100, int(rng.integers(0, 4)))),
         output_dir=None if rng.random() < 0.5 else "out", debug_asserts=bool(rng.random() < 0.5),
         store_iterates=bool(rng.random() < 0.5),
         matrix_snapshot_interval=None if rng.random() < 0.5 else _int(rng.integers(1, 9), numpy))
-    assert parse_config(emit_config(config), base_dir=base_dir) == config
+
+
+def _found_config(base_dir):
+    """A config that once built, and whose emitted form parse_config rejected."""
+    return (ToyProblem(9, 0.05), PamSpec(BandedForwardSpec(9), Policy("min", 0.5)),
+            StoppingRule(10, step_window=3)), {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.builds(partial, st.just(_drawn_config), seed=st.integers(0, 2**32 - 1),
+                      custom=st.booleans(), strategy=st.sampled_from(["mcp", "mrp", "pam"]),
+                      matrix=st.sampled_from(["dense", "banded_forward",
+                                              "banded_bidirectional", "prior"]),
+                      numpy=st.booleans()))
+@example(make=_found_config)
+def test_emitted_config_parses_back_equal(tmp_path_factory, make):
+    # a config built in code either fails to build, with a message that
+    # parse_config reports for its document, or parses back equal
+    base_dir = tmp_path_factory.mktemp("prior")
+    parts, kwargs = make(base_dir)
+    try:
+        config = ExperimentConfig(*parts, **kwargs)
+        config.strategy_builder()
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(_document(*parts, **kwargs), base_dir=base_dir)
+        assert str(exc) in [_as_raised(e) for e in parsed.value.errors]
+    else:
+        assert parse_config(emit_config(config), base_dir=base_dir) == config
 
 
 @pytest.mark.parametrize("path,message", [

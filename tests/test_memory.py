@@ -104,7 +104,9 @@ class TestBuilders:
 
     def test_builders_equal_a_loop_reference(self):
         # entry (m, n) is positive where n is 1..omega cyclic steps ahead of m
-        # (the two-way band: or behind), and the dense matrix everywhere off the diagonal
+        # (the two-way band: or behind), and the dense matrix everywhere off the
+        # diagonal; each holds the +1 cycle, so parsing a config need not build it
+        # to check that it is admissible
         for n in range(2, 41):
             for omega in range(1, n):
                 forward, both = np.zeros((n, n), bool), np.zeros((n, n), bool)
@@ -118,9 +120,11 @@ class TestBuilders:
                         got = builder(n, omega, scale).to_array()
                         assert got.tobytes() == np.where(pattern, scale, 0.0).tobytes(), (
                             builder.__name__, n, omega, scale)
+                        assert is_admissible(got)
             for scale in (1.0, 0.01, 2.5, 1e-300):
                 got = build_dense(n, scale).to_array()
                 assert got.tobytes() == np.where(~np.eye(n, dtype=bool), scale, 0.0).tobytes()
+                assert is_admissible(got)
 
     @pytest.mark.parametrize("n_sets", [2.5, 9.0, True, "9", np.float64(5.0)])
     def test_non_integral_n_sets_rejected(self, n_sets):

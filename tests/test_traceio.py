@@ -119,6 +119,13 @@ class TestMatrixCsv:
         path.write_text("\n0,1.5\n  \n2,0\n\n")
         np.testing.assert_array_equal(read_matrix_csv(path), [[0.0, 1.5], [2.0, 0.0]])
 
+    def test_malformed_row_named_by_its_line_in_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n0,1.5\n  \n2,0,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_matrix_csv(path)
+        assert str(exc.value) == f"{path}: line 4: 3 entries, not 2"
+
     def test_load_enforces_square(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,2\n3,0,4\n")
