@@ -27,7 +27,6 @@ from .memory import (
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
-    build_prior_matrix,
     evaluate_policy,
     is_admissible,
     pam_select,
@@ -86,7 +85,6 @@ __all__ = [
     "build_banded_bidirectional",
     "build_banded_forward",
     "build_dense",
-    "build_prior_matrix",
     "evaluate_policy",
     "pam_select",
     "pam_update",

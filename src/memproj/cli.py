@@ -89,7 +89,7 @@ def execute_config(config: ExperimentConfig, outdir) -> Path:
     paths = [(outdir / f"trace_seed{s}.csv", outdir / f"trace_seed{s}.json",
               outdir / f"frequency_seed{s}.csv") for s in seeds]
     try:
-        problem = config.build_problem()
+        problem = config.problem.build()
         echo_text = emit_config(config)
         (outdir / "config.json").write_text(echo_text)
         job = (config, problem, echo_text, config.strategy_builder(), seeds, paths)

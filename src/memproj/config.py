@@ -8,7 +8,8 @@ JSON shapes and key names are checked here, a key being known where
 are checked by the owner of each rule, the spec's own constructor or the
 library, whose message ``<name> must ...`` reads ``<path>.<name>: must ...``.
 So a config built in code rejects what parsing rejects; ``ExperimentConfig``
-owns the rules between parts, its ``strategy_builder`` those of a prior's file.
+owns its fields' rules and those between parts, a strategy spec's ``builder``
+those of a prior's file.
 ``emit_config`` writes a config that parses back to an equal object.
 """
 from __future__ import annotations
@@ -183,7 +184,7 @@ class PriorSpec(_FlatSpec):
 
 class _SeededSpec(_FlatSpec):
     """A strategy spec with an optional generator seed, an integer >= 0 kept
-    as the Python int it holds."""
+    as the Python int it holds, which its ``builder`` uses for a None seed."""
 
     def __post_init__(self):
         if self.seed is not None:
@@ -194,8 +195,8 @@ class _SeededSpec(_FlatSpec):
 class McpSpec(_FlatSpec):
     kind = "mcp"
 
-    def build(self, n_sets: int, seed=None):
-        return Cyclic(n_sets)
+    def builder(self, n_sets: int):
+        return lambda seed: Cyclic(n_sets)
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,8 @@ class MrpSpec(_SeededSpec):
     kind = "mrp"
     seed: int | None = None
 
-    def build(self, n_sets: int, seed=None):
-        return RandomizedCycles(n_sets, seed=self.seed if seed is None else seed)
+    def builder(self, n_sets: int):
+        return lambda seed: RandomizedCycles(n_sets, self.seed if seed is None else seed)
 
 
 @dataclass(frozen=True)
@@ -214,9 +215,10 @@ class PamSpec(_SeededSpec):
     policy: Policy
     seed: int | None = None
 
-    def build(self, n_sets: int, seed=None):
-        return Memory(self.matrix.build(n_sets), self.policy,
-                      seed=self.seed if seed is None else seed)
+    def builder(self, n_sets: int):
+        # the matrix is built (a prior read) and checked once; each Memory copies it
+        matrix = Memory.admissible(self.matrix.build(n_sets))
+        return lambda seed: Memory(matrix, self.policy, self.seed if seed is None else seed)
 
     def to_dict(self):
         return {**super().to_dict(), "matrix": self.matrix.to_dict(),
@@ -241,9 +243,15 @@ class ExperimentConfig:
     matrix_snapshot_interval: int | None = None
 
     def __post_init__(self):
-        # the integers are kept as the Python ints they hold, which JSON can encode
+        # the numbers and flags are kept as the Python values they hold, which JSON can encode
         seeds = tuple(_check_integer("seeds", s, 0) for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ValueError("output_dir must be a string or null")
+        for name in ("debug_asserts", "store_iterates"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         if self.matrix_snapshot_interval is not None:
             object.__setattr__(self, "matrix_snapshot_interval", _check_integer(
                 "matrix_snapshot_interval", self.matrix_snapshot_interval, 1))
@@ -273,20 +281,14 @@ class ExperimentConfig:
         own = getattr(self.strategy, "seed", None)
         return (own if own is not None else 0,)
 
-    def build_problem(self):
-        return self.problem.build()
-
     def build_strategy(self, seed=None):
-        return self.strategy.build(self.n_sets, seed=seed)
+        return self.strategy_builder()(seed)
 
     def strategy_builder(self):
-        """A function from a seed to that seed's strategy.  A pam matrix is
-        built (a prior read and checked) once, by this call; each Memory copies it."""
-        spec = self.strategy
-        if not isinstance(spec, PamSpec):
-            return self.build_strategy
-        matrix = Memory.admissible(spec.matrix.build(self.n_sets))
-        return lambda seed: Memory(matrix, spec.policy, seed=seed)
+        """A function from a seed to that seed's strategy, a None seed the
+        strategy's own.  A pam matrix is built (a prior read and checked) once,
+        by this call; each Memory copies it."""
+        return self.strategy.builder(self.n_sets)
 
     @classmethod
     def keys(cls) -> tuple:
@@ -515,34 +517,28 @@ def parse_config(source, base_dir=None) -> ExperimentConfig:
         col.add("seeds", "must be a list of integers")
         seeds = []
 
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        col.add("output_dir", "must be a string or null")
-        output_dir = None
+    # ExperimentConfig's checks, one attempt per field given, then the rules between parts
+    col.attempt("", ExperimentConfig, None, None, None, output_dir=doc.get("output_dir"))
 
     flags = {} if doc.get("flags") is None else doc["flags"]
     if not isinstance(flags, dict):
         col.add("flags", "must be an object")
         flags = {}
     col.unknown("flags", flags, _FLAGS)
-    for name in ("debug_asserts", "store_iterates"):
-        if not isinstance(flags.get(name, False), bool):
-            col.add(f"flags.{name}", "must be true or false")
-    # ExperimentConfig's checks, one attempt each: seeds, interval, the rules between parts
-    col.attempt("flags", ExperimentConfig, None, None, None,
-                matrix_snapshot_interval=flags.get("matrix_snapshot_interval"))
+    for name in _FLAGS:
+        if name in flags:
+            col.attempt("flags", ExperimentConfig, None, None, None, **{name: flags[name]})
     col.attempt("", ExperimentConfig, None, None, None, seeds=tuple(seeds))
-    failed = {at for at, owner, kwargs in ExperimentConfig._rules(problem, strategy, stop)
-              if col.attempt(at, owner, **kwargs) is None}
-    # a prior's file is read by a config, which builds only where the problem's
-    # rule holds; a band or dense matrix holds the +1 cycle, so it is not built
-    if problem is not None and "problem" not in failed and isinstance(
-            getattr(strategy, "matrix", None), PriorSpec):
-        col.attempt("strategy.matrix", ExperimentConfig(problem, strategy, None).strategy_builder)
+    for at, owner, kwargs in ExperimentConfig._rules(problem, strategy, stop):
+        col.attempt(at, owner, **kwargs)
+    # a prior's file is read by its strategy's builder, whatever the rules
+    # between parts say; a band or dense matrix holds the +1 cycle, so it is not built
+    if problem is not None and isinstance(getattr(strategy, "matrix", None), PriorSpec):
+        col.attempt("strategy.matrix", strategy.builder, problem.n_sets)
 
     if col.errors:
         raise ConfigError(col.errors)
-    return ExperimentConfig(problem, strategy, stop, tuple(seeds), output_dir, **flags)
+    return ExperimentConfig(problem, strategy, stop, tuple(seeds), doc.get("output_dir"), **flags)
 
 
 def emit_config(config: ExperimentConfig) -> str:

@@ -30,7 +30,6 @@ __all__ = [
     "build_banded_bidirectional",
     "build_banded_forward",
     "build_dense",
-    "build_prior_matrix",
     "evaluate_policy",
     "pam_select",
     "pam_update",
@@ -43,6 +42,9 @@ class InvariantViolation(RuntimeError):
 
 class DistanceMatrix:
     """N x N nonnegative matrix with zero diagonal, plus row aggregates.
+
+    Made of caller weights, e.g. from angles between the sets, it is a prior
+    that biases the method; a ``Memory`` built on it checks its admissibility.
 
     The aggregates (count / sum / min of the strictly positive entries of
     each row, held as plain Python numbers) make the "min" policy O(1) and
@@ -106,13 +108,6 @@ class DistanceMatrix:
     def to_array(self) -> np.ndarray:
         """A defensive copy of the entries."""
         return self._a.copy()
-
-    def entry(self, m: int, n: int) -> float:
-        return float(self._a[m, n])
-
-    def positive_pattern(self) -> np.ndarray:
-        """Boolean mask of strictly positive entries."""
-        return self._a > 0.0
 
     def max_entry(self) -> float:
         return float(self._a.max())
@@ -251,17 +246,6 @@ def build_dense(n_sets: int, scale: float = 1.0) -> DistanceMatrix:
     a = np.full((n_sets, n_sets), scale, dtype=float)
     np.fill_diagonal(a, 0.0)
     return DistanceMatrix(a)
-
-
-def build_prior_matrix(weights) -> DistanceMatrix:
-    """Wrap caller-supplied nonnegative weights (zero diagonal) as memory.
-
-    Use this to bias the method toward transitions believed to be
-    profitable, e.g. weights derived from angles between the sets.
-    Admissibility is not checked here; it is checked when a ``Memory`` is
-    built on the matrix.
-    """
-    return DistanceMatrix(weights)
 
 
 @dataclass(frozen=True)

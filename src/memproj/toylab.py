@@ -107,9 +107,6 @@ class MethodResult:
     def residuals_at_budget(self) -> np.ndarray:
         return np.array([t.residuals[-1] for t in self.traces])
 
-    def frequency_matrices(self) -> list:
-        return [t.transition_counts() for t in self.traces]
-
 
 @dataclass
 class PresetReport:

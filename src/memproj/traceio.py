@@ -165,7 +165,7 @@ def dumps_stable(obj) -> str:
     return _encode(obj, "") + "\n"
 
 
-def trace_json_dict(trace: RunTrace, config_echo: dict | None = None) -> dict:
+def trace_json_dict(trace: RunTrace) -> dict:
     """Full structured record of one run, JSON-ready."""
     out = {
         "status": trace.status,
@@ -180,14 +180,13 @@ def trace_json_dict(trace: RunTrace, config_echo: dict | None = None) -> dict:
     }
     if trace.final_matrix is not None:
         out["final_matrix"] = trace.final_matrix.tolist()
-    if config_echo is not None:
-        out["config"] = config_echo
     return out
 
 
 def write_trace_json(trace: RunTrace, path, config_echo: dict | str | None = None) -> None:
-    """Write ``dumps_stable(trace_json_dict(trace, config_echo))``; an echo
-    given as ``dumps_stable(echo)`` text is spliced in, not encoded again."""
+    """Write ``dumps_stable({"config": config_echo, **trace_json_dict(trace)})``,
+    without the key if there is no echo; an echo given as ``dumps_stable(echo)``
+    text is spliced in, not encoded again."""
     text = _encode(trace_json_dict(trace), "")
     if config_echo is not None:
         if not isinstance(config_echo, str):

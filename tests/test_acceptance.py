@@ -127,7 +127,7 @@ def test_ac04_sparsity_pattern_preserved(policy_kind, builder_label, builder):
     and the matrix stays admissible at every step."""
     sets, x0, _ = toy()
     matrix = builder()
-    pattern0 = matrix.positive_pattern()
+    pattern0 = matrix.to_array() > 0.0
     memory = Memory(matrix, Policy(policy_kind, 0.01), seed=31)
     x = sets[0].project(x0)
     for _ in range(10_000):
@@ -135,7 +135,7 @@ def test_ac04_sparsity_pattern_preserved(policy_kind, builder_label, builder):
         x_next = sets[j].project(x)
         pam_update(memory, float(np.linalg.norm(x_next - x)))
         x = x_next
-        assert np.array_equal(memory.matrix.positive_pattern(), pattern0)
+        assert np.array_equal(memory.matrix.to_array() > 0.0, pattern0)
         assert is_admissible(memory.matrix)
     _ok(4, f"pattern preserved for 10^4 steps ({builder_label}, {policy_kind})")
 

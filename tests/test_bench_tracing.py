@@ -7,6 +7,7 @@ benchmark result, so a refactor that renames or folds one shows here first.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -65,6 +66,11 @@ def test_every_boundary_is_traced_and_restored(tracing):
     assert trace.n_projections == 300
     metrics, absent = tracer.layer_metrics(cycles=1, overhead_frac=0.0)
     assert absent == []
+    # the benchmark reports every per-layer metric it declares, each a finite number
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)
+    assert len(metrics) == 49
+    json.dumps(metrics, allow_nan=False)
     value = {name: m["value"] for name, m in metrics.items()}
     # 299 picks and finish's record in the run, then 50 picks and 50 records
     assert value["strategies.next_index.calls"] == 300 + 2 * 50

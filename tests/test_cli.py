@@ -360,14 +360,18 @@ class TestRun:
         }
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(doc))
-        build = ExperimentConfig.build_strategy
+        strategy_builder = ExperimentConfig.strategy_builder
 
-        def slow_first_seed(self, seed=None):
-            if seed == 6:  # the seeds after it finish first
-                time.sleep(0.3)
-            return build(self, seed)
+        def slow_first_seed(self):
+            build = strategy_builder(self)
 
-        monkeypatch.setattr(ExperimentConfig, "build_strategy", slow_first_seed)
+            def slow(seed):
+                if seed == 6:  # the seeds after it finish first
+                    time.sleep(0.3)
+                return build(seed)
+            return slow
+
+        monkeypatch.setattr(ExperimentConfig, "strategy_builder", slow_first_seed)
         errors = []
         for cpus in (3, 1):
             pools = _cpus(monkeypatch, cpus)

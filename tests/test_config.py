@@ -684,6 +684,34 @@ class TestSpecsBuiltInCode:
         assert _outcome(parse_config, _document(config.problem, config.strategy, config.stop),
                         tmp_path) == [f"strategy.matrix: {message}"]
 
+    def test_prior_checked_beside_parallel_toy_lines(self, tmp_path):
+        # the prior is read wherever the problem parsed; it once hid behind the lines
+        (tmp_path / "w.csv").write_text("0,1\n1,0\n")
+        doc = _document(ToyProblem(9, 1e-9), PamSpec(PriorSpec("w.csv"), Policy("min", 0.01)),
+                        StoppingRule(9))
+        assert _outcome(parse_config, doc, tmp_path) == [
+            "problem: lines 0 and 1 are parallel; their intersection is not a single point",
+            "strategy.matrix: weights matrix is 2x2, problem has 9 sets"]
+
+    @pytest.mark.parametrize("name,value,error", [
+        ("debug_asserts", 1, "flags.debug_asserts: must be true or false"),
+        ("store_iterates", "no", "flags.store_iterates: must be true or false"),
+        ("output_dir", 5, "output_dir: must be a string or null"),
+    ])
+    def test_flags_and_output_dir_checked_where_built(self, name, value, error):
+        # each once built, and parse_config rejected what emit_config wrote of it
+        parts = ToyProblem(9), McpSpec(), StoppingRule(10)
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(*parts, **{name: value})
+        assert str(exc.value) == _as_raised(error)
+        assert _outcome(parse_config, _document(*parts, **{name: value})) == [error]
+
+    def test_numpy_flags_kept_as_bools(self):
+        config = ExperimentConfig(ToyProblem(9), McpSpec(), StoppingRule(10),
+                                  debug_asserts=np.True_, store_iterates=np.False_)
+        assert (type(config.debug_asserts), type(config.store_iterates)) == (bool, bool)
+        assert parse_config(emit_config(config)) == config  # emit_config once raised TypeError
+
     def test_parse_config_builds_no_band_or_dense_matrix(self, monkeypatch):
         # each holds the +1 cycle, so it is admissible unbuilt; parsing a dense
         # config once allocated N x N floats
@@ -704,10 +732,11 @@ def _int(v, numpy):
 
 def _drawn_config(base_dir, seed, custom, strategy, matrix, numpy):
     """The parts and keyword arguments of a config drawn from ``seed``: NumPy or
-    Python numbers, points as lists, tuples or arrays, every set family, every
-    strategy and matrix, and values that break the rules between parts (omega
-    up to N + 2, a window below N, parallel toy lines, a prior of another size
-    or an inadmissible one), each part good on its own."""
+    Python numbers and bools, points as lists, tuples or arrays, every set
+    family, every strategy and matrix, values that break the rules between
+    parts (omega up to N + 2, a window below N, parallel toy lines, a prior of
+    another size or an inadmissible one), each part good on its own, and now
+    and then an output_dir or a flag of another type."""
     rng = np.random.default_rng(seed)
     if custom:
         dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 8))
@@ -742,10 +771,16 @@ def _drawn_config(base_dir, seed, custom, strategy, matrix, numpy):
     stop = StoppingRule(_int(rng.integers(1, 500), numpy), window,
                         float(rng.uniform(1e-14, 1e-6)),
                         None if rng.random() < 0.5 else float(rng.uniform(1e-12, 1e-3)))
+    wrong = rng.random(3) < 0.1  # an output_dir or a flag of another type
+
+    def flag(bad):
+        return [1, "no", None][int(rng.integers(3))] if bad else (
+            np.bool_ if numpy else bool)(rng.random() < 0.5)
+
     return (problem, spec, stop), dict(
         seeds=tuple(_int(s, numpy) for s in rng.integers(0, 100, int(rng.integers(0, 4)))),
-        output_dir=None if rng.random() < 0.5 else "out", debug_asserts=bool(rng.random() < 0.5),
-        store_iterates=bool(rng.random() < 0.5),
+        output_dir=5 if wrong[0] else None if rng.random() < 0.5 else "out",
+        debug_asserts=flag(wrong[1]), store_iterates=flag(wrong[2]),
         matrix_snapshot_interval=None if rng.random() < 0.5 else _int(rng.integers(1, 9), numpy))
 
 
@@ -944,12 +979,31 @@ class TestRoundTrip:
 class TestBuilding:
     def test_build_problem_and_strategies(self):
         cfg = parse_config(TOY_PAM)
-        sets, x0, known = cfg.build_problem()
+        sets, x0, known = cfg.problem.build()
         assert len(sets) == 9 and x0.shape == (3,)
         np.testing.assert_array_equal(known, np.zeros(3))
         strat = cfg.build_strategy(seed=3)
         assert isinstance(strat, Memory)
         assert strat.n_sets == 9
+
+    @pytest.mark.parametrize("kind", ["mcp", "mrp", "pam-dense", "pam-prior"])
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_one_factory_behind_both_entry_points(self, tmp_path, kind, seed):
+        # a None seed is the spec's own (5) on both; strategy_builder once
+        # made a pam strategy from fresh entropy there
+        write_matrix_csv(np.ones((9, 9)) - np.eye(9), tmp_path / "w.csv")
+        policy = Policy("average", 0.5)
+        spec = {"mcp": McpSpec(), "mrp": MrpSpec(seed=5),
+                "pam-dense": PamSpec(DenseSpec(), policy, seed=5),
+                "pam-prior": PamSpec(PriorSpec("w.csv", str(tmp_path)), policy, seed=5)}[kind]
+        cfg = ExperimentConfig(ToyProblem(9), spec, StoppingRule(10))
+        runs = []
+        for strategy in (cfg.strategy_builder()(seed), cfg.build_strategy(seed),
+                         cfg.strategy_builder()(5 if seed is None else seed)):
+            picks = [strategy.next_index(None if k == 0 else 1.0 / k) for k in range(50)]
+            rng = getattr(strategy, "rng", getattr(strategy, "_rng", None))
+            runs.append((picks, None if rng is None else rng.bit_generator.state))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_prior_is_read_once_for_every_seed(self, tmp_path, monkeypatch):
         write_matrix_csv(np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0]]),
@@ -968,7 +1022,7 @@ class TestBuilding:
         execute_config(cfg, tmp_path / "out")
         assert len(reads) <= 1
         # every seed runs from the matrix as read, as if each had read it
-        sets, x0, known = cfg.build_problem()
+        sets, x0, known = cfg.problem.build()
         for seed in doc["seeds"]:
             trace = run(sets, cfg.build_strategy(seed), x0, cfg.stop, known_point=known)
             write_trace_csv(trace, tmp_path / "alone.csv")
@@ -1036,6 +1090,6 @@ class TestBuilding:
             "strategy": {"kind": "mcp"},
             "stop": {"max_iterations": 10},
         })
-        sets, x0, known = cfg.build_problem()
+        sets, x0, known = cfg.problem.build()
         assert sets[0] == Hyperplane([1.0, 0.0], 0.0)
         np.testing.assert_array_equal(known, [0.0, 0.0])

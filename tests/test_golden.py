@@ -21,6 +21,7 @@ from memproj import (
     Ball,
     Box,
     Cyclic,
+    DistanceMatrix,
     Halfspace,
     Hyperplane,
     LineThroughOrigin,
@@ -32,7 +33,6 @@ from memproj import (
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
-    build_prior_matrix,
     make_toy_problem,
     run,
     run_preset,
@@ -53,7 +53,7 @@ def _prior(n):
         w[m, (m + 1) % n] = 1.0
         w[m, (m + 5) % n] = 0.5 + 0.1 * (m % 3)
         w[m, (m + n - 2) % n] = 0.25
-    return build_prior_matrix(w)
+    return DistanceMatrix(w)
 
 
 def _custom_problem():

@@ -23,7 +23,6 @@ from memproj import (
     build_banded_bidirectional,
     build_banded_forward,
     build_dense,
-    build_prior_matrix,
     evaluate_policy,
     is_admissible,
     make_toy_problem,
@@ -60,7 +59,7 @@ class TestDistanceMatrix:
         d = DistanceMatrix([[0.0, 1.0], [2.0, 0.0]])
         a = d.to_array()
         a[0, 1] = 99.0
-        assert d.entry(0, 1) == 1.0
+        assert d.to_array()[0, 1] == 1.0
 
 
 class TestBuilders:
@@ -174,16 +173,16 @@ class TestBuilders:
 
     def test_prior_all_ones_off_diagonal_is_admissible(self):
         w = np.ones((3, 3)) - np.eye(3)
-        assert is_admissible(build_prior_matrix(w))
+        assert is_admissible(DistanceMatrix(w))
 
     def test_prior_wraps_weights(self):
         w = np.array([[0.0, 1.0, 2.0], [0.5, 0.0, 0.5], [1.0, 1.0, 0.0]])
-        d = build_prior_matrix(w)
+        d = DistanceMatrix(w)
         np.testing.assert_array_equal(d.to_array(), w)
 
     def test_prior_with_zero_row_is_inadmissible(self):
         w = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        assert not is_admissible(build_prior_matrix(w))
+        assert not is_admissible(DistanceMatrix(w))
 
     def test_prior_from_toy_angles_is_admissible(self):
         dirs = toy_directions(9, 0.05)
@@ -191,7 +190,7 @@ class TestBuilders:
         cos = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
         weights = np.sin(np.arccos(cos))
         np.fill_diagonal(weights, 0.0)
-        assert is_admissible(build_prior_matrix(weights))
+        assert is_admissible(DistanceMatrix(weights))
 
 
 class TestAdmissibility:
@@ -456,7 +455,7 @@ class TestMemoryConstruction:
         d = build_dense(3)
         memory = Memory(d, Policy("min", 0.5), seed=0)
         _record(memory, 1, 0.5)
-        assert d.entry(0, 1) == 1.0  # caller's matrix untouched
+        assert d.to_array()[0, 1] == 1.0  # caller's matrix untouched
 
     def test_start_index_range(self):
         with pytest.raises(ValueError):
@@ -489,7 +488,7 @@ class TestSelect:
         assert (memory._pending, memory.current_index) == (1, 0)
         pam_update(memory, 0.25)
         assert (memory._pending, memory.current_index) == (None, 1)
-        assert memory.matrix.entry(0, 1) == 0.5  # max(0.25, 0.5 * 1.0)
+        assert memory.matrix.to_array()[0, 1] == 0.5  # max(0.25, 0.5 * 1.0)
 
     def test_tie_sampling_is_uniform(self):
         a = np.ones((4, 4))
@@ -561,7 +560,7 @@ class TestUpdate:
         a[0] = [0.0, 0.2, 0.2, 0.2]  # min policy floor = 0.1 at beta 0.5
         memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=0)
         _record(memory, 1, 0.7)
-        assert memory.matrix.entry(0, 1) == 0.7
+        assert memory.matrix.to_array()[0, 1] == 0.7
         assert memory.current_index == 1
 
     def test_floor_keeps_entry_positive_on_zero_step(self):
@@ -570,8 +569,8 @@ class TestUpdate:
         a[0] = [0.0, 2.0, 4.0, 0.0]
         memory = Memory(DistanceMatrix(a), Policy("min", 0.01), seed=0)
         _record(memory, 1, 0.0)
-        assert memory.matrix.entry(0, 1) == pytest.approx(0.02)
-        assert memory.matrix.entry(0, 1) > 0.0
+        assert memory.matrix.to_array()[0, 1] == pytest.approx(0.02)
+        assert memory.matrix.to_array()[0, 1] > 0.0
 
     def test_floor_uses_matrix_before_the_write(self):
         a = np.ones((4, 4))
@@ -579,10 +578,10 @@ class TestUpdate:
         a[0] = [0.0, 2.0, 4.0, 0.0]
         memory = Memory(DistanceMatrix(a), Policy("min", 0.5), seed=0)
         _record(memory, 1, 0.0)
-        assert memory.matrix.entry(0, 1) == 1.0  # 0.5 * min(2, 4)
+        assert memory.matrix.to_array()[0, 1] == 1.0  # 0.5 * min(2, 4)
         memory.current_index = 0
         _record(memory, 1, 0.0)
-        assert memory.matrix.entry(0, 1) == 0.5  # 0.5 * min(1, 4)
+        assert memory.matrix.to_array()[0, 1] == 0.5  # 0.5 * min(1, 4)
 
     def test_rejects_bad_step(self):
         memory = Memory(build_dense(3), Policy("min", 0.5), seed=0)
@@ -603,11 +602,11 @@ class TestUpdate:
     def test_pattern_preserved_under_random_updates(self):
         rng = np.random.default_rng(17)
         memory = Memory(build_banded_bidirectional(7, 2), Policy("average", 0.3), seed=8)
-        pattern0 = memory.matrix.positive_pattern()
+        pattern0 = memory.matrix.to_array() > 0.0
         for _ in range(3000):
             pam_select(memory)
             pam_update(memory, float(rng.random() * 0.1))
-            assert np.array_equal(memory.matrix.positive_pattern(), pattern0)
+            assert np.array_equal(memory.matrix.to_array() > 0.0, pattern0)
 
     def test_row_aggregates_match_fresh_rebuild(self):
         rng = np.random.default_rng(23)
@@ -714,7 +713,7 @@ class TestLeanMemoryEquivalence:
             lambda: build_banded_forward(8, 2),
             lambda: build_banded_forward(5, 1),
             lambda: build_banded_bidirectional(7, 1),
-            lambda: build_prior_matrix(np.array(
+            lambda: DistanceMatrix(np.array(
                 [[0.0, 3.0, 0.5, 0.0], [1.0, 0.0, 0.0, 2.0],
                  [0.0, 0.25, 0.0, 4.0], [7.0, 0.0, 1.0, 0.0]])),
         ],
@@ -724,7 +723,7 @@ class TestLeanMemoryEquivalence:
         policy = Policy(kind, 0.5)
         memory = Memory(build(), policy, seed=3)
         matrix = memory.matrix
-        rows, cols = np.nonzero(matrix.positive_pattern())
+        rows, cols = np.nonzero(matrix.to_array() > 0.0)
         # a few repeated values make writes that land exactly on the row
         # minimum, which exercises the rescan branch; a write of the row
         # maximum itself ties the written column with the held ones
@@ -837,11 +836,11 @@ class TestLeanMemoryEquivalence:
 
     def test_reachability_matches_plain_traversal(self):
         rng = np.random.default_rng(5)
-        patterns = [build_banded_forward(256, 1).positive_pattern(),
+        patterns = [build_banded_forward(256, 1).to_array() > 0.0,
                     np.zeros((5, 5), dtype=bool)]
         # dense patterns, and patterns where the last vertex is found while
         # unexpanded vertices are still waiting (a star into a sparse rest)
-        patterns += [build_dense(n).positive_pattern() for n in (2, 3, 64)]
+        patterns += [build_dense(n).to_array() > 0.0 for n in (2, 3, 64)]
         for n in (4, 9, 40):
             star = np.zeros((n, n), dtype=bool)
             star[0, 1:] = True

@@ -18,6 +18,7 @@ from memproj import (
     Ball,
     Box,
     Cyclic,
+    DistanceMatrix,
     FejerViolation,
     Halfspace,
     Hyperplane,
@@ -37,7 +38,6 @@ from memproj import (
 from memproj.memory import (
     build_banded_bidirectional,
     build_banded_forward,
-    build_prior_matrix,
 )
 from memproj.runner import _distance, _row_lengths, run_lockstep
 
@@ -1083,7 +1083,7 @@ def _tie_prone_prior(n):
     for m in range(n):
         for jump in (1, 2, 4):
             w[m, (m + jump) % n] = 0.25 + 0.125 * (m % 3)
-    return build_prior_matrix(w)
+    return DistanceMatrix(w)
 
 
 _MEMORY_PRIORS = {

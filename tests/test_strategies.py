@@ -162,7 +162,7 @@ class TestMemory:
         j = s.next_index(None)
         assert j == 1
         s.next_index(0.25)  # records the 0 -> 1 step
-        assert s.matrix.entry(0, 1) == 0.5  # max(0.25, 0.5 * 1.0)
+        assert s.matrix.to_array()[0, 1] == 0.5  # max(0.25, 0.5 * 1.0)
 
     def test_tie_draws_pick_python_ints(self):
         # a tie is drawn as an int32 index into a list of Python ints, after a
@@ -175,10 +175,10 @@ class TestMemory:
         s = self._memory(beta=0.5)
         s.next_index(None)
         s.finish(2.5)
-        assert s.matrix.entry(0, 1) == 2.5
+        assert s.matrix.to_array()[0, 1] == 2.5
         # a second finish must not change anything
         s.finish(9.9)
-        assert s.matrix.entry(0, 1) == 2.5
+        assert s.matrix.to_array()[0, 1] == 2.5
 
     def test_deterministic_given_seed(self):
         def sequence(seed):

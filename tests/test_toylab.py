@@ -286,7 +286,7 @@ class TestPresets:
 
     def test_benchmark_mcp_frequencies_sit_on_the_cycle(self):
         rep = run_preset("benchmark", seeds=[0], iterations=90)
-        counts = rep.method("mcp").frequency_matrices()[0]
+        counts = rep.method("mcp").traces[0].transition_counts()
         cycle = np.zeros_like(counts, dtype=bool)
         for m in range(9):
             cycle[m, (m + 1) % 9] = True
